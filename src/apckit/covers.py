@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import to_fraction
+from .exact import root_of, sq_value, to_fraction
 from .metric import (
     ConstructionError,
     Family,
@@ -21,7 +21,9 @@ from .metric import (
     InputError,
     family_is_R_disjoint,
     point_key,
+    r_components,
     set_diameter,
+    set_diameter_sq,
     sorted_points,
 )
 
@@ -182,8 +184,6 @@ def verify_apc_witness(space, scales, witness, *, require_cover_of=None):
     point ids raise InputError; everything else is reported, with a witnessing
     point or pair per violation.
     """
-    from .exact import root_of, sq_value
-
     target = space.point_set if require_cover_of is None else frozenset(require_cover_of)
     space.require(target)
     violations = []
@@ -195,8 +195,6 @@ def verify_apc_witness(space, scales, witness, *, require_cover_of=None):
         for s in fam.sets:
             space.require(s)
             covered |= s
-        from .metric import set_diameter_sq
-
         diam_sqs = [set_diameter_sq(space, s) for s in fam.sets]
         bound = entry.mesh_bound
         bound_sq = sq_value(bound) if bound >= 0 else None
@@ -359,8 +357,6 @@ def _decide(space, pts, R, B, n_families, count_nodes=None):
 
 
 def _families_from_assignment(space, pts, assignment, R):
-    from .metric import r_components
-
     groups = {}
     for p, f in zip(pts, assignment):
         groups.setdefault(f, []).append(p)

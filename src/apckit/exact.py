@@ -49,7 +49,13 @@ class Root:
         return f"sqrt({self.sq})"
 
     def __float__(self):
-        return math.sqrt(self.sq.numerator / self.sq.denominator)
+        n, d = self.sq.numerator, self.sq.denominator
+        try:
+            return math.sqrt(n / d)
+        except OverflowError:
+            # sq is beyond floats but its root may not be; like float(int),
+            # this raises OverflowError only when the root is beyond floats too
+            return float(math.isqrt(n // d))
 
     def __hash__(self):
         return hash(("Root", self.sq))

@@ -21,12 +21,13 @@ from .metric import (
     Family,
     FiniteMetricSpace,
     InputError,
+    family_is_R_disjoint,
     point_key,
     r_components,
     set_diameter,
     sorted_points,
 )
-from .covers import CoverWitness
+from .covers import CountingStream, CoverWitness, MappedStream
 from .combinators import decompose
 from .trees import RootedTree, tree_cover
 
@@ -510,8 +511,6 @@ def build_v_families(oracle_for_x, scales, window):
 
     # family-level checks: disjointness at the family scale, flat bounded members
     for i, fam in enumerate(families, start=1):
-        from .metric import family_is_R_disjoint
-
         ok, bad = family_is_R_disjoint(window.space, fam, scales_used[i - 1])
         if not ok:
             problems.append((f"V{i}", f"not {scales_used[i - 1]}-disjoint: {bad}"))
@@ -530,6 +529,9 @@ class _FreeProductDecomposable:
 
     Families are the R_i-components of the (R* + 1)-cones over the translated
     base families; each component is re-covered through its core's cone tree.
+    A repeated families() call whose stream agrees with the last one on every
+    index that call read returns the same families, after reading those
+    indices again, so a counting stream records the same consumption.
     """
 
     def __init__(self, oracle_for_x, window, margin):
@@ -540,8 +542,14 @@ class _FreeProductDecomposable:
         self.M = None
         self.core_reports = []
         self.artifacts = []
+        self._last = None  # (counting view of the last stream, its families)
 
     def families(self, sub):
+        if self._last is not None:
+            seen, out = self._last
+            if all(sub.at(i) == seen.at(i) for i in range(1, seen.max_index + 1)):
+                return out
+        sub = CountingStream(sub)
         self.vf = build_v_families(self.oracle, sub, self.window)
         if not self.vf.certificate.ok:
             raise ConstructionError(
@@ -556,6 +564,7 @@ class _FreeProductDecomposable:
             cone = cone_window(self.window, support, self.M)
             comps = r_components(self.window.space, cone, sub.at(i))
             out.append((sub.at(i), Family.of(comps, label=f"cone-comps-{i}")))
+        self._last = (sub, out)
         return out
 
     def subcover(self, i, U, R):
@@ -607,21 +616,18 @@ def free_product_cover(oracle_for_x, scales, window):
     """
     hyp = _FreeProductDecomposable(oracle_for_x, window, window.margin)
     # the hypothesis learns its margin when families() computes R*; to hand
-    # decompose the exempt set up front, resolve families eagerly
-    from .covers import MappedStream
-
-    probe = MappedStream(scales, lambda i: i * 2)
-    hyp.families(probe)
+    # decompose the exempt set up front, resolve the families eagerly on
+    # decompose's own subsampled stream, which its call then reuses
+    hyp.families(MappedStream(scales, lambda i: i * 2))
     margin = hyp.margin
     reduced = window.inner_words(margin)
     allow = window.word_set - reduced
 
-    hyp2 = _FreeProductDecomposable(oracle_for_x, window, margin)
-    witness = decompose(window.space, 2, hyp2, scales, allow_uncovered=allow)
+    witness = decompose(window.space, 2, hyp, scales, allow_uncovered=allow)
     witness.meta["margin"] = margin
-    witness.meta["artifacts"] = len(hyp2.artifacts)
+    witness.meta["artifacts"] = len(hyp.artifacts)
     return FreeProductResult(
-        witness, window, margin, reduced, hyp2.vf, sorted_points(set(hyp2.artifacts))
+        witness, window, margin, reduced, hyp.vf, sorted_points(set(hyp.artifacts))
     )
 
 

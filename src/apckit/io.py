@@ -13,7 +13,7 @@ import os
 import tempfile
 from fractions import Fraction
 
-from .exact import Root, to_fraction
+from .exact import Root, root_of, to_fraction
 from .metric import (
     Family,
     FiniteMetricSpace,
@@ -50,8 +50,6 @@ def decode_scalar(v):
         f = Fraction(v)
         return int(f) if f.denominator == 1 else f
     if isinstance(v, dict) and set(v) == {"sqrt"}:
-        from .exact import root_of
-
         return root_of(to_fraction(decode_scalar(v["sqrt"])))
     if isinstance(v, float):
         return to_fraction(v)
@@ -210,14 +208,13 @@ def witness_from_obj(obj):
     entries = []
     for i, f in enumerate(obj["families"], start=1):
         _check_fields(f, ["R", "sets"], ["mesh"], f"witness family {i}")
-        fam = Family.of([{decode_point(p) for p in s} for s in f["sets"]])
-        entries.append(
-            WitnessEntry(
-                to_fraction(decode_scalar(f["R"])),
-                fam,
-                decode_scalar(f.get("mesh", 0)),
+        R, scale = decode_scalar(f["R"]), scales.at(i)
+        if R != scale:
+            raise InputError(
+                f"witness family {i}: R is {R}, but the stream's scale {i} is {scale}"
             )
-        )
+        fam = Family.of([{decode_point(p) for p in s} for s in f["sets"]])
+        entries.append(WitnessEntry(scale, fam, decode_scalar(f.get("mesh", 0))))
     return scales, CoverWitness(entries)
 
 

@@ -13,7 +13,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .exact import Rational, hyp, to_fraction, triangle_le
+from .exact import Rational, hyp, root_of, sq_value, to_fraction, triangle_le
 
 DEFAULT_POINT_CAP = 200_000
 INF = math.inf
@@ -51,9 +51,16 @@ class FiniteMetricSpace:
     triangle inequality; :func:`validate_metric` checks all of that and
     reports witnesses for any violation.  An optional basepoint marks pointed
     spaces (the x0 of word constructions).
+
+    An optional ``index`` answers two set-level questions exactly, faster
+    than all pairs: ``index.diameter_sq(S)`` is the squared diameter of a
+    point list with at least two entries, and ``index.separated(sets, R)`` is
+    true iff every pair of points from two distinct sets is more than R >= 0
+    apart.  :func:`set_diameter_sq` and :func:`family_is_R_disjoint` use it;
+    spaces without one, and every violation report, take the generic path.
     """
 
-    def __init__(self, points, dist, *, basepoint=None, name="", dist_sq=None):
+    def __init__(self, points, dist, *, basepoint=None, name="", dist_sq=None, index=None):
         self.points = tuple(points)
         self.point_set = frozenset(self.points)
         if len(self.point_set) != len(self.points):
@@ -64,6 +71,7 @@ class FiniteMetricSpace:
         self.name = name
         self._dist = dist
         self._dist_sq = dist_sq
+        self.index = index
 
     def dist(self, p, q):
         if p == q:
@@ -76,8 +84,6 @@ class FiniteMetricSpace:
             return 0
         if self._dist_sq is not None:
             return self._dist_sq(p, q)
-        from .exact import sq_value
-
         return sq_value(self._dist(p, q))
 
     def raw_dist(self, p, q):
@@ -235,8 +241,6 @@ def validate_metric(space, *, pair_budget=2_000_000, triple_budget=2_000_000, se
 
 def set_distance(space, S, T):
     """min cross distance between two sets; +inf if either is empty."""
-    from .exact import root_of
-
     space.require(S)
     space.require(T)
     if not S or not T:
@@ -245,13 +249,7 @@ def set_distance(space, S, T):
 
 
 def set_diameter(space, S):
-    from .exact import root_of
-
-    space.require(S)
-    S = list(S)
-    if len(S) <= 1:
-        return 0
-    return root_of(max(space.dist_sq(p, q) for p, q in itertools.combinations(S, 2)))
+    return root_of(set_diameter_sq(space, S))
 
 
 def set_diameter_sq(space, S):
@@ -260,6 +258,8 @@ def set_diameter_sq(space, S):
     S = list(S)
     if len(S) <= 1:
         return 0
+    if space.index is not None:
+        return space.index.diameter_sq(S)
     return max(space.dist_sq(p, q) for p, q in itertools.combinations(S, 2))
 
 
@@ -272,8 +272,6 @@ def mesh(space, family):
 
 def is_R_disjoint(space, S, T, R):
     """True iff every cross pair is at distance strictly greater than R."""
-    from .exact import sq_value
-
     space.require(S)
     space.require(T)
     if R < 0:
@@ -287,33 +285,47 @@ def is_R_disjoint(space, S, T, R):
 
 
 def _float_lo(sq):
-    return float(sq) ** 0.5 * (1 - 1e-12) - 1e-12
+    """A float no larger than sqrt(sq); 0 when not even isqrt(sq) fits a float."""
+    try:
+        return float(sq) ** 0.5 * (1 - 1e-12) - 1e-12
+    except OverflowError:
+        try:
+            return float(math.isqrt(math.floor(sq))) * (1 - 1e-12)
+        except OverflowError:
+            return 0.0
 
 
 def _float_hi(sq):
-    return float(sq) ** 0.5 * (1 + 1e-12) + 1e-12
+    """A float no smaller than sqrt(sq); inf when sq is beyond floats."""
+    try:
+        return float(sq) ** 0.5 * (1 + 1e-12) + 1e-12
+    except OverflowError:
+        return INF
 
 
 def family_is_R_disjoint(space, family, R, *, diam_sqs=None):
     """Check pairwise R-disjointness of a family's distinct members.
 
     Returns (ok, violation) where violation is (set_i, set_j, p, q, d) for the
-    first failing cross pair.  Representative-plus-diameter prefilters skip
-    clearly separated set pairs and far points; borderline pairs fall through
-    to the exact squared comparison, so the decision is exact.
+    first failing cross pair.  A space's index, when it has one, settles the
+    passing case; otherwise, and to name the violation, representative-plus-
+    diameter prefilters skip clearly separated set pairs and far points, and
+    borderline pairs fall through to the exact squared comparison, so the
+    decision is exact.  Values too large for floats get bounds that prune
+    nothing.
     """
-    from .exact import root_of, sq_value
-
     sets = family.sets if isinstance(family, Family) else [frozenset(s) for s in family]
     if len(sets) <= 1:
         return True, None
     if R < 0:
         return True, None
+    if space.index is not None and space.index.separated(sets, R):
+        return True, None
     R2 = sq_value(R)
     if diam_sqs is None:
         diam_sqs = [set_diameter_sq(space, s) for s in sets]
     reps = [min(s, key=point_key) for s in sets]
-    rf = float(R) * (1 + 1e-12) + 1e-12
+    rf = _float_hi(R2)
     dfl = [_float_hi(d) for d in diam_sqs]
     dist_sq = space.dist_sq
     for i, j in itertools.combinations(range(len(sets)), 2):
@@ -360,8 +372,6 @@ def r_components(space, S, R):
     Distinct pieces are automatically R-disjoint: a cross pair at distance
     <= R would merge them.
     """
-    from .exact import sq_value
-
     space.require(S)
     pts = sorted_points(S)
     if R < 0:

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import to_fraction
+from .exact import sq_value, to_fraction
 from .metric import Family, FiniteMetricSpace, InputError, sorted_points
 from .covers import ApcOracle, witness_from_families
 
@@ -34,6 +34,7 @@ class RootedTree:
         self.depth = {}
         self._compute_depths()
         self.vertices = tuple(sorted_points(self.parent))
+        self._tables = None
 
     def _compute_depths(self):
         for v in self.parent:
@@ -53,7 +54,7 @@ class RootedTree:
         return len(self.parent)
 
     def meet(self, u, v):
-        """Deepest common ancestor."""
+        """Deepest common ancestor, by walking up; the reference for :meth:`distance`."""
         du, dv = self.depth[u], self.depth[v]
         while du > dv:
             u = self.parent[u]
@@ -66,9 +67,53 @@ class RootedTree:
             v = self.parent[v]
         return u
 
+    def _lookup_tables(self):
+        """(adjacency, preorder position, sparse table of depths), built once.
+
+        The preorder is the first-visit subsequence of the Euler tour.  For
+        u != v at positions i < j, the shallowest vertex at positions
+        i + 1 .. j is the child of meet(u, v) on the way to v (Bender and
+        Farach-Colton's range-minimum reduction), so level k of the table,
+        the minimum depth over each window of 2**k positions, answers a meet
+        depth with two lookups.  Built on the first query, so trees that are
+        never measured do not pay for it.
+        """
+        if self._tables is None:
+            adj = {v: [] for v in self.parent}
+            for v, p in self.parent.items():
+                if p is not None:
+                    adj[v].append(p)
+                    adj[p].append(v)
+            depth = self.depth
+            order = []
+            stack = [self.root]
+            while stack:
+                v = stack.pop()
+                order.append(v)
+                stack.extend(w for w in adj[v] if depth[w] > depth[v])
+            row = [depth[v] for v in order]
+            table = [row]
+            span = 1
+            while 2 * span <= len(order):
+                row = list(map(min, row, row[span:]))
+                table.append(row)
+                span *= 2
+            self._tables = (adj, {v: i for i, v in enumerate(order)}, table)
+        return self._tables
+
     def distance(self, u, v):
-        w = self.meet(u, v)
-        return self.depth[u] + self.depth[v] - 2 * self.depth[w]
+        """depth(u) + depth(v) - 2 depth(meet(u, v)), in O(1) per query."""
+        _, pos, table = self._tables or self._lookup_tables()
+        i, j = pos[u], pos[v]
+        if i > j:
+            i, j = j, i
+        elif i == j:
+            return 0
+        k = (j - i).bit_length() - 1
+        row = table[k]
+        a, b = row[i + 1], row[j - (1 << k) + 1]
+        depths = table[0]
+        return depths[i] + depths[j] + 2 - 2 * (a if a < b else b)
 
     def ancestor_at_depth(self, v, h):
         d = self.depth[v]
@@ -81,11 +126,64 @@ class RootedTree:
 
     def as_space(self):
         return FiniteMetricSpace(
-            self.vertices, self.distance, basepoint=self.root, name="tree"
+            self.vertices, self.distance, basepoint=self.root, name="tree",
+            index=TreeIndex(self),
         )
 
     def height(self):
         return max(self.depth.values())
+
+
+class TreeIndex:
+    """Set diameters and R-separation of a tree's metric space in linear time."""
+
+    def __init__(self, tree):
+        self.tree = tree
+
+    def diameter_sq(self, S):
+        d = set_tree_diameter(self.tree, S)
+        return d * d
+
+    def separated(self, sets, R):
+        """True iff every pair of points from two distinct sets is more than R apart.
+
+        A breadth-first search from all sets at once keeps, per vertex, the
+        nearest set label and the nearest other one.  A vertex at d1 and d2
+        from two sets has a cross pair within d1 + d2; a cross pair (p, q)
+        shows at p itself, with d1 = 0 and d2 <= d(p, q).  Tree distances are
+        integers, so a pair is within R iff it is within floor(R), which
+        bounds the search depth.
+        """
+        if R < 0:
+            return True
+        reach = math.isqrt(math.floor(sq_value(R)))
+        adj = self.tree._lookup_tables()[0]
+        nearest = {}  # vertex -> (label, distance) of its nearest set
+        second = set()  # vertices that also hold their nearest other label
+        frontier = []
+        for label, s in enumerate(sets):
+            for v in s:
+                if v in nearest:
+                    return False  # v lies in two sets
+                nearest[v] = (label, 0)
+                frontier.append((v, label))
+        d = 0
+        while frontier and d < reach:
+            d += 1
+            nxt = []
+            for v, label in frontier:
+                for w in adj[v]:
+                    got = nearest.get(w)
+                    if got is None:
+                        nearest[w] = (label, d)
+                        nxt.append((w, label))
+                    elif got[0] != label and w not in second:
+                        if got[1] + d <= reach:
+                            return False
+                        second.add(w)
+                        nxt.append((w, label))
+            frontier = nxt
+        return True
 
 
 def tree_from_edges(root, edges):

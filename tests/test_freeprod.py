@@ -338,6 +338,39 @@ class TestFreeProductCover:
             )
             assert report.ok, report.describe()
 
+    def test_hypothesis_built_once_with_the_same_witness(self, monkeypatch):
+        # the second families() call, made by decompose, must reuse the first
+        # and still leave the witness a fresh hypothesis would give, down to
+        # meta["scales_consumed"]
+        from apckit import freeprod
+        from apckit.combinators import decompose
+        from apckit.covers import exact_oracle
+
+        X = base_xab()
+
+        def lookahead_oracle(space):
+            # reads a scale far past the slots it fills
+            inner = exact_oracle(space)
+            return ApcOracle(space, lambda sc: (sc.at(5), inner(sc))[1], name="ahead")
+
+        for prefix, oracle in itertools.product([(1,), (1, 2), (1, 1, 2)],
+                                                [exact_oracle, lookahead_oracle]):
+            win, s = fp_window(X, 3, 9), ScaleSequence(prefix)
+            calls = []
+            real = freeprod.build_v_families
+            monkeypatch.setattr(freeprod, "build_v_families",
+                                lambda *a: calls.append(1) or real(*a))
+            res = free_product_cover(oracle(X), s, win)
+            monkeypatch.undo()
+            assert len(calls) == 1
+            fresh = freeprod._FreeProductDecomposable(oracle(X), win, res.margin)
+            ref = decompose(win.space, 2, fresh, s,
+                            allow_uncovered=win.word_set - res.reduced_points)
+            assert res.witness.entries == ref.entries
+            assert res.witness.meta == {**ref.meta, "margin": res.margin,
+                                        "artifacts": len(fresh.artifacts)}
+            assert res.v_families.families == fresh.vf.families
+
     def test_exact_oracle_base(self):
         # a two-family base witness yields three word families, one possibly
         # empty once light letters are stripped

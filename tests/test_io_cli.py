@@ -70,6 +70,25 @@ class TestWitnessFiles:
         fio.save_witness(str(p2), s2, w2)
         assert p.read_bytes() == p2.read_bytes()
 
+    def test_family_R_must_match_stream(self):
+        obj = {"scales": [1], "families": [{"R": 100, "mesh": 0, "sets": [[0], [2], [4]]}]}
+        with pytest.raises(InputError) as e:
+            fio.witness_from_obj(obj)
+        assert "witness family 1" in str(e.value)
+        # later slots are checked against the stream's extension too
+        obj = {"scales": [1], "extend": "arithmetic", "extend_param": 1, "families": [
+            {"R": 1, "sets": [[0]]}, {"R": 2, "sets": [[1]]}, {"R": 2, "sets": [[2]]}]}
+        with pytest.raises(InputError) as e:
+            fio.witness_from_obj(obj)
+        assert "witness family 3" in str(e.value)
+        # a square root is never a scale: scales are rational
+        obj["families"][2]["R"] = {"sqrt": 9 + 1}
+        with pytest.raises(InputError):
+            fio.witness_from_obj(obj)
+        obj["families"][2]["R"] = "6/2"
+        scales, witness = fio.witness_from_obj(obj)
+        assert [e.required_scale for e in witness.entries] == [1, 2, 3]
+
 
 class TestTreeFiles:
     def test_roundtrip(self, tmp_path):
@@ -222,6 +241,28 @@ class TestCli:
         assert report["violations"], "tampering must be reported with a named violation"
         assert all(v["condition"] in ("disjointness", "mesh", "coverage")
                    for v in report["violations"])
+
+    def test_cover_verify_rejects_family_R_off_the_stream(self, tmp_path):
+        f = self._space_file(tmp_path, {"kind": "path", "n": 5})
+        w = tmp_path / "w.json"
+        fio.write_file(str(w), {"scales": [1], "families": [
+            {"R": 100, "mesh": 0, "sets": [[0], [2], [4]]},
+            {"R": 1, "mesh": 0, "sets": [[1], [3]]}]})
+        r = run_cli("cover", "verify", "--space", f, "--witness", str(w))
+        assert r.returncode == 2
+        assert "witness family 1" in r.stderr
+
+    def test_cover_verify_distances_beyond_floats(self, tmp_path):
+        big = 10**400
+        space = tmp_path / "huge.json"
+        fio.write_file(str(space), {"points": ["p", "q", "r"], "metric": {
+            "kind": "matrix", "rows": [[0, big, big + 1], [big, 0, big + 2], [big + 1, big + 2, 0]]}})
+        w = tmp_path / "w.json"
+        fio.write_file(str(w), {"scales": [1], "families": [
+            {"R": 1, "mesh": 0, "sets": [["p"], ["q"], ["r"]]}]})
+        r = run_cli("cover", "verify", "--space", str(space), "--witness", str(w))
+        assert r.returncode == 0, r.stderr
+        assert json.loads(r.stdout)["ok"]
 
     def test_product_command_verifies_and_is_deterministic(self, tmp_path):
         f = self._space_file(tmp_path, {"kind": "interval", "lo": 0, "hi": 12})

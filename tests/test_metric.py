@@ -28,6 +28,7 @@ from apckit.metric import (
     cycle_space,
     validate_metric,
 )
+from apckit.covers import ScaleSequence, verify_apc_witness, witness_from_families
 from conftest import brute_components, random_points_space
 
 
@@ -135,6 +136,68 @@ class TestDisjointness:
         if is_R_disjoint(space, S, T, 5):
             for smaller in (4, 3, 1, 0):
                 assert is_R_disjoint(space, S, T, smaller)
+
+
+class TestScalarsBeyondFloats:
+    """The disjointness prefilter must fall through to exact comparison on
+    values a float cannot hold, never raise or prune wrongly."""
+
+    BIG = 10**400
+
+    def huge_matrix(self, base):
+        return matrix_space(["p", "q", "r"],
+                            [[0, base, base + 1], [base, 0, base + 2], [base + 1, base + 2, 0]])
+
+    def test_huge_int_distances(self):
+        space = self.huge_matrix(self.BIG)
+        fam = Family.of([{"p"}, {"q"}, {"r"}])
+        assert family_is_R_disjoint(space, fam, 1) == (True, None)
+        assert family_is_R_disjoint(space, fam, self.BIG - 1) == (True, None)
+        assert family_is_R_disjoint(space, fam, self.BIG) == (False, (0, 1, "p", "q", self.BIG))
+
+    def test_squares_beyond_floats_with_roots_inside(self):
+        # distances near 1e200: their squares overflow a float, their roots do not
+        base = 10**200
+        space = self.huge_matrix(base)
+        fam = Family.of([{"p", "r"}, {"q"}])
+        assert family_is_R_disjoint(space, fam, base - 1) == (True, None)
+        assert family_is_R_disjoint(space, fam, base) == (False, (0, 1, "q", "p", base))
+
+    def test_huge_fraction_scale(self):
+        space = self.huge_matrix(self.BIG)
+        fam = Family.of([{"p"}, {"q"}])
+        assert family_is_R_disjoint(space, fam, Fraction(2 * self.BIG - 1, 2))[0]
+        assert not family_is_R_disjoint(space, fam, Fraction(2 * self.BIG + 1, 2))[0]
+
+    def test_tiny_fractions(self):
+        eps = Fraction(1, 10**400)
+        space = matrix_space(["a", "b", "c"],
+                             [[0, eps, 2 * eps], [eps, 0, eps], [2 * eps, eps, 0]])
+        fam = Family.of([{"a"}, {"c"}])
+        assert family_is_R_disjoint(space, fam, 0) == (True, None)
+        assert family_is_R_disjoint(space, fam, 2 * eps - eps / 2) == (True, None)
+        assert family_is_R_disjoint(space, fam, 2 * eps) == (False, (0, 1, "a", "c", 2 * eps))
+
+    def test_root_distances_beyond_floats(self):
+        A = matrix_space(["a0", "a1"], [[0, self.BIG], [self.BIG, 0]])
+        P = product_space(A, A)
+        fam = Family.of([{("a0", "a0")}, {("a1", "a1")}])
+        diagonal = root_of(2 * self.BIG**2)
+        assert isinstance(diagonal, Root)
+        below = Fraction(14142 * self.BIG, 10**4)  # sqrt(2) = 1.41421...
+        above = Fraction(14143 * self.BIG, 10**4)
+        assert family_is_R_disjoint(P, fam, below) == (True, None)
+        assert family_is_R_disjoint(P, fam, above) == (
+            False, (0, 1, ("a0", "a0"), ("a1", "a1"), diagonal))
+        report = verify_apc_witness(P, ScaleSequence([self.BIG - 1]),
+                                    witness_from_families([Family.of([{p} for p in P.points])],
+                                                          ScaleSequence([self.BIG - 1]), [0]))
+        assert report.ok, report.describe()
+
+    def test_float_of_root_with_huge_square(self):
+        assert math.isclose(float(root_of(2 * 10**400)), math.sqrt(2) * 1e200, rel_tol=1e-15)
+        with pytest.raises(OverflowError):
+            float(root_of(2 * 10**700))
 
 
 class TestComponents:

@@ -1,0 +1,119 @@
+"""The tree index against the generic all-pairs path and the definitions.
+
+Every check builds the same tree twice: ``tree.as_space()``, which carries
+the index, and a plain ``FiniteMetricSpace`` over ``tree.distance``, which
+takes the generic code.  Verdicts, violation tuples, diameters and whole
+verifier reports must agree.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from apckit.covers import ScaleSequence, WitnessEntry, CoverWitness, verify_apc_witness
+from apckit.metric import Family, FiniteMetricSpace, family_is_R_disjoint, set_diameter_sq
+from apckit.trees import random_tree, tree_cover
+
+SHAPES = ("attach", "path", "star", "caterpillar")
+RADII = [-1, Fraction(-1, 2), 0, Fraction(1, 2), 1, Fraction(3, 2), 2, 3, Fraction(7, 2), 5, 100]
+
+
+@st.composite
+def trees(draw):
+    n = draw(st.integers(1, 30))
+    shape = draw(st.sampled_from(SHAPES))
+    return random_tree(n, random.Random(draw(st.integers(0, 2**16))), shape=shape)
+
+
+@st.composite
+def families(draw, tree):
+    """Overlapping random sets, a partition of some vertices, or a tree-cover family."""
+    vs = list(tree.vertices)
+    kind = draw(st.sampled_from(["random", "partition", "cover"]))
+    if kind == "random":
+        return draw(st.lists(st.sets(st.sampled_from(vs), min_size=1, max_size=6), max_size=5))
+    if kind == "partition":
+        labels = draw(st.lists(st.integers(-1, 3), min_size=len(vs), max_size=len(vs)))
+        groups = {}
+        for v, a in zip(vs, labels):
+            if a >= 0:
+                groups.setdefault(a, set()).add(v)
+        return list(groups.values())
+    cover = tree_cover(tree, draw(st.sampled_from([1, 2, 3, Fraction(5, 2)])))
+    return list(draw(st.sampled_from(cover.families())).sets)
+
+
+def plain_space(tree):
+    return FiniteMetricSpace(tree.vertices, tree.distance, basepoint=tree.root, name="plain")
+
+
+def separated_by_definition(tree, sets, R):
+    return all(tree.distance(p, q) > R
+               for a, b in itertools.combinations(sets, 2) for p in a for q in b)
+
+
+@st.composite
+def tree_and_family(draw):
+    tree = draw(trees())
+    return tree, draw(families(tree)), draw(st.sampled_from(RADII))
+
+
+@given(tree_and_family())
+@settings(max_examples=300, deadline=None)
+def test_family_disjointness_and_diameters_match_generic_path(case):
+    tree, sets, R = case
+    indexed, plain = tree.as_space(), plain_space(tree)
+    assert family_is_R_disjoint(indexed, sets, R) == family_is_R_disjoint(plain, sets, R)
+    for s in sets:
+        assert set_diameter_sq(indexed, s) == set_diameter_sq(plain, s)
+
+
+@given(tree_and_family())
+@settings(max_examples=300, deadline=None)
+def test_separated_matches_definition(case):
+    tree, sets, R = case
+    sets = [frozenset(s) for s in sets]
+    assert tree.as_space().index.separated(sets, R) == separated_by_definition(tree, sets, R)
+
+
+@st.composite
+def tree_and_witness(draw):
+    tree = draw(trees())
+    slots = draw(st.integers(0, 3))
+    fams = [draw(families(tree)) for _ in range(slots)]
+    prefix = sorted(draw(st.sampled_from(RADII)) for _ in range(max(1, slots)))
+    bounds = [draw(st.sampled_from([-1, 0, 1, 2, 4, Fraction(5, 2), 7])) for _ in range(slots)]
+    scales = ScaleSequence(prefix)
+    entries = [WitnessEntry(scales.at(i), Family.of(f), b)
+               for i, (f, b) in enumerate(zip(fams, bounds), start=1)]
+    return tree, scales, CoverWitness(entries)
+
+
+@given(tree_and_witness())
+@settings(max_examples=300, deadline=None)
+def test_verifier_report_matches_generic_path(case):
+    tree, scales, witness = case
+    got = verify_apc_witness(tree.as_space(), scales, witness)
+    want = verify_apc_witness(plain_space(tree), scales, witness)
+    assert (got.ok, got.per_entry, got.violations, got.stats) == (
+        want.ok, want.per_entry, want.violations, want.stats)
+
+
+@given(trees())
+@settings(max_examples=150, deadline=None)
+def test_distance_matches_meet_walk(tree):
+    depth = tree.depth
+    for u in tree.vertices:
+        for v in tree.vertices:
+            assert tree.distance(u, v) == depth[u] + depth[v] - 2 * depth[tree.meet(u, v)]
+
+
+def test_tables_are_built_on_the_first_distance_query():
+    tree = random_tree(50, random.Random(1))
+    tree.as_space()
+    assert tree._tables is None
+    tree.distance(3, 7)
+    assert tree._tables is not None
