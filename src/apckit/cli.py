@@ -10,6 +10,7 @@ produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 
 from . import io as fio
@@ -19,6 +20,8 @@ from .metric import (
     Family,
     InputError,
     grid_window,
+    product_space,
+    sorted_points,
     validate_metric,
 )
 from .covers import (
@@ -33,11 +36,14 @@ from .covers import (
     verify_apc_witness,
     witness_from_families,
     DEFAULT_EXACT_CAP,
+    _decide,
+    _families_from_assignment,
 )
-from .combinators import decompose, fibering_cover, product_cover, UniformlyExpansiveMap, identity_rho
+from .combinators import (UniformlyExpansiveMap, decompose, fibering_cover, identity_rho,
+                          product_cover, projection_scheme_from_oracle)
 from .trees import tree_cover
 from .freeprod import fp_window, free_product_cover, qi_check, cone_tree
-from .groups import z2_extension_pipeline, free_product_cover_groups
+from .groups import ZdModel, cayley_ball, z2_extension_pipeline, free_product_cover_groups
 
 
 def _parse_scales(args):
@@ -55,6 +61,16 @@ def _window_params(args):
     if args.max_order is None or args.max_norm is None:
         raise InputError("need --window m,L or both -m and -L")
     return args.max_order, to_fraction(args.max_norm)
+
+
+def _require_reduced_words(res):
+    """A free-product cover whose margin-reduced window is empty certifies no
+    coverage at all; refuse it as a bad window before anything is written."""
+    if not res.reduced_points:
+        raise InputError(
+            f"margin {res.margin} exceeds max_norm {res.window.max_norm}, "
+            "so the margin-reduced window is empty"
+        )
 
 
 def _emit(args, obj, text_lines):
@@ -171,8 +187,6 @@ def cmd_product(args):
     sy, oy = _load_space_and_oracle(args.space_y, args.oracle_y, args.cap)
     scales = _parse_scales(args)
     witness = product_cover(ox, oy, scales)
-    from .metric import product_space
-
     P = product_space(sx, sy)
     report = verify_apc_witness(P, scales, witness)
     if args.out:
@@ -184,9 +198,6 @@ def cmd_fibering(args):
     sx, ox = _load_space_and_oracle(args.space_x, args.oracle_x, args.cap)
     sy, oy = _load_space_and_oracle(args.space_y, args.oracle_y, args.cap)
     scales = _parse_scales(args)
-    from .combinators import projection_scheme_from_oracle
-    from .metric import product_space
-
     P = product_space(sx, sy)
     proj = UniformlyExpansiveMap(P, sy, lambda p: p[1], identity_rho)
     witness = fibering_cover(proj, oy, projection_scheme_from_oracle(ox), scales)
@@ -217,9 +228,6 @@ class _FileDecomposable:
         return [(sub.at(i), fam) for i, fam in enumerate(self.fams, start=1)]
 
     def subcover(self, i, U, R):
-        from .covers import _decide, _families_from_assignment
-        from .metric import sorted_points
-
         B = self.bounds[i - 1]
         pts = sorted_points(U)
         if len(pts) > self.cap:
@@ -287,6 +295,7 @@ def cmd_freeprod_cover(args):
     oracle = exact_oracle(base, cap=args.cap) if len(base) <= args.cap else greedy_oracle(base)
     scales = _parse_scales(args)
     res = free_product_cover(oracle, scales, win)
+    _require_reduced_words(res)
     report = verify_apc_witness(
         win.space, scales, res.witness, require_cover_of=res.reduced_points
     )
@@ -313,12 +322,10 @@ def cmd_freeprod_qi_check(args):
     failures = []
     prefixes = [w for w in win.words if len(w) < m]
     letters = sorted(win.letter_norm)
-    import itertools as it
-
     for prefix in prefixes:
         ext = [prefix + (c,) for c in letters if prefix + (c,) in win.word_set]
         for k in range(1, len(ext) + 1):
-            for combo in it.combinations(ext, k):
+            for combo in itertools.combinations(ext, k):
                 rep = qi_check(cone_tree(win, set(combo), M))
                 checked += 1
                 if not rep.ok:
@@ -353,8 +360,6 @@ def cmd_group_pipeline(args):
             fio.save_witness(args.out, scales, witness)
         return _verdict(args, report, {"radius": args.radius})
     if args.kind == "free-product-zz":
-        from .groups import ZdModel, cayley_ball
-
         Z = ZdModel(1)
         gens = Z.standard_gens()
         winG = cayley_ball(Z, gens, args.radius)
@@ -362,6 +367,7 @@ def cmd_group_pipeline(args):
         res = free_product_cover_groups(
             winG, winH, scales, args.max_order, to_fraction(args.max_norm)
         )
+        _require_reduced_words(res)
         report = verify_apc_witness(
             res.window.space, scales, res.witness, require_cover_of=res.reduced_points
         )
@@ -432,6 +438,12 @@ def _add_common(p, *, scales=False, out=False):
         p.add_argument("--out", default=None)
 
 
+def _add_window(p):
+    p.add_argument("-m", "--max-order", dest="max_order", type=int, default=None)
+    p.add_argument("-L", "--max-norm", dest="max_norm", default=None)
+    p.add_argument("--window", default=None, help="shorthand: max_order,max_norm")
+
+
 def build_parser():
     ap = argparse.ArgumentParser(prog="apckit", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -500,24 +512,18 @@ def build_parser():
     fsub = fp.add_subparsers(dest="subcommand", required=True)
     fw = fsub.add_parser("window")
     fw.add_argument("--base", required=True)
-    fw.add_argument("-m", "--max-order", dest="max_order", type=int, default=None)
-    fw.add_argument("-L", "--max-norm", dest="max_norm", default=None)
-    fw.add_argument("--window", default=None, help="shorthand: max_order,max_norm")
+    _add_window(fw)
     _add_common(fw, out=True)
     fw.set_defaults(func=cmd_freeprod_window)
     fc = fsub.add_parser("cover")
     fc.add_argument("--base", required=True)
-    fc.add_argument("-m", "--max-order", dest="max_order", type=int, default=None)
-    fc.add_argument("-L", "--max-norm", dest="max_norm", default=None)
-    fc.add_argument("--window", default=None, help="shorthand: max_order,max_norm")
+    _add_window(fc)
     fc.add_argument("--margin", default=None)
     _add_common(fc, scales=True, out=True)
     fc.set_defaults(func=cmd_freeprod_cover)
     fq = fsub.add_parser("qi-check")
     fq.add_argument("--base", required=True)
-    fq.add_argument("-m", "--max-order", dest="max_order", type=int, default=None)
-    fq.add_argument("-L", "--max-norm", dest="max_norm", default=None)
-    fq.add_argument("--window", default=None, help="shorthand: max_order,max_norm")
+    _add_window(fq)
     fq.add_argument("-M", required=True)
     _add_common(fq)
     fq.set_defaults(func=cmd_freeprod_qi_check)

@@ -9,16 +9,17 @@ built for.  Empty slots are kept, never compacted.
 
 from __future__ import annotations
 
-import itertools
 import math
-import random
+import operator
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from .exact import ceil_scalar, hyp, to_fraction
 from .metric import (
     ConstructionError,
     Family,
     InputError,
+    _sample_pairs,
     family_is_R_disjoint,
     set_diameter,
     sorted_points,
@@ -95,27 +96,11 @@ def check_uniformly_expansive(m, *, pair_budget=2_000_000, seed=0):
     for x in pts:
         if m.fmap(x) not in m.target:
             return False, (x, m.fmap(x))
-    n = len(pts)
-    n_pairs = n * (n - 1) // 2
-
-    def bad(x, y):
+    for x, y in _sample_pairs(pts, pair_budget, seed):
         dx = m.source.dist(x, y)
         dy = m.target.dist(m.fmap(x), m.fmap(y))
-        return not dy <= m.rho(dx)
-
-    if n_pairs <= pair_budget:
-        for x, y in itertools.combinations(pts, 2):
-            if bad(x, y):
-                return False, (x, y)
-    else:
-        rng = random.Random(seed)
-        for _ in range(pair_budget):
-            i = rng.randrange(n)
-            j = rng.randrange(n - 1)
-            if j >= i:
-                j += 1
-            if bad(pts[i], pts[j]):
-                return False, (pts[i], pts[j])
+        if not dy <= m.rho(dx):
+            return False, (x, y)
     return True, None
 
 
@@ -130,28 +115,81 @@ def check_coarsely_surjective(fmap, X, Y, R):
 
 
 # ---------------------------------------------------------------------------
-# the product combinator
+# the shared triangular bookkeeping
 
 
-class _DiagonalStream:
-    """Stream of rho(R_{i, n_i}) values, monotonized by running max.
+def _drive_columns(counting, provider_for, count_of, rho, oracleY):
+    """The column driver behind product and fibering.
 
-    Providers are only guaranteed to honor non-decreasing streams;
-    monotonizing only raises scales, which strengthens every family it
-    produces for the original diagonal values.
+    provider_for(column stream) builds column i's provider once; count_of
+    reads its family count n_i, which must be at least 1.  oracleY answers the
+    stream of rho(R_{i, n_i}) monotonized by running max: providers are only
+    guaranteed to honor non-decreasing streams, and raising a scale only
+    strengthens every family built for it.  Returns oracleY's witness and
+    the providers of its columns, in order.
     """
+    providers = {}
+    diag = []
 
-    def __init__(self, raw_at):
-        self.raw_at = raw_at
-        self._memo = []
+    def column(i):
+        if i not in providers:
+            providers[i] = provider_for(column_stream(counting, i))
+        return providers[i]
 
-    def at(self, i):
-        while len(self._memo) < i:
-            v = self.raw_at(len(self._memo) + 1)
-            if self._memo and v < self._memo[-1]:
-                v = self._memo[-1]
-            self._memo.append(v)
-        return self._memo[i - 1]
+    def diag_at(i):
+        while len(diag) < i:
+            col = len(diag) + 1
+            n_col = count_of(column(col))
+            if n_col < 1:
+                raise ConstructionError(f"column {col} provider gave no families")
+            v = rho(column_stream(counting, col).at(n_col))
+            diag.append(max(v, diag[-1]) if diag else v)
+        return diag[i - 1]
+
+    witnessY = oracleY.checked(SimpleNamespace(at=diag_at))
+    return witnessY, [column(i) for i in range(1, len(witnessY.entries) + 1)]
+
+
+def _assemble(counting, slots, n_slots, meta):
+    """Witness with slots 1..n_slots from {slot: (family, bound)}, each at its
+    own stream scale; empty slots are kept with bound 0, never compacted."""
+    entries = []
+    for t in range(1, n_slots + 1):
+        fam, bound = slots[t] if t in slots else (Family.of([]), 0)
+        entries.append(WitnessEntry(counting.at(t), fam, bound))
+    return CoverWitness(entries, {**meta, "scales_consumed": counting.max_index})
+
+
+def _check_and_merge(space, fams, k, container, bound, scale_of, where, merged,
+                     exempt=frozenset()):
+    """Reject provider output unless it is k families of subsets of container,
+    the j-th scale_of(j)-disjoint, every set of diameter at most bound, jointly
+    covering container minus exempt; then append the j-th family's sets to
+    merged[j - 1].  Used per fiber by fibering and per member by decompose."""
+    if len(fams) != k:
+        raise ConstructionError(f"{where} returned {len(fams)} families, need {k}")
+    covered = set()
+    for j, fam in enumerate(fams, start=1):
+        for s in fam.sets:
+            if not s <= container:
+                raise ConstructionError(f"{where}: a set of subfamily {j} leaves its container")
+            covered |= s
+            if set_diameter(space, s) > bound:
+                raise ConstructionError(f"{where}: subfamily {j} exceeds the mesh bound {bound}")
+        R = scale_of(j)
+        ok, bad = family_is_R_disjoint(space, fam, R)
+        if not ok:
+            raise ConstructionError(f"{where}: subfamily {j} is not {R}-disjoint: {bad}")
+    if not covered >= container - exempt:
+        raise ConstructionError(
+            f"{where} misses {len(container - exempt - covered)} points of its container"
+        )
+    for bucket, fam in zip(merged, fams):
+        bucket.extend(fam.sets)
+
+
+# ---------------------------------------------------------------------------
+# the product combinator
 
 
 def _clipped_product(U, V, pair_point, clip):
@@ -174,62 +212,31 @@ def product_engine(oracleX, oracleY, scales, *, mesh_combine="l2", pair_point=No
         pair_point = lambda x, y: (x, y)
     if rho is None:
         rho = identity_rho
-    combine = hyp if mesh_combine == "l2" else (lambda a, b: a + b)
+    combine = hyp if mesh_combine == "l2" else operator.add
 
     if not oracleX.space.points or not oracleY.space.points:
         return CoverWitness([], {"columns": 0, "per_column": []})
 
     counting = CountingStream(scales)
-    col_cache = {}
-
-    def column_witness(i):
-        if i not in col_cache:
-            col = column_stream(counting, i)
-            col_cache[i] = oracleX.checked(col)
-        return col_cache[i]
-
-    def raw_diag_x(i):
-        w = column_witness(i)
-        n_i = len(w.entries)
-        if n_i == 0:
-            raise ConstructionError("oracle returned an empty witness for a nonempty space")
-        return rho(column_stream(counting, i).at(n_i))
-
-    diag = _DiagonalStream(raw_diag_x)
-    witnessY = oracleY.checked(diag)
-    m = len(witnessY.entries)
+    witnessY, columns = _drive_columns(
+        counting, oracleX.checked, lambda w: len(w.entries), rho, oracleY)
 
     slots = {}
-    bounds = {}
-    per_column = []
-    for i in range(1, m + 1):
-        wX = column_witness(i)
-        per_column.append(len(wX.entries))
-        entryY = witnessY.entries[i - 1]
+    for i, (wX, entryY) in enumerate(zip(columns, witnessY.entries), start=1):
         if entryY.is_empty():
             continue
         for j, entryX in enumerate(wX.entries, start=1):
             if entryX.is_empty():
                 continue
-            t = triangular_index(i, j)
-            sets = []
-            for U in entryX.family.sets:
-                for V in entryY.family.sets:
-                    sets.append(_clipped_product(U, V, pair_point, clip))
-            slots[t] = Family.of(sets, label=f"W[{i},{j}]")
-            bounds[t] = combine(entryX.mesh_bound, entryY.mesh_bound)
+            sets = [_clipped_product(U, V, pair_point, clip)
+                    for U in entryX.family.sets for V in entryY.family.sets]
+            slots[triangular_index(i, j)] = (
+                Family.of(sets, label=f"W[{i},{j}]"),
+                combine(entryX.mesh_bound, entryY.mesh_bound),
+            )
 
-    n_slots = max(slots) if slots else 0
-    entries = []
-    for t in range(1, n_slots + 1):
-        fam = slots.get(t, Family.of([]))
-        entries.append(WitnessEntry(counting.at(t), fam, bounds.get(t, 0)))
-    meta = {
-        "columns": m,
-        "per_column": per_column,
-        "scales_consumed": counting.max_index,
-    }
-    return CoverWitness(entries, meta)
+    return _assemble(counting, slots, max(slots, default=0),
+                     {"columns": len(columns), "per_column": [len(w.entries) for w in columns]})
 
 
 def product_cover(oracleX, oracleY, scales):
@@ -323,6 +330,29 @@ def singleton_fiber_scheme():
     return factory
 
 
+def _projection_scheme(oracle, coord, combine):
+    """Scheme for a product projection from a witness of the other factor.
+
+    The j-th family slices a fiber by coordinate coord against the sets of
+    the witness's j-th entry, so it inherits that entry's disjointness; the
+    mesh bound is combine(largest factor mesh, fiber scale).
+    """
+
+    def factory(stream):
+        w = oracle.checked(stream)
+        k = max(1, len(w.entries))
+        max_mesh = max((e.mesh_bound for e in w.entries), default=0)
+
+        def cover(A, M):
+            fams = [Family.of([{p for p in A if p[coord] in U} for U in e.family.sets])
+                    for e in w.entries]
+            return fams + [Family.of([])] * (k - len(fams))
+
+        return FiberCoverScheme(k, lambda M: combine(max_mesh, M), cover)
+
+    return factory
+
+
 def projection_scheme_from_oracle(oracleX):
     """Scheme for the projection of an l2 product onto its second factor.
 
@@ -330,24 +360,7 @@ def projection_scheme_from_oracle(oracleX):
     j-th inherits the j-th column scale's disjointness from the X coordinate,
     and mesh combines the factor mesh with the fiber scale in l2.
     """
-
-    def factory(stream):
-        w = oracleX.checked(stream)
-        k = len(w.entries)
-        max_mesh = max((e.mesh_bound for e in w.entries), default=0)
-
-        def cover(A, M):
-            fams = []
-            for e in w.entries:
-                sets = []
-                for U in e.family.sets:
-                    sets.append({p for p in A if p[0] in U})
-                fams.append(Family.of(sets))
-            return fams
-
-        return FiberCoverScheme(k, lambda M: hyp(max_mesh, M), cover)
-
-    return factory
+    return _projection_scheme(oracleX, 0, hyp)
 
 
 def fibering_cover(umap, oracleY, scheme_factory, scales, *, check_rho=True,
@@ -371,39 +384,19 @@ def fibering_cover(umap, oracleY, scheme_factory, scales, *, check_rho=True,
         return CoverWitness([], {"columns": 0, "per_column": [], "bounds": []})
 
     counting = CountingStream(scales)
-    schemes = {}
-    fibers_of = {}
-
-    def scheme_for(i):
-        if i not in schemes:
-            schemes[i] = scheme_factory(column_stream(counting, i))
-        return schemes[i]
-
-    def raw_diag(i):
-        s = scheme_for(i)
-        if s.family_count < 1:
-            raise ConstructionError("fiber scheme must provide at least one family")
-        return umap.rho(column_stream(counting, i).at(s.family_count))
-
-    diag = _DiagonalStream(raw_diag)
-    witnessY = oracleY.checked(diag)
-    m = len(witnessY.entries)
+    witnessY, schemes = _drive_columns(
+        counting, scheme_factory, lambda sch: sch.family_count, umap.rho, oracleY)
 
     preimage = {}
     for x in X.points:
         preimage.setdefault(umap.fmap(x), []).append(x)
 
     slots = {}
-    bounds = {}
     audit = []
-    per_column = []
-    for i in range(1, m + 1):
-        scheme = scheme_for(i)
-        k = scheme.family_count
-        per_column.append(k)
-        entryY = witnessY.entries[i - 1]
+    for i, (scheme, entryY) in enumerate(zip(schemes, witnessY.entries), start=1):
         if entryY.is_empty():
             continue
+        k = scheme.family_count
         M_i = ceil_scalar(entryY.mesh_bound) + 1
         B_i = scheme.bound_for_scale(M_i)
         col = column_stream(counting, i)
@@ -414,55 +407,17 @@ def fibering_cover(umap, oracleY, scheme_factory, scales, *, check_rho=True,
             if not A:
                 continue
             n_fibers += 1
-            fams = scheme.cover(A, M_i)
-            if len(fams) != k:
-                raise ConstructionError(
-                    f"scheme for column {i} returned {len(fams)} families, declared {k}"
-                )
-            covered = set()
-            for j, fam in enumerate(fams, start=1):
-                for s in fam.sets:
-                    if not s <= A:
-                        raise ConstructionError(
-                            f"scheme family {j} (column {i}) leaves its fiber"
-                        )
-                    covered |= s
-                    if set_diameter(X, s) > B_i:
-                        raise ConstructionError(
-                            f"scheme mesh bound not honored: column {i}, family {j}, "
-                            f"bound {B_i}"
-                        )
-                ok, bad = family_is_R_disjoint(X, fam, col.at(j))
-                if not ok:
-                    raise ConstructionError(
-                        f"scheme family {j} (column {i}) is not {col.at(j)}-disjoint: {bad}"
-                    )
-            if covered != A:
-                raise ConstructionError(
-                    f"scheme cover misses {len(A - covered)} fiber points (column {i})"
-                )
-            for j, fam in enumerate(fams, start=1):
-                merged[j - 1].extend(fam.sets)
+            _check_and_merge(X, scheme.cover(A, M_i), k, A, B_i, col.at,
+                             f"fiber scheme (column {i})", merged)
         audit.append({"column": i, "M": M_i, "B": B_i, "fibers": n_fibers})
         for j in range(1, k + 1):
-            if not merged[j - 1]:
-                continue
-            t = triangular_index(i, j)
-            slots[t] = Family.of(merged[j - 1], label=f"U[{i},{j}]")
-            bounds[t] = B_i
+            if merged[j - 1]:
+                slots[triangular_index(i, j)] = (
+                    Family.of(merged[j - 1], label=f"U[{i},{j}]"), B_i)
 
-    n_slots = max(slots) if slots else 0
-    entries = []
-    for t in range(1, n_slots + 1):
-        fam = slots.get(t, Family.of([]))
-        entries.append(WitnessEntry(counting.at(t), fam, bounds.get(t, 0)))
-    meta = {
-        "columns": m,
-        "per_column": per_column,
-        "bounds": audit,
-        "scales_consumed": counting.max_index,
-    }
-    return CoverWitness(entries, meta)
+    return _assemble(counting, slots, max(slots, default=0),
+                     {"columns": len(schemes),
+                      "per_column": [sch.family_count for sch in schemes], "bounds": audit})
 
 
 # ---------------------------------------------------------------------------
@@ -506,9 +461,8 @@ def decompose(space, k, hyp_oracle, scales, *, allow_uncovered=frozenset()):
         missing = sorted_points(space.point_set - allow_uncovered - covered)[:5]
         raise ConstructionError(f"hypothesis families do not cover the space: {missing}")
 
-    entries = []
     b_values = []
-    slot_data = {}
+    slots = {}
     for i, (_, fam) in enumerate(fam_list, start=1):
         R_i = sub.at(i)
         B_i = None
@@ -522,44 +476,14 @@ def decompose(space, k, hyp_oracle, scales, *, allow_uncovered=frozenset()):
                     f"subcover bound varies with the member set in family {i}: "
                     f"{B_u} != {B_i}"
                 )
-            if len(subfams) != k:
-                raise ConstructionError(
-                    f"subcover of family {i} returned {len(subfams)} families, need {k}"
-                )
-            sub_covered = set()
-            for j, sf in enumerate(subfams, start=1):
-                for s in sf.sets:
-                    if not s <= U:
-                        raise ConstructionError(
-                            f"subcover set leaves its member (family {i}, subfamily {j})"
-                        )
-                    sub_covered |= s
-                    if set_diameter(space, s) > B_u:
-                        raise ConstructionError(
-                            f"subcover mesh exceeds its bound (family {i}, subfamily {j})"
-                        )
-                ok, bad = family_is_R_disjoint(space, sf, R_i)
-                if not ok:
-                    raise ConstructionError(
-                        f"subcover family {j} of member in family {i} is not "
-                        f"{R_i}-disjoint: {bad}"
-                    )
-            if not sub_covered >= U - allow_uncovered:
-                raise ConstructionError(
-                    f"subcover misses {len(U - allow_uncovered - sub_covered)} points "
-                    f"of a member (family {i})"
-                )
-            for j, sf in enumerate(subfams, start=1):
-                merged[j - 1].extend(sf.sets)
+            _check_and_merge(space, subfams, k, U, B_u, lambda j: R_i,
+                             f"subcover of a member of family {i}", merged,
+                             allow_uncovered)
         if B_i is None:
             B_i = 0
         b_values.append(B_i)
         for j in range(1, k + 1):
             t = (i - 1) * k + j
-            slot_data[t] = (Family.of(merged[j - 1], label=f"V[{t}]"), B_i)
+            slots[t] = (Family.of(merged[j - 1], label=f"V[{t}]"), B_i)
 
-    for t in range(1, n * k + 1):
-        fam, bound = slot_data.get(t, (Family.of([]), 0))
-        entries.append(WitnessEntry(counting.at(t), fam, bound))
-    meta = {"n": n, "k": k, "bounds": b_values, "scales_consumed": counting.max_index}
-    return CoverWitness(entries, meta)
+    return _assemble(counting, slots, n * k, {"n": n, "k": k, "bounds": b_values})

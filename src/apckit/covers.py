@@ -102,10 +102,6 @@ class CountingStream:
         return self.base.at(i)
 
 
-def constant_stream(value):
-    return ScaleSequence([value])
-
-
 # ---------------------------------------------------------------------------
 # witnesses
 
@@ -443,7 +439,7 @@ def minimal_feasible_mesh(space, k, R, *, cap=DEFAULT_EXACT_CAP):
     candidates = {0}
     for p, q in itertools.combinations(pts, 2):
         candidates.add(space.dist(p, q))
-    for B in sorted(candidates, key=lambda b: (float(b), str(b))):
+    for B in sorted(candidates, key=lambda b: (sq_value(b), str(b))):
         got = _decide(space, pts, R, B, k)
         if got is not None:
             fams = _families_from_assignment(space, pts, got, R)
@@ -477,6 +473,23 @@ class ApcOracle:
 
     def __repr__(self):
         return f"ApcOracle({self.name})"
+
+
+def _relabel_to_tuples(oracle, space, name):
+    """Oracle on space answering with oracle's checked witnesses, every point
+    p renamed (p,): a cover of a 1-D window as a cover of its 1-tuples."""
+
+    def provide(scales):
+        w = oracle.checked(scales)
+        entries = [
+            WitnessEntry(e.required_scale,
+                         Family.of([{(p,) for p in s} for s in e.family.sets], e.family.label),
+                         e.mesh_bound)
+            for e in w.entries
+        ]
+        return CoverWitness(entries, dict(w.meta))
+
+    return ApcOracle(space, provide, name=name)
 
 
 def _interval_blocks(coords, length):
@@ -574,19 +587,7 @@ def grid_oracle(space, shape):
         for s in shape]
 
     if len(axes) == 1:
-        base = axes[0]
-
-        def provide1(scales):
-            w = base.checked(scales)
-            entries = [
-                WitnessEntry(e.required_scale,
-                             Family.of([{(p,) for p in s} for s in e.family.sets], e.family.label),
-                             e.mesh_bound)
-                for e in w.entries
-            ]
-            return CoverWitness(entries, dict(w.meta))
-
-        return ApcOracle(space, provide1, name=f"grid{shape}")
+        return _relabel_to_tuples(axes[0], space, f"grid{shape}")
 
     def provide(scales):
         oracle = axes[0]

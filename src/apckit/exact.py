@@ -164,7 +164,3 @@ def ceil_scalar(x) -> int:
             n += 1
         return n
     raise TypeError(f"not a scalar: {x!r}")
-
-
-def scalar_float(x) -> float:
-    return float(x)

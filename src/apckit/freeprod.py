@@ -234,11 +234,6 @@ def is_flat(A) -> bool:
     return all(w[:-1] == prefix for w in A)
 
 
-def flat_prefix(A):
-    w = next(iter(A))
-    return w[:-1] if w else EPSILON
-
-
 # ---------------------------------------------------------------------------
 # cone trees and the quasi-isometry check
 

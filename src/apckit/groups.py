@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,10 +26,10 @@ from .metric import (
     InputError,
     point_key,
 )
-from .covers import ApcOracle, greedy_oracle
+from .covers import _relabel_to_tuples, greedy_oracle, interval_oracle
 from .combinators import (
     UniformlyExpansiveMap,
-    FiberCoverScheme,
+    _projection_scheme,
     fiber_scheme_from_asdim,
     fibering_cover,
     identity_rho,
@@ -512,24 +513,7 @@ def projection_fiber_scheme(oracle_H):
     bounded-geometry assumption is needed, and the mesh bound is the fiber
     scale plus the largest H mesh.
     """
-
-    def factory(stream):
-        w = oracle_H.checked(stream)
-        k = max(1, len(w.entries))
-        max_mesh = max((e.mesh_bound for e in w.entries), default=0)
-
-        def cover(A, M):
-            fams = []
-            for e in w.entries:
-                sets = [{p for p in A if p[1] in U} for U in e.family.sets]
-                fams.append(Family.of(sets))
-            while len(fams) < k:
-                fams.append(Family.of([]))
-            return fams
-
-        return FiberCoverScheme(k, lambda M: M + max_mesh, cover)
-
-    return factory
+    return _projection_scheme(oracle_H, 1, operator.add)
 
 
 # ---------------------------------------------------------------------------
@@ -621,8 +605,6 @@ def z2_extension_pipeline(L, scales):
 
     Returns (window_G, witness); the witness verifies on the G window.
     """
-    from .covers import interval_oracle
-
     G = ZdModel(2)
     H = ZdModel(1)
     phi = lambda g: (g[1],)
@@ -637,24 +619,7 @@ def z2_extension_pipeline(L, scales):
         lambda p, q: abs(p - q), basepoint=0, name=f"Z-window[{L}]",
     )
 
-    def relabel(oracle):
-        def provide(s):
-            w = oracle.provide(s)
-            from .covers import CoverWitness, WitnessEntry
-
-            entries = [
-                WitnessEntry(
-                    e.required_scale,
-                    Family.of([{(p,) for p in S} for S in e.family.sets]),
-                    e.mesh_bound,
-                )
-                for e in w.entries
-            ]
-            return CoverWitness(entries, dict(w.meta))
-
-        return ApcOracle(window_H.space, provide, name="interval-Z")
-
-    oracle_H = relabel(interval_oracle(interval))
+    oracle_H = _relabel_to_tuples(interval_oracle(interval), window_H.space, "interval-Z")
     kernel_source = IntervalKernelSource(coordinate=lambda g: g[0], step=1)
     witness = extension_cover(
         window_G, phi, sigma, window_H, oracle_H, kernel_source, scales

@@ -47,7 +47,10 @@ def decode_scalar(v):
     if isinstance(v, int):
         return v
     if isinstance(v, str):
-        f = Fraction(v)
+        try:
+            f = Fraction(v)
+        except (ValueError, ZeroDivisionError) as e:
+            raise InputError(f"cannot decode scalar {v!r}: {e}") from None
         return int(f) if f.denominator == 1 else f
     if isinstance(v, dict) and set(v) == {"sqrt"}:
         return root_of(to_fraction(decode_scalar(v["sqrt"])))

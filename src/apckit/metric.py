@@ -167,6 +167,23 @@ class MetricReport:
         return "\n".join(lines)
 
 
+def _sample_pairs(pts, budget, seed):
+    """All pairs of pts if there are at most budget of them, else budget seeded
+    draws of two distinct points.  A generator, so the distances its caller
+    evaluates stay the caller's work."""
+    n = len(pts)
+    if n * (n - 1) // 2 <= budget:
+        yield from itertools.combinations(pts, 2)
+        return
+    rng = random.Random(seed)
+    for _ in range(budget):
+        i = rng.randrange(n)
+        j = rng.randrange(n - 1)
+        if j >= i:
+            j += 1
+        yield pts[i], pts[j]
+
+
 def validate_metric(space, *, pair_budget=2_000_000, triple_budget=2_000_000, seed=0):
     """Check all metric axioms, exhaustively within budgets, else on a seeded sample.
 
@@ -185,31 +202,18 @@ def validate_metric(space, *, pair_budget=2_000_000, triple_budget=2_000_000, se
             violations.append(MetricViolation("identity", (p, p), (d,)))
     checked["diagonal"] = n
 
-    def check_pair(p, q):
+    for p, q in _sample_pairs(pts, pair_budget, seed):
         d1 = space.raw_dist(p, q)
         d2 = space.raw_dist(q, p)
         if d1 != d2:
             violations.append(MetricViolation("symmetry", (p, q), (d1, d2)))
-            return
-        if d1 < 0:
+        elif d1 < 0:
             violations.append(MetricViolation("non-negativity", (p, q), (d1,)))
         elif d1 == 0:
             violations.append(MetricViolation("separation", (p, q), (d1,)))
-
     n_pairs = n * (n - 1) // 2
-    if n_pairs <= pair_budget:
-        for p, q in itertools.combinations(pts, 2):
-            check_pair(p, q)
-        checked["pairs"] = ("exhaustive", n_pairs)
-    else:
-        rng = random.Random(seed)
-        for _ in range(pair_budget):
-            i = rng.randrange(n)
-            j = rng.randrange(n - 1)
-            if j >= i:
-                j += 1
-            check_pair(pts[i], pts[j])
-        checked["pairs"] = ("sampled", pair_budget)
+    checked["pairs"] = (("exhaustive", n_pairs) if n_pairs <= pair_budget
+                        else ("sampled", pair_budget))
 
     def check_triple(p, q, r):
         dpq = space.dist(p, q)

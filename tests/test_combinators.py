@@ -318,6 +318,101 @@ class TestDecompose:
             decompose(space, 1, Bad(), scales(3))
 
 
+def _two_point_cover(A, space, fault=None):
+    """The families {a} and {b} over a container {a, b} with b = a + 1, or the
+    same with one planted fault that the provider check must reject."""
+    a, b = sorted(A)
+    if fault == "count":
+        return [Family.of([{a}, {b}])]
+    if fault == "leaves":
+        outside = next(p for p in space.points if p not in A)
+        return [Family.of([{a}]), Family.of([{b, outside}])]
+    if fault == "mesh":
+        return [Family.of([{a, b}]), Family.of([])]
+    if fault == "disjointness":
+        return [Family.of([{a}, {b}]), Family.of([])]
+    if fault == "coverage":
+        return [Family.of([{a}]), Family.of([])]
+    return [Family.of([{a}]), Family.of([{b}])]
+
+
+# each planted fault with a word of the rejection it must trigger
+PROVIDER_FAULTS = {
+    "count": "families, need",
+    "leaves": "leaves",
+    "mesh": "mesh bound",
+    "disjointness": "-disjoint",
+    "coverage": "misses",
+}
+
+
+def _fibering_with(fault):
+    """Identity on a path of 8; the target oracle's fibers are the pairs
+    {2i, 2i + 1}, and the scheme declares two families of mesh 0."""
+    Y = path_space(8)
+    m = UniformlyExpansiveMap(Y, Y, lambda p: p, identity_rho)
+
+    def scheme(stream):
+        return FiberCoverScheme(2, lambda M: 0, lambda A, M: _two_point_cover(A, Y, fault))
+
+    return Y, fibering_cover(m, interval_oracle(Y), scheme, scales(2))
+
+
+class _PairMembers:
+    """Hypothesis on a path of 8: two families of 1-disjoint pairs, each pair
+    re-covered by _two_point_cover at mesh 0."""
+
+    def __init__(self, space, fault=None):
+        self.space = space
+        self.fault = fault
+
+    def families(self, sub):
+        return [(sub.at(1), Family.of([{0, 1}, {4, 5}])),
+                (sub.at(2), Family.of([{2, 3}, {6, 7}]))]
+
+    def subcover(self, i, U, R):
+        return 0, _two_point_cover(U, self.space, self.fault)
+
+
+class TestProviderCheck:
+    """fibering_cover (per fiber) and decompose (per member) share one check
+    of provider output; each rejection must fire through both callers."""
+
+    def test_valid_providers_pass_through_both_callers(self):
+        Y, w = _fibering_with(None)
+        assert verify_apc_witness(Y, scales(2), w).ok
+        space = path_space(8)
+        w = decompose(space, 2, _PairMembers(space), scales(1))
+        assert verify_apc_witness(space, scales(1), w).ok
+
+    @pytest.mark.parametrize("fault", sorted(PROVIDER_FAULTS))
+    def test_fibering_rejects(self, fault):
+        with pytest.raises(ConstructionError, match=PROVIDER_FAULTS[fault]) as e:
+            _fibering_with(fault)
+        assert "column" in str(e.value)
+
+    @pytest.mark.parametrize("fault", sorted(PROVIDER_FAULTS))
+    def test_decompose_rejects(self, fault):
+        space = path_space(8)
+        with pytest.raises(ConstructionError, match=PROVIDER_FAULTS[fault]) as e:
+            decompose(space, 2, _PairMembers(space, fault), scales(1))
+        assert "family" in str(e.value)
+
+    def test_decompose_exempts_allow_uncovered_from_coverage(self):
+        space = path_space(8)
+        exempt = frozenset({1, 3, 5, 7})  # the points the coverage fault drops
+        w = decompose(space, 2, _PairMembers(space, "coverage"), scales(1),
+                      allow_uncovered=exempt)
+        assert w.support() == space.point_set - exempt
+        report = verify_apc_witness(space, scales(1), w,
+                                    require_cover_of=space.point_set - exempt)
+        assert report.ok
+        # without the exemption the same subcovers are refused
+        with pytest.raises(ConstructionError, match="misses"):
+            decompose(space, 2, _PairMembers(space, "coverage"), scales(1),
+                      allow_uncovered={1, 3, 5})
+
+
 class TestGridOracleEquivalence:
     def test_grid_oracle_is_product_of_intervals(self):
         g = grid_window((8, 8))

@@ -24,6 +24,7 @@ from apckit.metric import (
     InputError,
     grid_window,
     interval_window,
+    matrix_space,
     path_space,
 )
 from conftest import brute_min_families, random_points_space
@@ -160,6 +161,23 @@ class TestExactSolver:
         # so the single set must hold the whole path
         B2, _ = minimal_feasible_mesh(path_space(5), 1, 1)
         assert B2 == 4
+
+    def test_minimal_feasible_mesh_orders_candidates_exactly(self):
+        # 1/2 - 10**-30 and 1/2 are the same float; both are feasible, and the
+        # smaller one must be found first
+        eps, half = Fraction(1, 10**30), Fraction(1, 2)
+        ids = ["a", "b", "c", "e"]
+        near = {frozenset("ab"): half - eps, frozenset("ce"): half}
+        rows = [[0 if p == q else near.get(frozenset((p, q)), 10) for q in ids] for p in ids]
+        B, fams = minimal_feasible_mesh(matrix_space(ids, rows), 1, half - eps)
+        assert B == half - eps
+        assert fams == [Family.of([{"a", "b"}, {"c"}, {"e"}])]
+
+    def test_minimal_feasible_mesh_beyond_floats(self):
+        big = 10**400
+        space = matrix_space(["p", "q"], [[0, big], [big, 0]])
+        assert minimal_feasible_mesh(space, 1, 1)[0] == 0
+        assert minimal_feasible_mesh(space, 1, big)[0] == big
 
 
 class TestGreedySolver:

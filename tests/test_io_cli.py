@@ -264,6 +264,33 @@ class TestCli:
         assert r.returncode == 0, r.stderr
         assert json.loads(r.stdout)["ok"]
 
+    @pytest.mark.parametrize("scale", ["abc", "1/0"])
+    def test_cover_verify_malformed_scalar_exit_2(self, tmp_path, scale):
+        f = self._space_file(tmp_path, {"kind": "path", "n": 5})
+        w = tmp_path / "w.json"
+        fio.write_file(str(w), {"scales": [scale], "families": [
+            {"R": 1, "mesh": 0, "sets": [[0], [2], [4]]}]})
+        r = run_cli("cover", "verify", "--space", f, "--witness", str(w))
+        assert r.returncode == 2
+        assert r.stderr.startswith("input error:")
+        assert "Traceback" not in r.stderr
+
+    def test_freeprod_cover_refuses_empty_reduced_window(self, tmp_path):
+        p = tmp_path / "base.json"
+        fio.write_file(str(p), {
+            "points": ["x0", "a", "b"],
+            "metric": {"kind": "matrix",
+                       "rows": [[0, 1, 2], [1, 0, 2], [2, 2, 0]]},
+            "basepoint": "x0",
+        })
+        out = tmp_path / "w.json"
+        r = run_cli("freeprod", "cover", "--base", str(p), "--window", "3,6",
+                    "--scales", "2,3", "--out", str(out))
+        assert r.returncode == 2
+        assert r.stderr.startswith("input error:")
+        assert "margin 7" in r.stderr and "max_norm 6" in r.stderr
+        assert not out.exists()
+
     def test_product_command_verifies_and_is_deterministic(self, tmp_path):
         f = self._space_file(tmp_path, {"kind": "interval", "lo": 0, "hi": 12})
         o1, o2 = tmp_path / "w1.json", tmp_path / "w2.json"
