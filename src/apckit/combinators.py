@@ -410,10 +410,9 @@ def fibering_cover(umap, oracleY, scheme_factory, scales, *, check_rho=True,
             _check_and_merge(X, scheme.cover(A, M_i), k, A, B_i, col.at,
                              f"fiber scheme (column {i})", merged)
         audit.append({"column": i, "M": M_i, "B": B_i, "fibers": n_fibers})
-        for j in range(1, k + 1):
-            if merged[j - 1]:
-                slots[triangular_index(i, j)] = (
-                    Family.of(merged[j - 1], label=f"U[{i},{j}]"), B_i)
+        for j, sets in enumerate(merged, start=1):
+            if sets:
+                slots[triangular_index(i, j)] = (Family.of(sets, label=f"U[{i},{j}]"), B_i)
 
     return _assemble(counting, slots, max(slots, default=0),
                      {"columns": len(schemes),
@@ -482,8 +481,8 @@ def decompose(space, k, hyp_oracle, scales, *, allow_uncovered=frozenset()):
         if B_i is None:
             B_i = 0
         b_values.append(B_i)
-        for j in range(1, k + 1):
+        for j, sets in enumerate(merged, start=1):
             t = (i - 1) * k + j
-            slots[t] = (Family.of(merged[j - 1], label=f"V[{t}]"), B_i)
+            slots[t] = (Family.of(sets, label=f"V[{t}]"), B_i)
 
     return _assemble(counting, slots, n * k, {"n": n, "k": k, "bounds": b_values})
