@@ -46,9 +46,19 @@ from .freeprod import fp_window, free_product_cover, qi_check, cone_tree
 from .groups import ZdModel, cayley_ball, z2_extension_pipeline, free_product_cover_groups
 
 
+def _scalar(text, flag):
+    """An exact scalar from command-line text; text that is not a rational
+    (``abc``, ``1/0``) is malformed input."""
+    try:
+        return to_fraction(text)
+    except (ValueError, ZeroDivisionError) as e:
+        raise InputError(f"{flag} {text!r} is not a scalar: {e}") from None
+
+
 def _parse_scales(args):
-    prefix = [to_fraction(x) for x in args.scales.split(",")]
-    return ScaleSequence(prefix, args.extend, args.extend_param)
+    prefix = [_scalar(x, "--scales") for x in args.scales.split(",")]
+    param = None if args.extend_param is None else _scalar(args.extend_param, "--extend-param")
+    return ScaleSequence(prefix, args.extend, param)
 
 
 def _window_params(args):
@@ -57,10 +67,14 @@ def _window_params(args):
         parts = args.window.split(",")
         if len(parts) != 2:
             raise InputError("--window expects 'max_order,max_norm'")
-        return int(parts[0]), to_fraction(parts[1])
+        try:
+            max_order = int(parts[0])
+        except ValueError:
+            raise InputError(f"--window max_order {parts[0]!r} is not an integer") from None
+        return max_order, _scalar(parts[1], "--window max_norm")
     if args.max_order is None or args.max_norm is None:
         raise InputError("need --window m,L or both -m and -L")
-    return args.max_order, to_fraction(args.max_norm)
+    return args.max_order, _scalar(args.max_norm, "--max-norm")
 
 
 def _require_reduced_words(res):
@@ -140,7 +154,7 @@ def cmd_space_validate(args):
 
 def cmd_space_export(args):
     space = fio.load_space(args.infile)
-    dot = fio.proximity_dot(space, to_fraction(args.R))
+    dot = fio.proximity_dot(space, _scalar(args.R, "--R"))
     with open(args.dot, "w") as fh:
         fh.write(dot)
     print(f"wrote {args.dot}")
@@ -156,8 +170,8 @@ def cmd_cover_verify(args):
 
 def cmd_cover_solve(args):
     space = fio.load_space(args.space)
-    R = to_fraction(args.R)
-    B = to_fraction(args.B)
+    R = _scalar(args.R, "--R")
+    B = _scalar(args.B, "--B")
     if args.mode == "exact":
         res = min_families_at_scale(space, R, B, cap=args.cap)
     else:
@@ -247,7 +261,7 @@ def cmd_decompose(args):
     space = fio.load_space(args.space)
     _, hyp_witness = fio.load_witness(args.witness)
     families = [e.family for e in hyp_witness.entries]
-    bounds = [to_fraction(x) for x in args.subcover_mesh.split(",")]
+    bounds = [_scalar(x, "--subcover-mesh") for x in args.subcover_mesh.split(",")]
     if len(bounds) != len(families):
         raise InputError("need one --subcover-mesh value per hypothesis family")
     scales = _parse_scales(args)
@@ -261,7 +275,7 @@ def cmd_decompose(args):
 
 def cmd_tree_cover(args):
     tree = fio.load_tree(args.tree)
-    r = to_fraction(args.r)
+    r = _scalar(args.r, "--r")
     cover = tree_cover(tree, r)
     scales = ScaleSequence([r])
     fams = [f for f in cover.families() if len(f)]
@@ -289,7 +303,7 @@ def cmd_freeprod_window(args):
 
 def cmd_freeprod_cover(args):
     base = fio.load_space(args.base)
-    margin = to_fraction(args.margin) if args.margin is not None else None
+    margin = _scalar(args.margin, "--margin") if args.margin is not None else None
     m, L = _window_params(args)
     win = fp_window(base, m, L, margin=margin)
     oracle = exact_oracle(base, cap=args.cap) if len(base) <= args.cap else greedy_oracle(base)
@@ -317,7 +331,7 @@ def cmd_freeprod_qi_check(args):
     base = fio.load_space(args.base)
     m, L = _window_params(args)
     win = fp_window(base, m, L)
-    M = to_fraction(args.M)
+    M = _scalar(args.M, "-M")
     checked = 0
     failures = []
     prefixes = [w for w in win.words if len(w) < m]
@@ -365,7 +379,7 @@ def cmd_group_pipeline(args):
         winG = cayley_ball(Z, gens, args.radius)
         winH = cayley_ball(Z, gens, args.radius)
         res = free_product_cover_groups(
-            winG, winH, scales, args.max_order, to_fraction(args.max_norm)
+            winG, winH, scales, args.max_order, _scalar(args.max_norm, "--max-norm")
         )
         _require_reduced_words(res)
         report = verify_apc_witness(
@@ -406,8 +420,9 @@ def hypercube_demo_rows(max_dim=4, k=2, R=2, cap=DEFAULT_EXACT_CAP):
 
 
 def cmd_demo_hypercubes(args):
-    rows = hypercube_demo_rows(args.max_dim, args.k, to_fraction(args.R), args.cap)
-    obj = {"demo": "hypercubes", "k": args.k, "R": fio.encode_scalar(to_fraction(args.R)),
+    R = _scalar(args.R, "--R")
+    rows = hypercube_demo_rows(args.max_dim, args.k, R, args.cap)
+    obj = {"demo": "hypercubes", "k": args.k, "R": fio.encode_scalar(R),
            "seed": args.seed, "rows": rows}
     if args.out:
         fio.write_file(args.out, obj)

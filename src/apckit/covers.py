@@ -17,9 +17,10 @@ from .exact import root_of, sq_value, to_fraction
 from .metric import (
     ConstructionError,
     Family,
-    FiniteMetricSpace,
     InputError,
     family_is_R_disjoint,
+    grid_window,
+    interval_window,
     point_key,
     r_components,
     set_diameter,
@@ -582,9 +583,7 @@ def grid_oracle(space, shape):
     shape = tuple(int(s) for s in shape)
     if len(shape) < 1:
         raise InputError("grid shape must have at least one dimension")
-    axes = [interval_oracle(
-        FiniteMetricSpace(range(s), lambda p, q: abs(p - q), basepoint=0, name=f"axis[{s}]"))
-        for s in shape]
+    axes = [interval_oracle(interval_window(0, s - 1)) for s in shape]
 
     if len(axes) == 1:
         return _relabel_to_tuples(axes[0], space, f"grid{shape}")
@@ -603,15 +602,9 @@ def grid_oracle(space, shape):
                 return (x, y)
             return x + (y,)
 
-        combined = FiniteMetricSpace(
-            [pair_point(x, y) for x in oX.space.points for y in oY.space.points],
-            lambda p, q: sum(abs(a - b) for a, b in zip(p, q)),
-            name="grid-partial",
-        )
-
         def provide_pair(scales):
             return product_engine(oX, oY, scales, mesh_combine="l1", pair_point=pair_point)
 
-        return ApcOracle(combined, provide_pair, name="grid-partial")
+        return ApcOracle(grid_window(shape[:arity + 1]), provide_pair, name="grid-partial")
 
     return ApcOracle(space, provide, name=f"grid{shape}")

@@ -46,6 +46,10 @@ class WindowExhausted(InputError):
 # element models
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 class ZdModel:
     """Integer vectors of a fixed dimension."""
 
@@ -63,6 +67,9 @@ class ZdModel:
 
     def inv(self, a):
         return tuple(-x for x in a)
+
+    def is_element(self, a):
+        return isinstance(a, tuple) and len(a) == self.d and all(map(_is_int, a))
 
     def standard_gens(self, weights=None):
         gens = []
@@ -96,6 +103,13 @@ class FreeGroupModel:
 
     def inv(self, a):
         return tuple(-c for c in reversed(a))
+
+    def is_element(self, a):
+        """A reduced word: nonzero letters of absolute value at most k, no
+        letter next to its inverse."""
+        return (isinstance(a, tuple)
+                and all(_is_int(c) and 0 < abs(c) <= self.k for c in a)
+                and all(x != -y for x, y in zip(a, a[1:])))
 
     def standard_gens(self, weights=None):
         gens = []
@@ -137,6 +151,9 @@ class TableModel:
     def inv(self, a):
         return self._inv[a]
 
+    def is_element(self, a):
+        return a in self.elements
+
     def check_axioms(self, rng=None, samples=200):
         """Spot-check associativity and identity laws on sampled triples."""
         rng = rng or random.Random(0)
@@ -163,6 +180,10 @@ class DirectProductModel:
 
     def inv(self, a):
         return tuple(f.inv(x) for f, x in zip(self.factors, a))
+
+    def is_element(self, a):
+        return (isinstance(a, tuple) and len(a) == len(self.factors)
+                and all(f.is_element(x) for f, x in zip(self.factors, a)))
 
     def embedded_gens(self, factor_gens):
         """Lift per-factor generator lists into the product."""
@@ -205,6 +226,17 @@ class FreeProductModel:
 
     def inv(self, a):
         return tuple((idx, self.factors[idx].inv(e)) for idx, e in reversed(a))
+
+    def is_element(self, a):
+        """An alternating word: (factor index, nontrivial factor element)
+        pairs, no two neighbours from the same factor."""
+        if not (isinstance(a, tuple) and all(
+                isinstance(t, tuple) and len(t) == 2 and _is_int(t[0])
+                and 0 <= t[0] < len(self.factors) for t in a)):
+            return False
+        return (all(self.factors[i].is_element(e) and e != self.factors[i].identity()
+                    for i, e in a)
+                and all(x[0] != y[0] for x, y in zip(a, a[1:])))
 
     def embedded_gens(self, factor_gens):
         gens = []

@@ -272,10 +272,9 @@ def _model_from_spec(spec):
     )
 
     if isinstance(spec, str):
-        if spec.startswith("Z^"):
-            return ZdModel(int(spec[2:]))
-        if spec.startswith("free-"):
-            return FreeGroupModel(int(spec[5:]))
+        for prefix, model in (("Z^", ZdModel), ("free-", FreeGroupModel)):
+            if spec.startswith(prefix) and spec[len(prefix):].isdigit():
+                return model(int(spec[len(prefix):]))
         raise InputError(f"unknown model string {spec!r} (use Z^d or free-k)")
     if isinstance(spec, dict):
         if "product" in spec:
@@ -298,10 +297,15 @@ def group_window_from_obj(obj, **kw):
 
     _check_fields(obj, ["model", "generators", "radius"], ["norm_radius"], "group file")
     model = _model_from_spec(obj["model"])
-    gens = [
-        (decode_point(g["elem"]), decode_scalar(g["weight"]))
-        for g in obj["generators"]
-    ]
+    if not isinstance(obj["generators"], list):
+        raise InputError("group file: 'generators' must be a list")
+    gens = []
+    for g in obj["generators"]:
+        _check_fields(g, ["elem", "weight"], [], "group generator")
+        elem = decode_point(g["elem"])
+        if not model.is_element(elem):
+            raise InputError(f"generator {g['elem']!r} is not an element of {model.name}")
+        gens.append((elem, decode_scalar(g["weight"])))
     extra = {}
     if "norm_radius" in obj:
         extra["norm_radius"] = decode_scalar(obj["norm_radius"])

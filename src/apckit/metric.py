@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 
@@ -58,6 +59,9 @@ class FiniteMetricSpace:
     true iff every pair of points from two distinct sets is more than R >= 0
     apart.  :func:`set_diameter_sq` and :func:`family_is_R_disjoint` use it;
     spaces without one, and every violation report, take the generic path.
+    An index may also have ``pairs_within(pts, R)``, the index pairs (i, j),
+    i < j, of a point list whose points are at most R >= 0 apart, each pair
+    once; :func:`r_components` uses it when present.
     """
 
     def __init__(self, points, dist, *, basepoint=None, name="", dist_sq=None, index=None):
@@ -94,14 +98,6 @@ class FiniteMetricSpace:
         for p in pts:
             if p not in self.point_set:
                 raise InputError(f"unknown point id: {p!r}")
-
-    def restrict(self, pts, *, name=""):
-        pts = frozenset(pts)
-        self.require(pts)
-        base = self.basepoint if self.basepoint in pts else None
-        return FiniteMetricSpace(
-            sorted_points(pts), self._dist, basepoint=base, name=name or f"{self.name}|restricted"
-        )
 
     def __len__(self):
         return len(self.points)
@@ -380,17 +376,157 @@ def r_components(space, S, R):
     pts = sorted_points(S)
     if R < 0:
         return [frozenset({p}) for p in pts]
-    R2 = sq_value(R)
     uf = UnionFind(len(pts))
-    for i, j in itertools.combinations(range(len(pts)), 2):
-        if space.dist_sq(pts[i], pts[j]) <= R2:
+    pairs_within = getattr(space.index, "pairs_within", None)
+    if pairs_within is not None:
+        for i, j in pairs_within(pts, R):
             uf.union(i, j)
+    else:
+        R2 = sq_value(R)
+        for i, j in itertools.combinations(range(len(pts)), 2):
+            if space.dist_sq(pts[i], pts[j]) <= R2:
+                uf.union(i, j)
     groups = {}
     for i, p in enumerate(pts):
         groups.setdefault(uf.find(i), []).append(p)
     comps = [frozenset(g) for g in groups.values()]
     comps.sort(key=lambda c: point_key(min(c, key=point_key)))
     return comps
+
+
+# ---------------------------------------------------------------------------
+# lattice index
+
+
+class LatticeIndex:
+    """Set diameters, R-separation and R-neighbour pairs of a lattice-embedded space.
+
+    ``coord(p)`` is the integer coordinate tuple of p, and ``blocks`` is a
+    tuple of ranges of coordinate positions; the squared distance of two
+    points is the sum, over blocks, of the square of their l1 distance inside
+    the block.  An interval window is one block of one coordinate, a grid
+    window one block of d, and an l2 product the concatenation of its
+    factors' blocks.  All arithmetic is on ints, and the squared distance
+    only grows with each coordinate gap, which makes every bounding-box
+    bound below exact.
+    """
+
+    def __init__(self, coord, blocks):
+        self.coord = coord
+        self.blocks = tuple(blocks)
+        self.dim = self.blocks[-1].stop
+        self._slices = tuple(slice(b.start, b.stop) for b in self.blocks)
+
+    def _norm_sq(self, gaps):
+        return sum(sum(gaps[s]) ** 2 for s in self._slices)
+
+    def _dist_sq(self, a, b):
+        return self._norm_sq([abs(x - y) for x, y in zip(a, b)])
+
+    @staticmethod
+    def _box(cs):
+        """The bounding box (lo, hi) of a nonempty list of coordinate tuples."""
+        cols = list(zip(*cs))
+        return tuple(map(min, cols)), tuple(map(max, cols))
+
+    def _box_gap_sq(self, c, lo, hi):
+        """Squared distance from coordinates c to the box [lo, hi]."""
+        return self._norm_sq([max(0, l - x, x - h) for x, l, h in zip(c, lo, hi)])
+
+    def diameter_sq(self, S):
+        """Two sweeps give a pair at distance L.  A point whose farthest
+        bounding-box corner is nearer than L is in no pair of length >= L,
+        so both ends of every diameter pair are among the points left, and
+        the exact maximum is taken over those only.  On a box the corners
+        are all that is left."""
+        cs = [self.coord(p) for p in S]
+        dist = self._dist_sq
+        a = max(cs, key=lambda c: dist(cs[0], c))
+        L = max(dist(a, c) for c in cs)
+        lo, hi = self._box(cs)
+        left = [c for c in cs
+                if self._norm_sq([max(x - l, h - x) for x, l, h in zip(c, lo, hi)]) >= L]
+        return max(dist(p, q) for p, q in itertools.combinations(left, 2))
+
+    def separated(self, sets, R):
+        """True iff every pair of points from two distinct sets is more than R apart.
+
+        Boxes sorted by their low first coordinate are scanned forward while
+        that coordinate is within floor(R) (coordinates are ints, so no pair
+        within R is farther apart in any one of them); a pair of sets whose
+        boxes are more than R apart is skipped, and otherwise only the points
+        of each set within R of the other's box are compared exactly.
+        """
+        if R < 0:
+            return True
+        R2 = math.floor(sq_value(R))
+        reach = math.isqrt(R2)
+        cs = [[self.coord(p) for p in s] for s in sets if s]
+        boxes = [self._box(c) for c in cs]
+        order = sorted(range(len(cs)), key=lambda i: boxes[i][0][0])
+        for pos, i in enumerate(order):
+            lo_i, hi_i = boxes[i]
+            for j in order[pos + 1:]:
+                lo_j, hi_j = boxes[j]
+                if lo_j[0] - hi_i[0] > reach:
+                    break
+                gaps = [max(0, a - d, c - b) for a, b, c, d in zip(lo_i, hi_i, lo_j, hi_j)]
+                if self._norm_sq(gaps) <= R2:
+                    near_i = [p for p in cs[i] if self._box_gap_sq(p, lo_j, hi_j) <= R2]
+                    near_j = [q for q in cs[j] if self._box_gap_sq(q, lo_i, hi_i) <= R2]
+                    if any(self._dist_sq(p, q) <= R2 for p in near_i for q in near_j):
+                        return False
+        return True
+
+    def pairs_within(self, pts, R):
+        """Index pairs (i, j), i < j, of pts at most R >= 0 apart, each once.
+
+        Points go into cubical cells of side floor(R) + 1, so two points
+        within R lie in the same or adjacent cells (Bentley, Stanat and
+        Williams, IPL 1977); each unordered pair of adjacent cells is
+        visited once, from the smaller key.
+        """
+        if R < 0:
+            return []
+        R2 = math.floor(sq_value(R))
+        side = math.isqrt(R2) + 1
+        cells = {}
+        for i, p in enumerate(pts):
+            c = self.coord(p)
+            cells.setdefault(tuple(x // side for x in c), []).append((i, c))
+        if 3 ** self.dim <= 2 * len(cells):
+            zero = (0,) * self.dim
+            steps = [o for o in itertools.product((-1, 0, 1), repeat=self.dim) if o > zero]
+
+            def adjacent(key):
+                return [k for k in (tuple(map(operator.add, key, o)) for o in steps) if k in cells]
+        else:  # fewer cells than neighbour offsets: scan the cells instead
+
+            def adjacent(key):
+                return [k for k in cells
+                        if k > key and all(-1 <= x - y <= 1 for x, y in zip(k, key))]
+        dist = self._dist_sq
+        out = []
+        for key, members in cells.items():
+            for (i, a), (j, b) in itertools.combinations(members, 2):
+                if dist(a, b) <= R2:
+                    out.append((i, j))
+            for k in adjacent(key):
+                for i, a in members:
+                    for j, b in cells[k]:
+                        if dist(a, b) <= R2:
+                            out.append((i, j) if i < j else (j, i))
+        return out
+
+
+def _lattice_product(X, Y):
+    """The l2 product's lattice index from its factors', or None."""
+    ix, iy = X.index, Y.index
+    if not (isinstance(ix, LatticeIndex) and isinstance(iy, LatticeIndex)):
+        return None
+    cx, cy, shift = ix.coord, iy.coord, ix.dim
+    return LatticeIndex(lambda p: cx(p[0]) + cy(p[1]),
+                        ix.blocks + tuple(range(b.start + shift, b.stop + shift) for b in iy.blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +549,8 @@ def product_space(X, Y):
     if X.basepoint is not None and Y.basepoint is not None:
         base = (X.basepoint, Y.basepoint)
     return FiniteMetricSpace(
-        points, d, basepoint=base, name=f"({X.name})x({Y.name})", dist_sq=d_sq
+        points, d, basepoint=base, name=f"({X.name})x({Y.name})", dist_sq=d_sq,
+        index=_lattice_product(X, Y),
     )
 
 
@@ -429,7 +566,8 @@ def interval_window(lo, hi, *, cap=DEFAULT_POINT_CAP):
     _check_cap(hi - lo + 1, cap)
     return FiniteMetricSpace(
         range(lo, hi + 1), lambda p, q: abs(p - q), basepoint=lo,
-        name=f"interval[{lo},{hi}]", dist_sq=lambda p, q: (p - q) ** 2
+        name=f"interval[{lo},{hi}]", dist_sq=lambda p, q: (p - q) ** 2,
+        index=LatticeIndex(lambda p: (p,), (range(1),)),
     )
 
 
@@ -448,7 +586,8 @@ def grid_window(shape, *, cap=DEFAULT_POINT_CAP):
         return sum(abs(a - b) for a, b in zip(p, q))
 
     return FiniteMetricSpace(points, d, basepoint=points[0], name=f"grid{shape}",
-                             dist_sq=lambda p, q: d(p, q) ** 2)
+                             dist_sq=lambda p, q: d(p, q) ** 2,
+                             index=LatticeIndex(lambda p: p, (range(len(shape)),)))
 
 
 def path_space(n, *, cap=DEFAULT_POINT_CAP):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from apckit import io as fio
+from apckit.cli import main as cli_main
 from apckit.covers import ScaleSequence, interval_oracle, verify_apc_witness
 from apckit.exact import root_of
 from apckit.metric import InputError, interval_window, matrix_space
@@ -158,6 +159,34 @@ class TestGroupFiles:
         win = fio.load_group_window(str(p))
         assert len(win.points) == 4  # the whole cyclic group within radius 2
 
+    @pytest.mark.parametrize("model, gen", [
+        ("free-2", {"elem": [[0, 1]], "weight": 1}),
+        ("free-2", {"elem": [3], "weight": 1}),
+        ("free-2", {"elem": [0], "weight": 1}),
+        ("free-2", {"elem": [1, -1], "weight": 1}),
+        ("free-2", {"elem": 1, "weight": 1}),
+        ("Z^2", {"elem": [1], "weight": 1}),
+        ("Z^1", {"elem": [True], "weight": 1}),
+        ("Z^1", {"elem": ["a"], "weight": 1}),
+        ({"product": ["Z^1", "Z^1"]}, {"elem": [[1]], "weight": 1}),
+        ({"product": ["Z^1", "free-1"]}, {"elem": [[1], [2]], "weight": 1}),
+        ({"freeprod": ["Z^1", "Z^1"]}, {"elem": [[2, [1]]], "weight": 1}),
+        ({"freeprod": ["Z^1", "Z^1"]}, {"elem": [[0, [0]]], "weight": 1}),
+        ({"freeprod": ["Z^1", "Z^1"]}, {"elem": [[0, [1]], [0, [1]]], "weight": 1}),
+        ({"freeprod": ["Z^1", "Z^1"]}, {"elem": [[0, 1]], "weight": 1}),
+        ({"table": {"elements": [0, 1], "identity": 0,
+                    "rows": [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]]}},
+         {"elem": 2, "weight": 1}),
+        ("free-2", [1]),
+        ("free-2", {"elem": [1]}),
+        ("Z^x", {"elem": [1], "weight": 1}),
+    ])
+    def test_generators_must_be_elements_of_the_model(self, tmp_path, model, gen):
+        p = tmp_path / "g.json"
+        fio.write_file(str(p), {"model": model, "generators": [gen], "radius": 2})
+        with pytest.raises(InputError):
+            fio.load_group_window(str(p))
+
     def test_generator_points_mismatch_rejected(self, tmp_path):
         p = tmp_path / "s.json"
         fio.write_file(str(p), {
@@ -274,6 +303,56 @@ class TestCli:
         assert r.returncode == 2
         assert r.stderr.startswith("input error:")
         assert "Traceback" not in r.stderr
+
+    def test_group_ball_rejects_a_generator_outside_its_model(self, tmp_path):
+        p = tmp_path / "g.json"
+        fio.write_file(str(p), {"model": "free-2", "radius": 2,
+                                "generators": [{"elem": [[0, 1]], "weight": 1}]})
+        r = run_cli("group", "ball", "--group", str(p))
+        assert r.returncode == 2
+        assert r.stderr.startswith("input error:")
+        assert "Traceback" not in r.stderr
+
+    def test_product_malformed_scales_exit_2(self, tmp_path):
+        f = self._space_file(tmp_path, {"kind": "interval", "lo": 0, "hi": 4})
+        r = run_cli("product", "--space-x", f, "--space-y", f, "--scales", "abc")
+        assert r.returncode == 2
+        assert r.stderr.startswith("input error:")
+        assert "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("bad", ["abc", "1/0"])
+    @pytest.mark.parametrize("argv", [
+        ["product", "--space-x", "{iv}", "--space-y", "{iv}", "--scales", "1,{bad}"],
+        ["product", "--space-x", "{iv}", "--space-y", "{iv}", "--scales", "1",
+         "--extend", "arithmetic", "--extend-param", "{bad}"],
+        ["space", "export", "--in", "{iv}", "--R", "{bad}", "--dot", "{out}"],
+        ["cover", "solve", "--space", "{iv}", "--R", "{bad}", "--B", "1"],
+        ["cover", "solve", "--space", "{iv}", "--R", "1", "--B", "{bad}"],
+        ["decompose", "--space", "{iv}", "--witness", "{w}", "--k", "1",
+         "--subcover-mesh", "{bad}", "--scales", "1"],
+        ["tree-cover", "--tree", "{tree}", "--r", "{bad}"],
+        ["freeprod", "cover", "--base", "{base}", "--window", "2,4", "--margin", "{bad}",
+         "--scales", "1"],
+        ["freeprod", "cover", "--base", "{base}", "--window", "2,{bad}", "--scales", "1"],
+        ["freeprod", "cover", "--base", "{base}", "--window", "{bad},4", "--scales", "1"],
+        ["freeprod", "qi-check", "--base", "{base}", "-m", "2", "-L", "{bad}", "-M", "1"],
+        ["freeprod", "qi-check", "--base", "{base}", "-m", "2", "-L", "4", "-M", "{bad}"],
+        ["group", "pipeline", "--kind", "free-product-zz", "--radius", "1", "-L", "{bad}",
+         "--scales", "1"],
+        ["demo", "hypercubes", "--max-dim", "1", "--R", "{bad}"],
+    ])
+    def test_malformed_command_line_scalars_exit_2(self, tmp_path, capsys, argv, bad):
+        files = {"iv": self._space_file(tmp_path, {"kind": "interval", "lo": 0, "hi": 4}),
+                 "out": str(tmp_path / "out.dot"), "w": str(tmp_path / "w.json"),
+                 "tree": str(tmp_path / "t.json"), "base": str(tmp_path / "base.json")}
+        fio.write_file(files["w"], {"scales": [1], "families": [
+            {"R": 1, "mesh": 4, "sets": [[0, 1, 2, 3, 4]]}]})
+        fio.save_tree(files["tree"], random_tree(5))
+        fio.write_file(files["base"], {"points": ["x0", "a"], "basepoint": "x0",
+                                       "metric": {"kind": "matrix", "rows": [[0, 1], [1, 0]]}})
+        assert cli_main([a.format(bad=bad, **files) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and repr(bad) in err
 
     def test_freeprod_cover_refuses_empty_reduced_window(self, tmp_path):
         p = tmp_path / "base.json"
