@@ -150,7 +150,8 @@ def space_from_obj(obj, *, cap=None):
                 raise InputError("declared points do not match the generator output")
         if basepoint is not None:
             space = FiniteMetricSpace(
-                space.points, space._dist, basepoint=basepoint, name=space.name
+                space.points, space._dist, basepoint=basepoint, name=space.name,
+                dist_sq=space._dist_sq, index=space.index,
             )
         return space
     raise InputError(f"unknown metric kind {metric['kind']!r}")
@@ -273,7 +274,7 @@ def _model_from_spec(spec):
 
     if isinstance(spec, str):
         for prefix, model in (("Z^", ZdModel), ("free-", FreeGroupModel)):
-            if spec.startswith(prefix) and spec[len(prefix):].isdigit():
+            if spec.startswith(prefix) and spec[len(prefix):].isdecimal():
                 return model(int(spec[len(prefix):]))
         raise InputError(f"unknown model string {spec!r} (use Z^d or free-k)")
     if isinstance(spec, dict):

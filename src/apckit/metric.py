@@ -494,24 +494,17 @@ class LatticeIndex:
         for i, p in enumerate(pts):
             c = self.coord(p)
             cells.setdefault(tuple(x // side for x in c), []).append((i, c))
-        if 3 ** self.dim <= 2 * len(cells):
-            zero = (0,) * self.dim
-            steps = [o for o in itertools.product((-1, 0, 1), repeat=self.dim) if o > zero]
-
-            def adjacent(key):
-                return [k for k in (tuple(map(operator.add, key, o)) for o in steps) if k in cells]
-        else:  # fewer cells than neighbour offsets: scan the cells instead
-
-            def adjacent(key):
-                return [k for k in cells
-                        if k > key and all(-1 <= x - y <= 1 for x, y in zip(k, key))]
+        zero = (0,) * self.dim
+        steps = [o for o in itertools.product((-1, 0, 1), repeat=self.dim) if o > zero]
         dist = self._dist_sq
         out = []
         for key, members in cells.items():
             for (i, a), (j, b) in itertools.combinations(members, 2):
                 if dist(a, b) <= R2:
                     out.append((i, j))
-            for k in adjacent(key):
+            for k in (tuple(map(operator.add, key, o)) for o in steps):
+                if k not in cells:
+                    continue
                 for i, a in members:
                     for j, b in cells[k]:
                         if dist(a, b) <= R2:
@@ -585,9 +578,10 @@ def grid_window(shape, *, cap=DEFAULT_POINT_CAP):
     def d(p, q):
         return sum(abs(a - b) for a, b in zip(p, q))
 
+    # the empty shape is the one-point space; it has no coordinates to index
+    index = LatticeIndex(lambda p: p, (range(len(shape)),)) if shape else None
     return FiniteMetricSpace(points, d, basepoint=points[0], name=f"grid{shape}",
-                             dist_sq=lambda p, q: d(p, q) ** 2,
-                             index=LatticeIndex(lambda p: p, (range(len(shape)),)))
+                             dist_sq=lambda p, q: d(p, q) ** 2, index=index)
 
 
 def path_space(n, *, cap=DEFAULT_POINT_CAP):

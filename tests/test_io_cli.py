@@ -9,7 +9,7 @@ from apckit import io as fio
 from apckit.cli import main as cli_main
 from apckit.covers import ScaleSequence, interval_oracle, verify_apc_witness
 from apckit.exact import root_of
-from apckit.metric import InputError, interval_window, matrix_space
+from apckit.metric import InputError, LatticeIndex, grid_window, interval_window, matrix_space
 from apckit.trees import random_tree
 
 
@@ -180,12 +180,23 @@ class TestGroupFiles:
         ("free-2", [1]),
         ("free-2", {"elem": [1]}),
         ("Z^x", {"elem": [1], "weight": 1}),
+        ("Z^\u00b2", {"elem": [1], "weight": 1}),
     ])
     def test_generators_must_be_elements_of_the_model(self, tmp_path, model, gen):
         p = tmp_path / "g.json"
         fio.write_file(str(p), {"model": model, "generators": [gen], "radius": 2})
         with pytest.raises(InputError):
             fio.load_group_window(str(p))
+
+    def test_basepoint_override_keeps_the_lattice_index(self, tmp_path):
+        p = tmp_path / "s.json"
+        for space, spec in ((interval_window(2, 5), {"kind": "interval", "lo": 2, "hi": 5}),
+                            (grid_window([3, 2]), {"kind": "grid", "shape": [3, 2]})):
+            fio.save_space(str(p), space, generator_spec=spec)
+            loaded = fio.load_space(str(p))
+            assert loaded.basepoint == space.basepoint
+            assert isinstance(loaded.index, LatticeIndex)
+            assert loaded._dist_sq is not None
 
     def test_generator_points_mismatch_rejected(self, tmp_path):
         p = tmp_path / "s.json"

@@ -113,8 +113,11 @@ def test_constructors_attach_the_index():
     assert nested.index.blocks == (range(0, 1), range(1, 3), range(3, 4))
     assert nested.index.coord(((1, (0, 1)), -2)) == (1, 0, 1, -2)
     m = matrix_space(["a", "b"], [[0, 1], [1, 0]])
-    for space in (cycle_space(5), m, product_space(iv, cycle_space(3)), product_space(m, iv)):
+    point = grid_window([])
+    for space in (cycle_space(5), m, product_space(iv, cycle_space(3)), product_space(m, iv),
+                  point, product_space(point, iv)):
         assert space.index is None
+    assert family_is_R_disjoint(point, [{()}, {()}], 1) == (False, (0, 1, (), (), 0))
 
 
 @given(space_and_family())
