@@ -14,7 +14,7 @@ import operator
 from dataclasses import dataclass
 from types import SimpleNamespace
 
-from .exact import ceil_scalar, hyp, to_fraction
+from .exact import ceil_scalar, hyp, root_of, to_fraction
 from .metric import (
     ConstructionError,
     Family,
@@ -71,7 +71,9 @@ class UniformlyExpansiveMap:
     """A point map between finite spaces with a non-decreasing expansion modulus.
 
     The contract dist_Y(f(x), f(x')) <= rho(dist_X(x, x')) is checkable
-    exhaustively; see check_uniformly_expansive.
+    exhaustively; see check_uniformly_expansive.  rho must be non-decreasing
+    with rho(0) >= 0: the column driver and the check's fiber-level proof
+    both rely on it.
     """
 
     source: object
@@ -91,17 +93,45 @@ def check_uniformly_expansive(m, *, pair_budget=2_000_000, seed=0):
     """Verify the expansion contract on all pairs (or a seeded sample above budget).
 
     Returns (ok, witness) where witness is a violating pair, or None.
+
+    When the source's index has ``gaps_sq``, rho(0) >= 0 and the images make
+    at most pair_budget pairs, the contract is first proved for all pairs at
+    once from the fibers of f: a cross pair of the fibers over a and b is at
+    least sqrt(g_ab) apart, g_ab their squared box gap, so
+    d_Y(a, b) <= rho(sqrt(g_ab)) bounds it by rho(d_X) when rho is
+    non-decreasing, and a pair inside one fiber needs only 0 <= rho(0).  The
+    proof is exact only for such a rho.  If it does not go through, or
+    cannot be tried, the pairwise loop runs, so every failing verdict and its
+    witness come from that loop.
     """
     pts = m.source.points
+    fibers = {}
     for x in pts:
-        if m.fmap(x) not in m.target:
-            return False, (x, m.fmap(x))
+        fx = m.fmap(x)
+        if fx not in m.target:
+            return False, (x, fx)
+        fibers.setdefault(fx, []).append(x)
+    if _fibers_expand(m, fibers, pair_budget):
+        return True, None
     for x, y in _sample_pairs(pts, pair_budget, seed):
         dx = m.source.dist(x, y)
         dy = m.target.dist(m.fmap(x), m.fmap(y))
         if not dy <= m.rho(dx):
             return False, (x, y)
     return True, None
+
+
+def _fibers_expand(m, fibers, pair_budget):
+    """True if the fibers' box gaps prove the contract of m for every pair;
+    see check_uniformly_expansive."""
+    gaps_sq = getattr(m.source.index, "gaps_sq", None)
+    k = len(fibers)
+    if gaps_sq is None or k * (k - 1) // 2 > pair_budget or not 0 <= m.rho(0):
+        return False
+    images = list(fibers)
+    dist, rho = m.target.dist, m.rho
+    return all(dist(images[i], images[j]) <= rho(root_of(g))
+               for (i, j), g in gaps_sq(list(fibers.values())).items())
 
 
 def check_coarsely_surjective(fmap, X, Y, R):

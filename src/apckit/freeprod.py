@@ -38,14 +38,6 @@ EPSILON = ()
 DEFAULT_WINDOW_CAP = 200_000
 
 
-def word_order(w) -> int:
-    return len(w)
-
-
-def concat(u, v):
-    return tuple(u) + tuple(v)
-
-
 class FreeProductWindow:
     """Finite truncation of the word space over a pointed base.
 

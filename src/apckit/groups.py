@@ -24,6 +24,7 @@ from .metric import (
     Family,
     FiniteMetricSpace,
     InputError,
+    LatticeIndex,
     point_key,
 )
 from .covers import _relabel_to_tuples, greedy_oracle, interval_oracle
@@ -127,6 +128,11 @@ class TableModel:
         self.table = dict(mul_table)
         self._identity = identity_elem
         self.name = name
+        elems = set(self.elements)
+        bad = [(a, b) for a in self.elements for b in self.elements
+               if (a, b) not in self.table or self.table[(a, b)] not in elems]
+        if bad:
+            raise InputError(f"multiplication table has no element product for {bad[:3]}")
         self._inv = {}
         for a in self.elements:
             for b in self.elements:
@@ -288,6 +294,10 @@ class CayleyWindow:
 
     Distances inside the ball are d(g, h) = ||inv(g) h||, read from the norm
     table; with the default norm_radius of 2L every in-window pair resolves.
+    A window of Z^d generated by {+-e_i} with an int weight w_i per axis,
+    whose norm_radius is at least 2L, has the word metric
+    sum_i w_i |g_i - h_i| on all its pairs, and its space carries the lattice
+    index of g -> (w_1 g_1, ..., w_d g_d); every other window has none.
     """
 
     def __init__(self, model, genset, radius, *, norm_radius=None, node_cap=1_000_000):
@@ -307,8 +317,22 @@ class CayleyWindow:
         )
         self.space = FiniteMetricSpace(
             self.points, self._dist, basepoint=model.identity(),
-            name=f"ball({model.name},{radius})",
+            name=f"ball({model.name},{radius})", index=self._axis_index(),
         )
+
+    def _axis_index(self):
+        """The window's LatticeIndex when the class docstring grants one, else None."""
+        if not isinstance(self.model, ZdModel) or self.norm_radius < 2 * self.radius:
+            return None
+        d = self.model.d
+        axis = {tuple(c * (j == i) for j in range(d)): i for i in range(d) for c in (1, -1)}
+        if len(self.genset) != 2 * d or any(s not in axis or not _is_int(w)
+                                            for s, w in self.genset):
+            return None
+        weights = [0] * d
+        for s, w in self.genset:
+            weights[axis[s]] = w
+        return LatticeIndex(lambda g: tuple(map(operator.mul, weights, g)), (range(d),))
 
     def _dijkstra(self, node_cap):
         e = self.model.identity()

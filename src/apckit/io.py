@@ -284,6 +284,11 @@ def _model_from_spec(spec):
             return FreeProductModel([_model_from_spec(s) for s in spec["freeprod"]])
         if "table" in spec:
             t = spec["table"]
+            _check_fields(t, ["elements", "rows", "identity"], [], "table model")
+            if not (isinstance(t["elements"], list) and isinstance(t["rows"], list)
+                    and all(isinstance(r, list) and len(r) == 3 for r in t["rows"])):
+                raise InputError("table model: 'elements' must be a list and 'rows' "
+                                 "a list of [a, b, a*b] triples")
             elements = [decode_point(e) for e in t["elements"]]
             table = {
                 (decode_point(a), decode_point(b)): decode_point(c)

@@ -61,7 +61,11 @@ class FiniteMetricSpace:
     spaces without one, and every violation report, take the generic path.
     An index may also have ``pairs_within(pts, R)``, the index pairs (i, j),
     i < j, of a point list whose points are at most R >= 0 apart, each pair
-    once; :func:`r_components` uses it when present.
+    once; :func:`r_components` uses it when present.  ``gaps_sq(sets)``, when
+    present, maps each index pair (i, j), i < j, of a list of nonempty point
+    lists to an int no larger than the squared distance of any cross pair;
+    :func:`~apckit.combinators.check_uniformly_expansive` proves its contract
+    fiber by fiber with it.
     """
 
     def __init__(self, points, dist, *, basepoint=None, name="", dist_sq=None, index=None):
@@ -307,14 +311,16 @@ def family_is_R_disjoint(space, family, R, *, diam_sqs=None):
     """Check pairwise R-disjointness of a family's distinct members.
 
     Returns (ok, violation) where violation is (set_i, set_j, p, q, d) for the
-    first failing cross pair.  A space's index, when it has one, settles the
+    first failing cross pair, i and j indexing the family's nonempty sets (a
+    plain list loses its empty sets, as in :meth:`Family.of`, but keeps its
+    order).  A space's index, when it has one, settles the
     passing case; otherwise, and to name the violation, representative-plus-
     diameter prefilters skip clearly separated set pairs and far points, and
     borderline pairs fall through to the exact squared comparison, so the
     decision is exact.  Values too large for floats get bounds that prune
     nothing.
     """
-    sets = family.sets if isinstance(family, Family) else [frozenset(s) for s in family]
+    sets = family.sets if isinstance(family, Family) else [frozenset(s) for s in family if s]
     if len(sets) <= 1:
         return True, None
     if R < 0:
@@ -433,6 +439,20 @@ class LatticeIndex:
         """Squared distance from coordinates c to the box [lo, hi]."""
         return self._norm_sq([max(0, l - x, x - h) for x, l, h in zip(c, lo, hi)])
 
+    def _boxes_gap_sq(self, box_a, box_b):
+        """Squared distance between the boxes (lo_a, hi_a) and (lo_b, hi_b)."""
+        (lo_a, hi_a), (lo_b, hi_b) = box_a, box_b
+        return self._norm_sq([max(0, a - d, c - b)
+                              for a, b, c, d in zip(lo_a, hi_a, lo_b, hi_b)])
+
+    def gaps_sq(self, sets):
+        """{(i, j): g} for i < j, g the int squared gap between the bounding
+        boxes of the i-th and j-th nonempty point lists; no cross pair of the
+        two lists is nearer than sqrt(g)."""
+        boxes = [self._box([self.coord(p) for p in s]) for s in sets]
+        return {(i, j): self._boxes_gap_sq(boxes[i], boxes[j])
+                for i, j in itertools.combinations(range(len(boxes)), 2)}
+
     def diameter_sq(self, S):
         """Two sweeps give a pair at distance L.  A point whose farthest
         bounding-box corner is nearer than L is in no pair of length >= L,
@@ -470,8 +490,7 @@ class LatticeIndex:
                 lo_j, hi_j = boxes[j]
                 if lo_j[0] - hi_i[0] > reach:
                     break
-                gaps = [max(0, a - d, c - b) for a, b, c, d in zip(lo_i, hi_i, lo_j, hi_j)]
-                if self._norm_sq(gaps) <= R2:
+                if self._boxes_gap_sq(boxes[i], boxes[j]) <= R2:
                     near_i = [p for p in cs[i] if self._box_gap_sq(p, lo_j, hi_j) <= R2]
                     near_j = [q for q in cs[j] if self._box_gap_sq(q, lo_i, hi_i) <= R2]
                     if any(self._dist_sq(p, q) <= R2 for p in near_i for q in near_j):

@@ -6,7 +6,13 @@ import pytest
 
 from apckit.covers import ScaleSequence, interval_oracle, verify_apc_witness
 from apckit.combinators import product_cover, UniformlyExpansiveMap, identity_rho, fibering_cover
-from apckit.metric import InputError, interval_window, product_space, validate_metric
+from apckit.metric import (
+    InputError,
+    LatticeIndex,
+    interval_window,
+    product_space,
+    validate_metric,
+)
 from apckit.groups import (
     CayleyWindow,
     DirectProductModel,
@@ -99,6 +105,12 @@ class TestModels:
         # same-factor letters merge
         assert M.mul(a, a) == ((0, (2,)),)
 
+    def test_table_must_hold_every_product(self):
+        with pytest.raises(InputError):
+            TableModel([0, 1], {(0, 0): 0}, 0)
+        with pytest.raises(InputError):
+            TableModel([0, 1], {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 2}, 0)
+
     def test_genset_symmetry_enforced(self):
         Z = ZdModel(1)
         with pytest.raises(InputError):
@@ -149,6 +161,48 @@ class TestCayleyWindows:
     def test_window_metric_validates(self):
         win = f2_window(2)
         assert validate_metric(win.space).valid
+
+
+class TestCayleyIndex:
+    """Z^d windows generated by {+-e_i} with int weights carry a LatticeIndex
+    that reproduces their word metric; every other window carries none."""
+
+    AXIS_WINDOWS = [
+        (1, None, 6), (2, None, 4), (3, None, 3), (2, [1, 3], 7), (3, [2, 1, 3], 5),
+        (2, [2, 5], Fraction(19, 2)),
+    ]
+
+    @pytest.mark.parametrize("d, weights, L", AXIS_WINDOWS)
+    def test_axis_windows_carry_an_exact_index(self, d, weights, L):
+        model = ZdModel(d)
+        win = cayley_ball(model, model.standard_gens(weights), L)
+        index = win.space.index
+        assert isinstance(index, LatticeIndex)
+        w = weights or [1] * d
+        for g in win.points:
+            assert index.coord(g) == tuple(a * b for a, b in zip(w, g))
+        for g, h in itertools.combinations(win.points, 2):
+            n = win.norm_of(model.mul(model.inv(g), h))
+            assert index.diameter_sq([g, h]) == n * n
+            assert index.gaps_sq([[g], [h]]) == {(0, 1): n * n}
+
+    def test_other_windows_carry_none(self):
+        Z2 = ZdModel(2)
+        F2 = FreeGroupModel(2)
+        P = DirectProductModel([ZdModel(1), ZdModel(1)])
+        cases = [
+            cayley_ball(Z2, Z2.standard_gens() + [((1, 1), 1)], 3),
+            cayley_ball(Z2, [((1, 1), 1), ((1, -1), 1)], 3),
+            cayley_ball(Z2, [((1, 0), 1), ((0, 2), 1)], 3),
+            cayley_ball(Z2, Z2.standard_gens([Fraction(1, 2), 1]), 3),
+            cayley_ball(Z2, Z2.standard_gens(), 3, norm_radius=5),
+            cayley_ball(F2, F2.standard_gens(), 3),
+            cayley_ball(TableModel.cyclic(5), [(1, 1)], 2),
+            cayley_ball(P, P.embedded_gens([[((1,), 1)], [((1,), 1)]]), 2),
+        ]
+        for win in cases:
+            assert win.space.index is None
+        assert cayley_ball(Z2, Z2.standard_gens(), 3, norm_radius=6).space.index is not None
 
 
 class TestStabilizers:

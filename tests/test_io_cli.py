@@ -324,6 +324,21 @@ class TestCli:
         assert r.stderr.startswith("input error:")
         assert "Traceback" not in r.stderr
 
+    @pytest.mark.parametrize("table", [
+        {"elements": [0, 1], "identity": 0, "rows": [[0, 0, 0]]},
+        {"elements": [0, 1], "identity": 0, "rows": [[0, 0, 0], [0, 1]]},
+        {"elements": [0, 1], "rows": [[0, 0, 0]]},
+        {"elements": 2, "identity": 0, "rows": []},
+    ])
+    def test_group_ball_rejects_a_malformed_table(self, tmp_path, table):
+        p = tmp_path / "g.json"
+        fio.write_file(str(p), {"model": {"table": table},
+                                "generators": [{"elem": 1, "weight": 1}], "radius": 2})
+        r = run_cli("group", "ball", "--group", str(p))
+        assert r.returncode == 2
+        assert r.stderr.startswith("input error:")
+        assert "Traceback" not in r.stderr
+
     def test_product_malformed_scales_exit_2(self, tmp_path):
         f = self._space_file(tmp_path, {"kind": "interval", "lo": 0, "hi": 4})
         r = run_cli("product", "--space-x", f, "--space-y", f, "--scales", "abc")

@@ -3,7 +3,9 @@
 Every check builds the same space twice: as the constructors return it,
 carrying a ``LatticeIndex``, and as a plain ``FiniteMetricSpace`` over the
 same distance functions, which takes the generic code.  Verdicts, violation
-tuples, diameters, R-components and whole verifier reports must agree.
+tuples, diameters, R-components, whole verifier reports and the expansion
+check's results must agree.  The spaces are interval windows, grid windows,
+their l2 products and Z^d Cayley windows on the axis generators.
 """
 
 import itertools
@@ -13,8 +15,11 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apckit import combinators
+from apckit.combinators import UniformlyExpansiveMap, check_uniformly_expansive, identity_rho
 from apckit.covers import CoverWitness, ScaleSequence, WitnessEntry, verify_apc_witness
 from apckit.exact import root_of, sq_value
+from apckit.groups import ZdModel, cayley_ball
 from apckit.metric import (
     Family,
     FiniteMetricSpace,
@@ -30,7 +35,7 @@ from apckit.metric import (
 )
 
 KINDS = ("interval", "grid1", "grid2", "grid3", "interval^2", "grid2 x interval",
-         "(interval^2) x interval")
+         "(interval^2) x interval", "cayley")
 RADII = [-1, Fraction(-1, 2), 0, Fraction(1, 2), 1, Fraction(3, 2), 2, Fraction(7, 3), 3, 4,
          root_of(2), root_of(5), root_of(Fraction(17, 2)), 10**400]
 SCALES = [R for R in RADII if isinstance(R, (int, Fraction)) and R >= 0]
@@ -48,8 +53,20 @@ def grids(draw, d):
 
 
 @st.composite
+def cayley_windows(draw):
+    """A ball of Z^d on the axis generators, with unit or unequal int weights."""
+    d = draw(st.integers(1, 3))
+    weights = draw(st.one_of(st.none(), st.lists(st.integers(1, 3), min_size=d, max_size=d)))
+    model = ZdModel(d)
+    return cayley_ball(model, model.standard_gens(weights),
+                       draw(st.integers(0, {1: 12, 2: 5, 3: 3}[d]))).space
+
+
+@st.composite
 def spaces(draw):
     kind = draw(st.sampled_from(KINDS))
+    if kind == "cayley":
+        return draw(cayley_windows())
     if kind == "interval":
         return draw(intervals(14))
     if kind.startswith("grid") and len(kind) == 5:
@@ -217,3 +234,145 @@ def test_verifier_report_matches_generic_path(case):
     want = verify_apc_witness(plain_space(space), scales, witness)
     assert (got.ok, got.per_entry, got.violations, got.stats) == (
         want.ok, want.per_entry, want.violations, want.stats)
+
+
+@given(space_and_family())
+@settings(max_examples=300, deadline=None)
+def test_gaps_sq_bounds_every_cross_distance(case):
+    space, sets, _ = case
+    plain = plain_space(space)
+    sets = [list(s) for s in sets if s]
+    gaps = space.index.gaps_sq(sets)
+    assert sorted(gaps) == list(itertools.combinations(range(len(sets)), 2))
+    for (i, j), g in gaps.items():
+        assert isinstance(g, int)
+        assert 0 <= g <= min(plain.dist_sq(p, q) for p in sets[i] for q in sets[j])
+    pts = sorted(set().union(*sets), key=repr)[:12]
+    assert space.index.gaps_sq([[p] for p in pts]) == {
+        (i, j): plain.dist_sq(pts[i], pts[j]) for i, j in itertools.combinations(range(len(pts)), 2)}
+
+
+def scaled(c):
+    """t -> c t, exact on Root values too."""
+    return lambda t: root_of(c * c * sq_value(t))
+
+
+RHOS = {
+    "identity": identity_rho,
+    "double": scaled(2),
+    "half": scaled(Fraction(1, 2)),
+    "step at 2": lambda t: t if sq_value(t) >= 4 else 0,
+    "negative below 2": lambda t: -1 if sq_value(t) < 4 else t,
+}
+
+
+def l1_space(points):
+    return FiniteMetricSpace(sorted(points), lambda a, b: sum(abs(x - y) for x, y in zip(a, b)))
+
+
+@st.composite
+def expansive_maps(draw):
+    """A lattice space, a target, a point map and a modulus: the identity, the
+    projection onto some coordinates of one block, a 1-Lipschitz walk of one
+    coordinate, or the identity with one point moved to a nearest neighbour."""
+    space = draw(spaces())
+    coords = {p: space.index.coord(p) for p in space.points}
+    kind = draw(st.sampled_from(["identity", "projection", "lipschitz", "stretch"]))
+    fmap, target = (lambda p: p), plain_space(space)
+    if kind == "projection":
+        keep = draw(st.lists(st.sampled_from(draw(st.sampled_from(space.index.blocks))),
+                             min_size=1, unique=True))
+        fmap = lambda p: tuple(coords[p][k] for k in keep)
+        target = l1_space({fmap(p) for p in space.points})
+    elif kind == "lipschitz":
+        k = draw(st.integers(0, space.index.dim - 1))
+        lo = min(c[k] for c in coords.values())
+        hi = max(c[k] for c in coords.values())
+        walk = [0]
+        for step in draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=hi - lo,
+                                  max_size=hi - lo)):
+            walk.append(walk[-1] + step)
+        fmap = lambda p: walk[coords[p][k] - lo]
+        target = interval_window(min(walk), max(walk))
+    elif kind == "stretch" and len(space.points) > 1:
+        x0 = draw(st.sampled_from(space.points))
+        near = min(space.dist_sq(x0, q) for q in space.points if q != x0)
+        y0 = draw(st.sampled_from([q for q in space.points
+                                   if q != x0 and space.dist_sq(x0, q) == near]))
+        fmap = lambda p: y0 if p == x0 else p
+    return space, target, fmap, RHOS[draw(st.sampled_from(sorted(RHOS)))]
+
+
+@given(expansive_maps(), st.sampled_from([None, 0, 3, 40]))
+@settings(max_examples=400, deadline=None)
+def test_expansion_check_matches_generic_path(case, budget):
+    """With budget None the generic side checks every pair, so it is the
+    definition; with a smaller one both sides must still agree exactly."""
+    space, target, fmap, rho = case
+    n = len(space.points)
+    budget = n * (n - 1) // 2 if budget is None else budget
+    got = check_uniformly_expansive(UniformlyExpansiveMap(space, target, fmap, rho),
+                                    pair_budget=budget)
+    want = check_uniformly_expansive(UniformlyExpansiveMap(plain_space(space), target, fmap, rho),
+                                     pair_budget=budget)
+    assert got == want
+
+
+class GapsSpy:
+    def __init__(self, index):
+        self.index, self.calls = index, 0
+
+    def gaps_sq(self, sets):
+        self.calls += 1
+        return self.index.gaps_sq(sets)
+
+
+def test_negative_rho_at_zero_takes_the_pairwise_loop():
+    space = product_space(interval_window(0, 5), interval_window(0, 4))
+    spy = GapsSpy(space.index)
+    spied = FiniteMetricSpace(space.points, space.raw_dist, dist_sq=space.dist_sq, index=spy)
+    target = interval_window(0, 4)
+    proj = lambda p: p[1]
+    assert check_uniformly_expansive(UniformlyExpansiveMap(spied, target, proj, identity_rho)) == (
+        True, None)
+    assert spy.calls == 1
+    for rho, ok in ((RHOS["negative below 2"], False), (lambda t: -1 if t == 0 else t, True)):
+        got = check_uniformly_expansive(UniformlyExpansiveMap(spied, target, proj, rho))
+        assert spy.calls == 1
+        assert got[0] is ok
+        assert got == check_uniformly_expansive(
+            UniformlyExpansiveMap(plain_space(space), target, proj, rho))
+
+
+def test_proof_settles_contractions_without_the_pairwise_loop(monkeypatch):
+    def no_loop(*args, **kwargs):
+        raise AssertionError("the pairwise loop ran")
+
+    monkeypatch.setattr(combinators, "_sample_pairs", no_loop)
+    Z2, Z1 = ZdModel(2), ZdModel(1)
+    window = cayley_ball(Z2, Z2.standard_gens([1, 2]), 9)
+    cases = [
+        (product_space(interval_window(0, 5), interval_window(-2, 3)), interval_window(-2, 3),
+         lambda p: p[1]),
+        (grid_window([4, 3, 2]), interval_window(0, 3), lambda p: p[0]),
+        (interval_window(-3, 4), interval_window(-3, 4), lambda p: p),
+        (window.space, cayley_ball(Z1, Z1.standard_gens([2]), 9).space, lambda g: (g[1],)),
+    ]
+    for source, target, fmap in cases:
+        m = UniformlyExpansiveMap(source, target, fmap, identity_rho)
+        assert check_uniformly_expansive(m) == (True, None)
+
+
+def test_one_step_stretch_on_sparse_coordinates_is_rejected():
+    """Points at least 2 apart, so the fibers' box gaps exceed 1 and a
+    proof that compared against the squared gap would wrongly pass."""
+    Z1, Z2 = ZdModel(1), ZdModel(2)
+    for window in (cayley_ball(Z1, Z1.standard_gens([3]), 12),
+                   cayley_ball(Z2, Z2.standard_gens([2, 3]), 12)):
+        x0 = window.model.identity()
+        y0 = window.model.standard_gens()[0][0]
+        moved = lambda p: y0 if p == x0 else p
+        for source in (window.space, plain_space(window.space)):
+            ok, bad = check_uniformly_expansive(
+                UniformlyExpansiveMap(source, plain_space(window.space), moved, identity_rho))
+            assert not ok and x0 in bad

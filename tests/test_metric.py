@@ -128,6 +128,12 @@ class TestDisjointness:
         assert not ok
         assert {bad[2], bad[3]} == {0, 1}
 
+    def test_plain_list_drops_empty_members(self):
+        for space in (cycle_space(4), interval_window(0, 3)):
+            assert family_is_R_disjoint(space, [[0], []], 1) == (True, None)
+            assert family_is_R_disjoint(space, [[0], [], [2]], 1) == (True, None)
+            assert family_is_R_disjoint(space, [[], [0], [], [1]], 1) == (False, (0, 1, 0, 1, 1))
+
     @given(st.integers(0, 8), st.integers(0, 8))
     @settings(max_examples=30, deadline=None)
     def test_monotone_in_R(self, a, b):
