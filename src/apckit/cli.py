@@ -36,8 +36,8 @@ from .covers import (
     verify_apc_witness,
     witness_from_families,
     DEFAULT_EXACT_CAP,
-    _decide,
-    _families_from_assignment,
+    _distances,
+    _search,
 )
 from .combinators import (UniformlyExpansiveMap, decompose, fibering_cover, identity_rho,
                           product_cover, projection_scheme_from_oracle)
@@ -246,15 +246,12 @@ class _FileDecomposable:
         pts = sorted_points(U)
         if len(pts) > self.cap:
             raise InputError(f"subcover member exceeds the {self.cap}-point solver cap")
-        got = _decide(self.space, pts, R, B, self.k)
-        if got is None:
+        fams, _ = _search(pts, _distances(self.space, pts), R, B, self.k)
+        if fams is None:
             raise ConstructionError(
                 f"member of family {i} admits no {self.k}-family cover at mesh {B}"
             )
-        fams = _families_from_assignment(self.space, pts, got, R)
-        while len(fams) < self.k:
-            fams.append(Family.of([]))
-        return B, fams
+        return B, fams + [Family.of([])] * (self.k - len(fams))
 
 
 def cmd_decompose(args):
@@ -440,10 +437,12 @@ def cmd_demo_hypercubes(args):
 # argument wiring
 
 
-def _add_common(p, *, scales=False, out=False):
+def _add_common(p, *, scales=False, out=False, seed=False, cap=False):
     p.add_argument("--format", choices=["structured", "text"], default="structured")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cap", type=int, default=DEFAULT_EXACT_CAP)
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
+    if cap:
+        p.add_argument("--cap", type=int, default=DEFAULT_EXACT_CAP)
     if scales:
         p.add_argument("--scales", required=True, help="comma-separated non-decreasing prefix")
         p.add_argument("--extend", default="repeat-last",
@@ -468,7 +467,7 @@ def build_parser():
     v = ssub.add_parser("validate")
     v.add_argument("--in", dest="infile", required=True)
     v.add_argument("--budget", type=int, default=2_000_000)
-    _add_common(v)
+    _add_common(v, seed=True)
     v.set_defaults(func=cmd_space_validate)
     e = ssub.add_parser("export")
     e.add_argument("--in", dest="infile", required=True)
@@ -489,7 +488,7 @@ def build_parser():
     cs.add_argument("--R", required=True)
     cs.add_argument("--B", required=True)
     cs.add_argument("--mode", choices=["exact", "greedy"], default="exact")
-    _add_common(cs, out=True)
+    _add_common(cs, out=True, cap=True)
     cs.set_defaults(func=cmd_cover_solve)
 
     pr = sub.add_parser("product", help="product cover of two spaces")
@@ -497,7 +496,7 @@ def build_parser():
     pr.add_argument("--space-y", dest="space_y", required=True)
     pr.add_argument("--oracle-x", dest="oracle_x", default="auto")
     pr.add_argument("--oracle-y", dest="oracle_y", default="auto")
-    _add_common(pr, scales=True, out=True)
+    _add_common(pr, scales=True, out=True, cap=True)
     pr.set_defaults(func=cmd_product)
 
     fb = sub.add_parser("fibering", help="fibering cover of a product projection")
@@ -505,7 +504,7 @@ def build_parser():
     fb.add_argument("--space-y", dest="space_y", required=True)
     fb.add_argument("--oracle-x", dest="oracle_x", default="auto")
     fb.add_argument("--oracle-y", dest="oracle_y", default="auto")
-    _add_common(fb, scales=True, out=True)
+    _add_common(fb, scales=True, out=True, cap=True)
     fb.set_defaults(func=cmd_fibering)
 
     dc = sub.add_parser("decompose", help="decompose a witness-backed hypothesis")
@@ -513,7 +512,7 @@ def build_parser():
     dc.add_argument("--witness", required=True)
     dc.add_argument("--k", type=int, required=True)
     dc.add_argument("--subcover-mesh", dest="subcover_mesh", required=True)
-    _add_common(dc, scales=True, out=True)
+    _add_common(dc, scales=True, out=True, cap=True)
     dc.set_defaults(func=cmd_decompose)
 
     tc = sub.add_parser("tree-cover", help="two-family annulus cover of a tree")
@@ -534,7 +533,7 @@ def build_parser():
     fc.add_argument("--base", required=True)
     _add_window(fc)
     fc.add_argument("--margin", default=None)
-    _add_common(fc, scales=True, out=True)
+    _add_common(fc, scales=True, out=True, cap=True)
     fc.set_defaults(func=cmd_freeprod_cover)
     fq = fsub.add_parser("qi-check")
     fq.add_argument("--base", required=True)
@@ -563,7 +562,7 @@ def build_parser():
     dh.add_argument("--max-dim", dest="max_dim", type=int, default=4)
     dh.add_argument("--k", type=int, default=2)
     dh.add_argument("--R", default="2")
-    _add_common(dh, out=True)
+    _add_common(dh, out=True, seed=True, cap=True)
     dh.set_defaults(func=cmd_demo_hypercubes)
 
     return ap

@@ -22,7 +22,6 @@ from .metric import (
     grid_window,
     interval_window,
     point_key,
-    r_components,
     set_diameter,
     set_diameter_sq,
     sorted_points,
@@ -244,35 +243,77 @@ def verify_apc_witness(space, scales, witness, *, require_cover_of=None):
 DEFAULT_EXACT_CAP = 16
 
 
-class _FamilyState:
-    """Incremental R-component tracking for one family during search."""
+def _join(comps, p, le_R, le_B):
+    """The R-components of a family after p joins it, or None when the
+    component p lands in would exceed the mesh bound."""
+    touching = []
+    rest = []
+    for comp in comps:
+        if any(le_R[p][q] for q in comp):
+            touching.append(comp)
+        else:
+            rest.append(comp)
+    merged = [p]
+    for comp in touching:
+        merged.extend(comp)
+    for a, b in itertools.combinations(merged, 2):
+        if not le_B[a][b]:
+            return None
+    return rest + [merged]
 
-    __slots__ = ("comps",)
 
-    def __init__(self):
-        self.comps = []  # list of lists of point indices
+def _distances(space, pts):
+    """Distance table of pts, computed once: row i holds d(pts[i], pts[j]) for j > i."""
+    return [[space.dist(p, q) for q in pts[i + 1:]] for i, p in enumerate(pts)]
 
-    def try_add(self, p, le_R, le_B):
-        """Return an undo token if p can join, else None."""
-        touching = []
-        rest = []
-        for comp in self.comps:
-            if any(le_R[p][q] for q in comp):
-                touching.append(comp)
-            else:
-                rest.append(comp)
-        merged = [p]
-        for comp in touching:
-            merged.extend(comp)
-        for a, b in itertools.combinations(merged, 2):
-            if not le_B[a][b]:
-                return None
-        self.comps = rest + [merged]
-        return (len(rest), touching)
 
-    def undo(self, token, p):
-        n_rest, touching = token
-        self.comps = self.comps[:n_rest] + touching
+def _search(pts, dist, R, B, k):
+    """Exhaustive branch-and-bound: split pts into at most k valid families.
+
+    ``dist`` is the `_distances` table of pts.  Points are placed in order of
+    decreasing R-degree, each trying the families in turn; a point may open
+    at most the first unused family, which breaks the symmetry between
+    families.  The search is iterative, so its depth is not bounded by the
+    interpreter's recursion limit.  Returns ``(families, nodes)``: the
+    families are None when no split exists, and nodes counts the points
+    branched on.
+    """
+    n = len(pts)
+    if n == 0:
+        return [], 0
+    if k <= 0:
+        return None, 0
+    le_R = [[False] * n for _ in range(n)]
+    le_B = [[True] * n for _ in range(n)]
+    for i, row in enumerate(dist):
+        for j, d in enumerate(row, i + 1):
+            le_R[i][j] = le_R[j][i] = d <= R
+            le_B[i][j] = le_B[j][i] = d <= B
+    order = sorted(range(n), key=lambda i: -sum(le_R[i]))
+    comps = [[] for _ in range(k)]  # R-components of each family
+    tried = [-1] * n  # the family holding the point placed at each depth
+    saved = [None] * n  # that family's components before the point joined
+    used = [0] * (n + 1)  # families opened above each depth
+    depth, nodes = 0, 1
+    while 0 <= depth < n:
+        p = order[depth]
+        for f in range(tried[depth] + 1, min(used[depth] + 1, k)):
+            joined = _join(comps[f], p, le_R, le_B)
+            if joined is not None:
+                tried[depth], saved[depth], comps[f] = f, comps[f], joined
+                used[depth + 1] = max(used[depth], f + 1)
+                depth += 1
+                if depth < n:
+                    tried[depth] = -1
+                    nodes += 1
+                break
+        else:
+            depth -= 1
+            if depth >= 0:
+                comps[tried[depth]] = saved[depth]
+    if depth < 0:
+        return None, nodes
+    return [Family.of([[pts[i] for i in c] for c in fam]) for fam in comps if fam], nodes
 
 
 @dataclass
@@ -285,10 +326,9 @@ class NegativeCertificate:
     nodes: int
     point_count: int
 
-    def replay(self, space, points=None):
-        pts = list(points) if points is not None else list(space.points)
-        got = _decide(space, pts, self.R, self.B, self.n)
-        return got is None
+    def replay(self, space):
+        pts = sorted_points(space.points)
+        return _search(pts, _distances(space, pts), self.R, self.B, self.n)[0] is None
 
 
 @dataclass
@@ -300,75 +340,17 @@ class SolveResult:
     nodes: int
 
 
-def _pair_tables(space, pts, R, B):
-    n = len(pts)
-    le_R = [[False] * n for _ in range(n)]
-    le_B = [[True] * n for _ in range(n)]
-    for i, j in itertools.combinations(range(n), 2):
-        d = space.dist(pts[i], pts[j])
-        le_R[i][j] = le_R[j][i] = d <= R
-        ok = d <= B
-        le_B[i][j] = le_B[j][i] = ok
-    return le_R, le_B
-
-
-def _decide(space, pts, R, B, n_families, count_nodes=None):
-    """Exhaustive branch-and-bound: partition pts into <= n_families valid families.
-
-    Points are assigned in a fixed order; symmetry is broken by allowing a
-    point to open at most the first unused family.  Returns the assignment
-    list or None.
-    """
-    if not pts:
-        return []
-    if n_families <= 0:
-        return None
-    le_R, le_B = _pair_tables(space, pts, R, B)
-    order = sorted(range(len(pts)), key=lambda i: -sum(le_R[i]))
-    states = [_FamilyState() for _ in range(n_families)]
-    assignment = [-1] * len(pts)
-    nodes = 0
-
-    def dfs(pos, used):
-        nonlocal nodes
-        if pos == len(order):
-            return True
-        p = order[pos]
-        nodes += 1
-        limit = min(used + 1, n_families)
-        for f in range(limit):
-            token = states[f].try_add(p, le_R, le_B)
-            if token is None:
-                continue
-            assignment[p] = f
-            if dfs(pos + 1, max(used, f + 1)):
-                return True
-            states[f].undo(token, p)
-            assignment[p] = -1
-        return False
-
-    found = dfs(0, 0)
-    if count_nodes is not None:
-        count_nodes.append(nodes)
-    return assignment[:] if found else None
-
-
-def _families_from_assignment(space, pts, assignment, R):
-    groups = {}
-    for p, f in zip(pts, assignment):
-        groups.setdefault(f, []).append(p)
-    fams = []
-    for f in sorted(groups):
-        comps = r_components(space, groups[f], R)
-        fams.append(Family.of(comps))
-    return fams
+def _solved(space, fams, certificate, nodes):
+    actual = max((set_diameter(space, s) for f in fams for s in f.sets), default=0)
+    return SolveResult(len(fams), fams, actual, certificate, nodes)
 
 
 def min_families_at_scale(space, R, B, *, cap=DEFAULT_EXACT_CAP):
     """Exactly minimal number of R-disjoint, B-bounded families covering the space.
 
     The returned n comes with a witnessing cover and a replayable negative
-    certificate: exhaustive search proves no witness exists at n - 1.
+    certificate: exhaustive search proves no witness exists at n - 1, and the
+    certificate's nodes are those of that failed pass.
     Refuses spaces above the point cap; use the greedy solver there.
     """
     R = to_fraction(R)
@@ -378,53 +360,27 @@ def min_families_at_scale(space, R, B, *, cap=DEFAULT_EXACT_CAP):
             f"exact solver cap is {cap} points (space has {len(pts)}); "
             "use greedy_families_at_scale for larger spaces"
         )
-    if not pts:
-        return SolveResult(0, [], 0, None, 0)
-    total_nodes = 0
-    for n in range(1, len(pts) + 1):
-        counter = []
-        got = _decide(space, pts, R, B, n, count_nodes=counter)
-        total_nodes += counter[0]
-        if got is not None:
-            fams = _families_from_assignment(space, pts, got, R)
-            actual = max((set_diameter(space, s) for f in fams for s in f.sets), default=0)
-            cert = None
-            if n > 1:
-                cert_counter = []
-                again = _decide(space, pts, R, B, n - 1, count_nodes=cert_counter)
-                assert again is None
-                cert = NegativeCertificate(n - 1, R, B, cert_counter[0], len(pts))
-            else:
-                cert = NegativeCertificate(0, R, B, 0, len(pts))
-            return SolveResult(n, fams, actual, cert, total_nodes)
-    raise AssertionError("singleton families always succeed")  # pragma: no cover
+    dist = _distances(space, pts)
+    total_nodes = failed_nodes = 0
+    for k in itertools.count():
+        fams, nodes = _search(pts, dist, R, B, k)
+        total_nodes += nodes
+        if fams is not None:
+            cert = NegativeCertificate(k - 1, R, B, failed_nodes, len(pts)) if k else None
+            return _solved(space, fams, cert, total_nodes)
+        failed_nodes = nodes
 
 
 def greedy_families_at_scale(space, R, B):
-    """Heuristic upper bound: first-fit assignment under the same validity predicate."""
+    """Heuristic upper bound: the search's first branch with one family per point.
+
+    A free family is then always open, so the search never backtracks and
+    each point joins the first family it can (first fit).
+    """
     R = to_fraction(R)
     pts = sorted_points(space.points)
-    if not pts:
-        return SolveResult(0, [], 0, None, 0)
-    index = {p: i for i, p in enumerate(pts)}
-    le_R, le_B = _pair_tables(space, pts, R, B)
-    states = []
-    assignment = [-1] * len(pts)
-    order = sorted(range(len(pts)), key=lambda i: -sum(le_R[i]))
-    for p in order:
-        for f, st in enumerate(states):
-            token = st.try_add(p, le_R, le_B)
-            if token is not None:
-                assignment[p] = f
-                break
-        else:
-            st = _FamilyState()
-            st.try_add(p, le_R, le_B)
-            states.append(st)
-            assignment[p] = len(states) - 1
-    fams = _families_from_assignment(space, pts, assignment, R)
-    actual = max((set_diameter(space, s) for f in fams for s in f.sets), default=0)
-    return SolveResult(len(fams), fams, actual, None, 0)
+    fams, _ = _search(pts, _distances(space, pts), R, B, len(pts))
+    return _solved(space, fams, None, 0)
 
 
 def minimal_feasible_mesh(space, k, R, *, cap=DEFAULT_EXACT_CAP):
@@ -437,13 +393,10 @@ def minimal_feasible_mesh(space, k, R, *, cap=DEFAULT_EXACT_CAP):
     pts = sorted_points(space.points)
     if len(pts) > cap:
         raise InputError(f"exact solver cap is {cap} points (space has {len(pts)})")
-    candidates = {0}
-    for p, q in itertools.combinations(pts, 2):
-        candidates.add(space.dist(p, q))
-    for B in sorted(candidates, key=lambda b: (sq_value(b), str(b))):
-        got = _decide(space, pts, R, B, k)
-        if got is not None:
-            fams = _families_from_assignment(space, pts, got, R)
+    dist = _distances(space, pts)
+    for B in sorted({0}.union(*dist), key=lambda b: (sq_value(b), str(b))):
+        fams, _ = _search(pts, dist, R, B, k)
+        if fams is not None:
             return B, fams
     raise AssertionError("B = diameter is always feasible")  # pragma: no cover
 
@@ -528,48 +481,37 @@ def interval_oracle(space):
     return ApcOracle(space, provide, name=f"interval({space.name})")
 
 
-def exact_oracle(space, *, cap=DEFAULT_EXACT_CAP):
-    """Oracle backed by the exact solver at mesh bound 0 (singleton sets).
+def _solver_oracle(space, solve, name):
+    """Oracle answering with ``solve(R)``, a solver run at mesh bound 0 (singleton sets).
 
     Solving at the n-th scale where n is the resulting family count makes all
     emitted families disjoint at a scale at least as large as every slot they
-    occupy, so the witness verifies against any monotone stream.
+    occupy, so the witness verifies against any monotone stream.  The loop
+    ends: n strictly increases while it runs, and no solver returns more
+    families than the space has points.
     """
 
     def provide(scales):
         n = 1
         while True:
-            R = scales.at(n)
-            res = min_families_at_scale(space, R, 0, cap=cap)
+            res = solve(scales.at(n))
             if res.n <= n:
                 return witness_from_families(res.families, scales, [0] * res.n)
             n = res.n
 
-    return ApcOracle(space, provide, name=f"exact({space.name})")
+    return ApcOracle(space, provide, name=name)
 
 
-def _singleton_families_witness(space, scales):
-    pts = sorted_points(space.points)
-    fams = [Family.of([{p}]) for p in pts]
-    return witness_from_families(fams, scales, [0] * len(fams))
+def exact_oracle(space, *, cap=DEFAULT_EXACT_CAP):
+    """Oracle backed by the exact solver at mesh bound 0."""
+    return _solver_oracle(space, lambda R: min_families_at_scale(space, R, 0, cap=cap),
+                          f"exact({space.name})")
 
 
-def greedy_oracle(space, *, B=0):
-    """Oracle backed by the greedy solver; falls back to one-singleton-per-slot."""
-
-    def provide(scales):
-        n = 1
-        for _ in range(len(space.points) + 1):
-            R = scales.at(n)
-            res = greedy_families_at_scale(space, R, B)
-            if res.n <= n:
-                bounds = [max((set_diameter(space, s) for s in f.sets), default=0)
-                          for f in res.families]
-                return witness_from_families(res.families, scales, bounds)
-            n = res.n
-        return _singleton_families_witness(space, scales)
-
-    return ApcOracle(space, provide, name=f"greedy({space.name})")
+def greedy_oracle(space):
+    """Oracle backed by the greedy solver at mesh bound 0."""
+    return _solver_oracle(space, lambda R: greedy_families_at_scale(space, R, 0),
+                          f"greedy({space.name})")
 
 
 def grid_oracle(space, shape):

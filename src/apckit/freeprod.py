@@ -122,16 +122,10 @@ class FreeProductWindow:
     def dist(self, u, v):
         return self.space.dist(u, v)
 
-    def contains(self, w):
-        return w in self.word_set
-
     def require(self, words):
         for w in words:
             if w not in self.word_set:
                 raise InputError(f"word {w!r} is outside the window")
-
-    def inner_norm_bound(self, margin):
-        return self.max_norm - margin
 
     def inner_words(self, margin):
         bound = self.max_norm - margin

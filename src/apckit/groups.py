@@ -285,9 +285,6 @@ class WeightedGeneratingSet:
     def __len__(self):
         return len(self.items)
 
-    def min_weight(self):
-        return min(w for _, w in self.items)
-
 
 class CayleyWindow:
     """The radius-L ball of a group model with exact norms out to norm_radius.

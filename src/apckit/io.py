@@ -68,6 +68,8 @@ def encode_point(p):
 def decode_point(v):
     if isinstance(v, list):
         return tuple(decode_point(x) for x in v)
+    if isinstance(v, dict):
+        raise InputError(f"a point cannot be an object: {v!r}")
     return v
 
 
@@ -111,6 +113,13 @@ def _check_fields(obj, required, optional, where):
         raise InputError(f"{where}: missing field(s) {sorted(missing)}")
 
 
+def _list(v, where):
+    """v itself when it is a JSON list; anything else is malformed input."""
+    if not isinstance(v, list):
+        raise InputError(f"{where}: expected a list, got {v!r}")
+    return v
+
+
 # ---------------------------------------------------------------------------
 # spaces
 
@@ -138,14 +147,15 @@ def space_from_obj(obj, *, cap=None):
     if metric["kind"] == "matrix":
         if "points" not in obj:
             raise InputError("matrix space file needs points")
-        pts = [decode_point(p) for p in obj["points"]]
-        rows = [[decode_scalar(v) for v in row] for row in metric.get("rows", [])]
+        pts = [decode_point(p) for p in _list(obj["points"], "space points")]
+        rows = [[decode_scalar(v) for v in _list(row, "matrix row")]
+                for row in _list(metric.get("rows", []), "matrix rows")]
         return matrix_space(pts, rows, basepoint=basepoint)
     if metric["kind"] == "generator":
         kw = {} if cap is None else {"cap": cap}
         space = generate_space(metric.get("spec"), **kw)
         if "points" in obj:
-            declared = {decode_point(p) for p in obj["points"]}
+            declared = {decode_point(p) for p in _list(obj["points"], "space points")}
             if declared != space.point_set:
                 raise InputError("declared points do not match the generator output")
         if basepoint is not None:
@@ -177,7 +187,7 @@ def scales_to_obj(scales):
 
 
 def scales_from_obj(obj):
-    prefix = [decode_scalar(x) for x in obj.get("scales", [])]
+    prefix = [decode_scalar(x) for x in _list(obj.get("scales", []), "scales")]
     return ScaleSequence(
         prefix,
         obj.get("extend", "repeat-last"),
@@ -210,14 +220,16 @@ def witness_from_obj(obj):
     )
     scales = scales_from_obj(obj)
     entries = []
-    for i, f in enumerate(obj["families"], start=1):
+    for i, f in enumerate(_list(obj["families"], "witness families"), start=1):
         _check_fields(f, ["R", "sets"], ["mesh"], f"witness family {i}")
         R, scale = decode_scalar(f["R"]), scales.at(i)
         if R != scale:
             raise InputError(
                 f"witness family {i}: R is {R}, but the stream's scale {i} is {scale}"
             )
-        fam = Family.of([{decode_point(p) for p in s} for s in f["sets"]])
+        where = f"witness family {i} sets"
+        fam = Family.of([{decode_point(p) for p in _list(s, where)}
+                         for s in _list(f["sets"], where)])
         entries.append(WitnessEntry(scale, fam, decode_scalar(f.get("mesh", 0))))
     return scales, CoverWitness(entries)
 
@@ -245,9 +257,12 @@ def tree_to_obj(tree):
 
 def tree_from_obj(obj):
     _check_fields(obj, ["root"], ["edges"], "tree file")
+    edges = _list(obj.get("edges", []), "tree edges")
+    if not all(isinstance(e, list) and len(e) == 2 for e in edges):
+        raise InputError("tree edges: each edge must be a [parent, child] pair")
     return tree_from_edges(
         decode_point(obj["root"]),
-        [(decode_point(p), decode_point(c)) for p, c in obj.get("edges", [])],
+        [(decode_point(p), decode_point(c)) for p, c in edges],
     )
 
 

@@ -687,19 +687,29 @@ def generate_space(spec, *, cap=DEFAULT_POINT_CAP):
     if not isinstance(spec, dict) or "kind" not in spec:
         raise InputError(f"generator spec must be a dict with a 'kind': {spec!r}")
     kind = spec["kind"]
+
+    def integer(v):
+        try:
+            return int(v)
+        except (TypeError, ValueError, OverflowError):
+            raise InputError(f"generator spec {kind!r}: {v!r} is not an integer") from None
+
     try:
         if kind == "interval":
-            return interval_window(int(spec["lo"]), int(spec["hi"]), cap=cap)
+            return interval_window(integer(spec["lo"]), integer(spec["hi"]), cap=cap)
         if kind == "grid":
-            return grid_window(spec["shape"], cap=cap)
+            shape = spec["shape"]
+            if not isinstance(shape, (list, tuple)):
+                raise InputError(f"generator spec 'grid': shape {shape!r} is not a list")
+            return grid_window([integer(s) for s in shape], cap=cap)
         if kind == "path":
-            return path_space(int(spec["n"]), cap=cap)
+            return path_space(integer(spec["n"]), cap=cap)
         if kind == "cycle":
-            return cycle_space(int(spec["n"]), cap=cap)
+            return cycle_space(integer(spec["n"]), cap=cap)
         if kind == "star":
-            return star_space(int(spec["leaves"]), cap=cap)
+            return star_space(integer(spec["leaves"]), cap=cap)
         if kind == "hypercube_union":
-            return hypercube_union(int(spec["max_dim"]), cap=cap)
+            return hypercube_union(integer(spec["max_dim"]), cap=cap)
     except KeyError as e:
         raise InputError(f"generator spec {kind!r} is missing field {e}") from None
     raise InputError(f"unknown generator kind: {kind!r} (known: {GENERATOR_KINDS})")

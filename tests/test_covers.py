@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -26,6 +27,9 @@ from apckit.metric import (
     interval_window,
     matrix_space,
     path_space,
+    r_components,
+    set_diameter,
+    sorted_points,
 )
 from conftest import brute_min_families, random_points_space
 
@@ -201,6 +205,114 @@ class TestGreedySolver:
         space = path_space(5)
         res = greedy_families_at_scale(space, 4, 4)
         assert res.n == 1
+
+    @staticmethod
+    def first_fit(space, R, B):
+        """Reference greedy: points in order of decreasing R-degree, each into
+        the first family whose R-components all stay within diameter B."""
+        pts = sorted_points(space.points)
+        degree = {p: sum(space.dist(p, q) <= R for q in pts if q != p) for p in pts}
+        groups = []
+        for p in sorted(pts, key=lambda p: -degree[p]):
+            for g in groups:
+                if all(set_diameter(space, c) <= B for c in r_components(space, g + [p], R)):
+                    g.append(p)
+                    break
+            else:
+                groups.append([p])
+        return [Family.of(r_components(space, g, R)) for g in groups]
+
+    def test_families_match_first_fit(self):
+        rng = random.Random(1009)
+        for _ in range(100):
+            space = random_points_space(rng, rng.randint(2, 12), dim=2, span=7)
+            R = rng.randint(0, 6)
+            B = rng.randint(0, 6)
+            res = greedy_families_at_scale(space, R, B)
+            assert res.families == self.first_fit(space, R, B)
+            assert res.n == len(res.families) and res.nodes == 0 and res.certificate is None
+
+    def test_deep_path_needs_no_recursion(self):
+        # 1100 points placed one per search level: deeper than the default
+        # recursion limit
+        res = greedy_families_at_scale(interval_window(0, 1099), 1, 0)
+        assert res.n == 2 and res.nodes == 0
+
+
+def families_digest(results):
+    fams = [[[sorted_points(s) for s in f.sets] for f in r.families] for r in results]
+    return hashlib.sha256(repr(fams).encode()).hexdigest()
+
+
+class TestSolverPins:
+    """Exact-solver answers pinned as (n, mesh, nodes, certificate n, certificate
+    nodes), plus a digest of the families, so a change to the search that alters
+    any answer, witness or node count shows here."""
+
+    CRITERION_2 = [
+        (1, 0, 4, 0, 0), (3, 0, 11, 2, 4), (1, 1, 4, 0, 0), (1, 2, 5, 0, 0), (4, 3, 50, 3, 31),
+        (1, 2, 4, 0, 0), (1, 0, 3, 0, 0), (4, 0, 18, 3, 4), (1, 0, 5, 0, 0), (1, 0, 7, 0, 0),
+        (2, 1, 8, 1, 3), (2, 0, 12, 1, 2), (1, 0, 4, 0, 0), (2, 2, 8, 1, 2), (2, 2, 15, 1, 2),
+        (2, 0, 6, 1, 2), (2, 0, 8, 1, 2), (3, 2, 17, 2, 5), (1, 2, 12, 0, 0), (4, 1, 29, 3, 8),
+        (3, 1, 12, 2, 5), (2, 0, 5, 1, 2), (2, 0, 9, 1, 2), (1, 0, 8, 0, 0), (2, 3, 7, 1, 2),
+        (2, 4, 15, 1, 5), (1, 0, 2, 0, 0), (2, 6, 18, 1, 8), (1, 3, 9, 0, 0),
+        (3, 5, 55, 2, 38), (1, 3, 4, 0, 0), (2, 0, 5, 1, 2), (1, 0, 2, 0, 0), (1, 5, 11, 0, 0),
+        (1, 1, 4, 0, 0), (5, 0, 28, 4, 8), (2, 4, 12, 1, 4), (3, 2, 25, 2, 12),
+        (2, 1, 10, 1, 2), (4, 3, 26, 3, 13), (1, 0, 4, 0, 0), (1, 0, 10, 0, 0),
+        (3, 3, 16, 2, 5), (3, 4, 25, 2, 11), (2, 3, 7, 1, 3), (2, 4, 8, 1, 4), (2, 4, 6, 1, 3),
+        (2, 0, 5, 1, 2), (2, 1, 5, 1, 2), (3, 3, 60, 2, 17), (2, 3, 16, 1, 5),
+        (2, 4, 14, 1, 5), (2, 3, 8, 1, 3), (2, 0, 13, 1, 2), (1, 4, 10, 0, 0), (1, 0, 2, 0, 0),
+        (1, 0, 3, 0, 0), (1, 0, 3, 0, 0), (3, 3, 28, 2, 8), (2, 6, 9, 1, 4), (1, 0, 2, 0, 0),
+        (4, 2, 84, 3, 49), (5, 1, 29, 4, 8), (2, 1, 7, 1, 2), (4, 0, 19, 3, 6),
+        (1, 0, 5, 0, 0), (1, 0, 10, 0, 0), (1, 0, 2, 0, 0), (2, 1, 9, 1, 2), (6, 1, 43, 5, 11),
+        (1, 0, 2, 0, 0), (3, 3, 21, 2, 7), (3, 3, 12, 2, 4), (2, 6, 21, 1, 9),
+        (4, 2, 32, 3, 11), (4, 0, 15, 3, 4), (1, 0, 7, 0, 0), (3, 4, 75, 2, 58),
+        (1, 0, 3, 0, 0), (4, 0, 17, 3, 4), (2, 5, 19, 1, 7), (1, 1, 7, 0, 0), (5, 0, 25, 4, 5),
+        (2, 5, 16, 1, 5), (2, 6, 22, 1, 10), (6, 0, 45, 5, 12), (1, 0, 4, 0, 0),
+        (1, 0, 8, 0, 0), (2, 4, 15, 1, 5), (1, 1, 3, 0, 0), (2, 2, 17, 1, 7), (3, 0, 17, 2, 5),
+        (1, 0, 7, 0, 0), (3, 0, 16, 2, 6), (2, 0, 6, 1, 2), (3, 2, 19, 2, 6), (2, 1, 9, 1, 4),
+        (3, 4, 42, 2, 28), (1, 0, 8, 0, 0), (2, 1, 10, 1, 3),
+    ]
+    CRITERION_2_FAMILIES = "890f875785fc60acd6c57b0bc94539f226f210c44a8f9b0d69a8012db313c37a"
+
+    # At (R, B) = (2, 2) the 4-cube needs 4 families.  A search whose undo
+    # reordered a family's components lost one of them on backtracking and
+    # answered 3, with a member of diameter 4.
+    CUBE = {(1, 0): (2, 0, 18, 1, 2), (2, 1): (4, 1, 52, 3, 25), (2, 2): (4, 2, 1229, 3, 1157)}
+    CUBE_FAMILIES = "e05e41db12b6bd7a5dea3c62b5917a13af1e5305f36f72fce7d95bfc4340927b"
+
+    @staticmethod
+    def pinned(res):
+        return (res.n, res.mesh, res.nodes, res.certificate.n, res.certificate.nodes)
+
+    def test_criterion_2_instances(self):
+        rng = random.Random(1009)
+        results = []
+        for _ in range(100):
+            space = random_points_space(rng, rng.randint(2, 12), dim=2, span=7)
+            R = rng.randint(0, 6)
+            B = rng.randint(0, 6)
+            results.append(min_families_at_scale(space, R, B))
+        assert [self.pinned(r) for r in results] == self.CRITERION_2
+        assert families_digest(results) == self.CRITERION_2_FAMILIES
+
+    def test_four_cube(self):
+        cube = grid_window((2,) * 4)
+        results = {RB: min_families_at_scale(cube, *RB) for RB in self.CUBE}
+        assert {RB: self.pinned(r) for RB, r in results.items()} == self.CUBE
+        assert families_digest(results.values()) == self.CUBE_FAMILIES
+        for (R, B), res in results.items():
+            w = witness_from_families(res.families, scales(R), [B] * res.n)
+            assert verify_apc_witness(cube, scales(R), w).ok
+            assert res.certificate.replay(cube)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_minimal_feasible_mesh_on_cubes(self, dim):
+        # two families at R = 2: the halves split on the first coordinate
+        cube = grid_window((2,) * dim)
+        B, fams = minimal_feasible_mesh(cube, 2, 2)
+        assert B == dim - 1
+        assert fams == [Family.of([{p for p in cube.points if p[0] == h}]) for h in (0, 1)]
 
 
 class TestOracles:

@@ -380,6 +380,47 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("input error:") and repr(bad) in err
 
+    @pytest.mark.parametrize("argv, bad", [
+        (["space", "validate", "--in", "{f}"],
+         {"metric": {"kind": "generator", "spec": {"kind": "grid", "shape": "ab"}}}),
+        (["space", "validate", "--in", "{f}"],
+         {"points": [0, 1], "metric": {"kind": "matrix", "rows": 5}}),
+        (["space", "validate", "--in", "{f}"],
+         {"points": [{"a": 1}, 1], "metric": {"kind": "matrix", "rows": [[0, 1], [1, 0]]}}),
+        (["cover", "verify", "--space", "{iv}", "--witness", "{f}"],
+         {"scales": [1], "families": [{"R": 1, "sets": 5}]}),
+        (["cover", "verify", "--space", "{iv}", "--witness", "{f}"],
+         {"scales": [1], "families": [{"R": 1, "sets": [5]}]}),
+        (["cover", "verify", "--space", "{iv}", "--witness", "{f}"],
+         {"scales": 5, "families": []}),
+        (["cover", "verify", "--space", "{iv}", "--witness", "{f}"],
+         {"scales": [1], "families": 5}),
+        (["tree-cover", "--tree", "{f}", "--r", "1"], {"root": 0, "edges": [[0]]}),
+    ])
+    def test_malformed_file_exit_2(self, tmp_path, capsys, argv, bad):
+        files = {"iv": self._space_file(tmp_path, {"kind": "interval", "lo": 0, "hi": 4}),
+                 "f": str(tmp_path / "bad.json")}
+        fio.write_file(files["f"], bad)
+        assert cli_main([a.format(**files) for a in argv]) == 2
+        assert capsys.readouterr().err.startswith("input error:")
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["cover", "verify", "--space", "{iv}", "--witness", "{w}"], ["--seed", "5"]),
+        (["tree-cover", "--tree", "{tree}", "--r", "1"], ["--cap", "3"]),
+    ])
+    def test_flags_a_command_does_not_read_exit_2(self, tmp_path, capsys, argv, flag):
+        files = {"iv": self._space_file(tmp_path, {"kind": "interval", "lo": 0, "hi": 4}),
+                 "w": str(tmp_path / "w.json"), "tree": str(tmp_path / "t.json")}
+        fio.write_file(files["w"], {"scales": [1], "families": [
+            {"R": 1, "mesh": 4, "sets": [[0, 1, 2, 3, 4]]}]})
+        fio.save_tree(files["tree"], random_tree(5))
+        argv = [a.format(**files) for a in argv]
+        assert cli_main(argv) == 0
+        with pytest.raises(SystemExit) as e:
+            cli_main(argv + flag)
+        assert e.value.code == 2
+        assert "unrecognized arguments: " + " ".join(flag) in capsys.readouterr().err
+
     def test_freeprod_cover_refuses_empty_reduced_window(self, tmp_path):
         p = tmp_path / "base.json"
         fio.write_file(str(p), {
