@@ -14,7 +14,7 @@ import itertools
 import sys
 
 from . import io as fio
-from .exact import to_fraction
+from .exact import scalar
 from .metric import (
     ConstructionError,
     Family,
@@ -50,7 +50,7 @@ def _scalar(text, flag):
     """An exact scalar from command-line text; text that is not a rational
     (``abc``, ``1/0``) is malformed input."""
     try:
-        return to_fraction(text)
+        return scalar(text)
     except (ValueError, ZeroDivisionError) as e:
         raise InputError(f"{flag} {text!r} is not a scalar: {e}") from None
 
@@ -391,7 +391,6 @@ def cmd_group_pipeline(args):
 def hypercube_demo_rows(max_dim=4, k=2, R=2, cap=DEFAULT_EXACT_CAP):
     """Exact minimal mesh bound per cube dimension at a fixed family count
     and scale, with the greedy cross-check; values are run artifacts."""
-    R = to_fraction(R)
     rows = []
     for n in range(1, max_dim + 1):
         cube = grid_window((2,) * n)

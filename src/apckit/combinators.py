@@ -14,7 +14,7 @@ import operator
 from dataclasses import dataclass
 from types import SimpleNamespace
 
-from .exact import ceil_scalar, hyp, root_of, to_fraction
+from .exact import ceil_scalar, hyp, root_of
 from .metric import (
     ConstructionError,
     Family,
@@ -222,26 +222,15 @@ def _check_and_merge(space, fams, k, container, bound, scale_of, where, merged,
 # the product combinator
 
 
-def _clipped_product(U, V, pair_point, clip):
-    s = {pair_point(x, y) for x in U for y in V}
-    if clip is not None:
-        s &= clip
-    return s
-
-
-def product_engine(oracleX, oracleY, scales, *, mesh_combine="l2", pair_point=None,
-                   clip=None, rho=None):
+def product_engine(oracleX, oracleY, scales, *, mesh_combine="l2", pair_point=None):
     """Shared engine behind product covers (l2 spaces, l1 grids, group products).
 
     Queries oracleX once per column, feeds the monotonized diagonal of
-    end-of-column scales (through rho if given) to oracleY, and places the
-    product family built from column i position j at output slot
-    triangular_index(i, j).
+    end-of-column scales to oracleY, and places the product family built
+    from column i position j at output slot triangular_index(i, j).
     """
     if pair_point is None:
         pair_point = lambda x, y: (x, y)
-    if rho is None:
-        rho = identity_rho
     combine = hyp if mesh_combine == "l2" else operator.add
 
     if not oracleX.space.points or not oracleY.space.points:
@@ -249,7 +238,7 @@ def product_engine(oracleX, oracleY, scales, *, mesh_combine="l2", pair_point=No
 
     counting = CountingStream(scales)
     witnessY, columns = _drive_columns(
-        counting, oracleX.checked, lambda w: len(w.entries), rho, oracleY)
+        counting, oracleX.checked, lambda w: len(w.entries), identity_rho, oracleY)
 
     slots = {}
     for i, (wX, entryY) in enumerate(zip(columns, witnessY.entries), start=1):
@@ -258,10 +247,10 @@ def product_engine(oracleX, oracleY, scales, *, mesh_combine="l2", pair_point=No
         for j, entryX in enumerate(wX.entries, start=1):
             if entryX.is_empty():
                 continue
-            sets = [_clipped_product(U, V, pair_point, clip)
+            sets = [{pair_point(x, y) for x in U for y in V}
                     for U in entryX.family.sets for V in entryY.family.sets]
             slots[triangular_index(i, j)] = (
-                Family.of(sets, label=f"W[{i},{j}]"),
+                Family.of(sets),
                 combine(entryX.mesh_bound, entryY.mesh_bound),
             )
 
@@ -393,8 +382,7 @@ def projection_scheme_from_oracle(oracleX):
     return _projection_scheme(oracleX, 0, hyp)
 
 
-def fibering_cover(umap, oracleY, scheme_factory, scales, *, check_rho=True,
-                   rho_budget=200_000):
+def fibering_cover(umap, oracleY, scheme_factory, scales, *, rho_budget=200_000):
     """Cover of the source of a uniformly expansive map from a cover of its target
     and uniform covers of its coarse fibers.
 
@@ -405,11 +393,10 @@ def fibering_cover(umap, oracleY, scheme_factory, scales, *, check_rho=True,
     Scheme output is validated per fiber and the mesh bound per (column, M)
     is recorded and audited to be fiber-independent.
     """
-    X, Y = umap.source, umap.target
-    if check_rho:
-        ok, bad = check_uniformly_expansive(umap, pair_budget=rho_budget)
-        if not ok:
-            raise InputError(f"expansion modulus violated at {bad!r}")
+    X = umap.source
+    ok, bad = check_uniformly_expansive(umap, pair_budget=rho_budget)
+    if not ok:
+        raise InputError(f"expansion modulus violated at {bad!r}")
     if not X.points:
         return CoverWitness([], {"columns": 0, "per_column": [], "bounds": []})
 
@@ -442,7 +429,7 @@ def fibering_cover(umap, oracleY, scheme_factory, scales, *, check_rho=True,
         audit.append({"column": i, "M": M_i, "B": B_i, "fibers": n_fibers})
         for j, sets in enumerate(merged, start=1):
             if sets:
-                slots[triangular_index(i, j)] = (Family.of(sets, label=f"U[{i},{j}]"), B_i)
+                slots[triangular_index(i, j)] = (Family.of(sets), B_i)
 
     return _assemble(counting, slots, max(slots, default=0),
                      {"columns": len(schemes),
@@ -478,7 +465,7 @@ def decompose(space, k, hyp_oracle, scales, *, allow_uncovered=frozenset()):
     covered = set()
     for i, (scale_i, fam) in enumerate(fam_list, start=1):
         R_i = sub.at(i)
-        if to_fraction(scale_i) != R_i:
+        if scale_i != R_i:
             raise ConstructionError(
                 f"hypothesis family {i} declared scale {scale_i}, stream says {R_i}"
             )
@@ -513,6 +500,6 @@ def decompose(space, k, hyp_oracle, scales, *, allow_uncovered=frozenset()):
         b_values.append(B_i)
         for j, sets in enumerate(merged, start=1):
             t = (i - 1) * k + j
-            slots[t] = (Family.of(sets, label=f"V[{t}]"), B_i)
+            slots[t] = (Family.of(sets), B_i)
 
     return _assemble(counting, slots, n * k, {"n": n, "k": k, "bounds": b_values})

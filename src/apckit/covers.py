@@ -11,9 +11,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .exact import root_of, sq_value, to_fraction
+from .exact import root_of, scalar, sq_value
 from .metric import (
     ConstructionError,
     Family,
@@ -34,11 +33,12 @@ class ScaleSequence:
     """Non-decreasing unbounded scale stream: explicit prefix plus extension rule.
 
     Element access is 1-based (`at(1)` is the first scale) to match the usual
-    R_1, R_2, ... indexing of cover constructions.
+    R_1, R_2, ... indexing of cover constructions.  Every scale is in the
+    normal form of :func:`~apckit.exact.scalar`.
     """
 
     def __init__(self, prefix, extend="repeat-last", param=None):
-        prefix = tuple(to_fraction(x) for x in prefix)
+        prefix = tuple(scalar(x) for x in prefix)
         if not prefix:
             raise InputError("scale sequence needs a non-empty prefix")
         if any(b < a for a, b in zip(prefix, prefix[1:])):
@@ -46,11 +46,11 @@ class ScaleSequence:
         if extend not in EXTENSION_RULES:
             raise InputError(f"unknown extension rule {extend!r}")
         if extend == "arithmetic":
-            param = to_fraction(0 if param is None else param)
+            param = scalar(0 if param is None else param)
             if param < 0:
                 raise InputError("arithmetic step must be >= 0")
         elif extend == "geometric":
-            param = to_fraction(1 if param is None else param)
+            param = scalar(1 if param is None else param)
             if param < 1 or prefix[-1] < 0:
                 raise InputError("geometric factor must be >= 1 on a non-negative tail")
         else:
@@ -59,7 +59,7 @@ class ScaleSequence:
         self.extend = extend
         self.param = param
 
-    def at(self, i: int) -> Fraction:
+    def at(self, i: int):
         if i < 1:
             raise InputError("scale index must be >= 1")
         n = len(self.prefix)
@@ -70,8 +70,8 @@ class ScaleSequence:
         if self.extend == "repeat-last":
             return last
         if self.extend == "arithmetic":
-            return last + self.param * k
-        return last * self.param**k
+            return scalar(last + self.param * k)
+        return scalar(last * self.param**k)
 
     def describe(self):
         tail = {"repeat-last": "", "arithmetic": f" +{self.param}", "geometric": f" *{self.param}"}
@@ -108,7 +108,7 @@ class CountingStream:
 
 @dataclass(frozen=True)
 class WitnessEntry:
-    required_scale: Fraction
+    required_scale: object  # exact scalar
     family: Family
     mesh_bound: object  # exact scalar
 
@@ -321,10 +321,9 @@ class NegativeCertificate:
     """Replayable record that exhaustive search found no witness at n families."""
 
     n: int
-    R: Fraction
+    R: object  # exact scalar
     B: object
     nodes: int
-    point_count: int
 
     def replay(self, space):
         pts = sorted_points(space.points)
@@ -353,7 +352,7 @@ def min_families_at_scale(space, R, B, *, cap=DEFAULT_EXACT_CAP):
     certificate's nodes are those of that failed pass.
     Refuses spaces above the point cap; use the greedy solver there.
     """
-    R = to_fraction(R)
+    R = scalar(R)
     pts = sorted_points(space.points)
     if len(pts) > cap:
         raise InputError(
@@ -366,7 +365,7 @@ def min_families_at_scale(space, R, B, *, cap=DEFAULT_EXACT_CAP):
         fams, nodes = _search(pts, dist, R, B, k)
         total_nodes += nodes
         if fams is not None:
-            cert = NegativeCertificate(k - 1, R, B, failed_nodes, len(pts)) if k else None
+            cert = NegativeCertificate(k - 1, R, B, failed_nodes) if k else None
             return _solved(space, fams, cert, total_nodes)
         failed_nodes = nodes
 
@@ -377,7 +376,7 @@ def greedy_families_at_scale(space, R, B):
     A free family is then always open, so the search never backtracks and
     each point joins the first family it can (first fit).
     """
-    R = to_fraction(R)
+    R = scalar(R)
     pts = sorted_points(space.points)
     fams, _ = _search(pts, _distances(space, pts), R, B, len(pts))
     return _solved(space, fams, None, 0)
@@ -389,7 +388,7 @@ def minimal_feasible_mesh(space, k, R, *, cap=DEFAULT_EXACT_CAP):
     Feasibility only changes at realized pairwise distances, so those are the
     only candidates scanned.
     """
-    R = to_fraction(R)
+    R = scalar(R)
     pts = sorted_points(space.points)
     if len(pts) > cap:
         raise InputError(f"exact solver cap is {cap} points (space has {len(pts)})")
@@ -437,7 +436,7 @@ def _relabel_to_tuples(oracle, space, name):
         w = oracle.checked(scales)
         entries = [
             WitnessEntry(e.required_scale,
-                         Family.of([{(p,) for p in s} for s in e.family.sets], e.family.label),
+                         Family.of([{(p,) for p in s} for s in e.family.sets]),
                          e.mesh_bound)
             for e in w.entries
         ]

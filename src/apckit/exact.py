@@ -15,21 +15,20 @@ from fractions import Fraction
 Rational = (int, Fraction)
 
 
-def to_fraction(x) -> Fraction:
-    """Parse ints, Fractions, strings like '3/4' or '2.5', and floats exactly."""
+def scalar(x):
+    """The normal form of an exact scalar: an int when the value is integral,
+    else a Fraction.  Takes ints, Fractions, strings like '3/4' or '2.5', and
+    finite floats, each exactly."""
     if isinstance(x, bool):
         raise TypeError("bool is not a scalar")
     if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, Fraction):
         return x
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, float):
-        if not math.isfinite(x):
-            raise ValueError(f"non-finite scalar: {x!r}")
-        return Fraction(x)
-    raise TypeError(f"cannot interpret {x!r} as an exact scalar")
+    if isinstance(x, float) and not math.isfinite(x):
+        raise ValueError(f"non-finite scalar: {x!r}")
+    if not isinstance(x, (Fraction, str, float)):
+        raise TypeError(f"cannot interpret {x!r} as an exact scalar")
+    f = Fraction(x)
+    return f.numerator if f.denominator == 1 else f
 
 
 class Root:
@@ -37,12 +36,12 @@ class Root:
 
     Built only through :func:`root_of`, which returns a plain rational for
     perfect squares, so a live Root is always irrational and never equal to
-    a rational.
+    a rational.  sq is in the normal form of :func:`scalar`.
     """
 
     __slots__ = ("sq",)
 
-    def __init__(self, sq: Fraction):
+    def __init__(self, sq):
         self.sq = sq
 
     def __repr__(self):
@@ -107,20 +106,13 @@ class Root:
 
 def root_of(sq):
     """Exact sqrt of a non-negative rational: rational if perfect square, else Root."""
-    if isinstance(sq, int):
-        if sq < 0:
-            raise ValueError("root_of needs a non-negative argument")
-        r = math.isqrt(sq)
-        return r if r * r == sq else Root(Fraction(sq))
-    sq = to_fraction(sq)
+    sq = scalar(sq)
     if sq < 0:
         raise ValueError("root_of needs a non-negative argument")
-    rn = math.isqrt(sq.numerator)
-    rd = math.isqrt(sq.denominator)
-    if rn * rn == sq.numerator and rd * rd == sq.denominator:
-        v = Fraction(rn, rd)
-        return int(v) if v.denominator == 1 else v
-    return Root(sq)
+    rn, rd = math.isqrt(sq.numerator), math.isqrt(sq.denominator)
+    if rn * rn != sq.numerator or rd * rd != sq.denominator:
+        return Root(sq)
+    return rn if rd == 1 else Fraction(rn, rd)
 
 
 def sq_value(x) -> Fraction | int:
@@ -131,8 +123,7 @@ def sq_value(x) -> Fraction | int:
         v = x * x
         return int(v) if v.denominator == 1 else v
     if isinstance(x, Root):
-        sq = x.sq
-        return int(sq) if sq.denominator == 1 else sq
+        return x.sq
     raise TypeError(f"not a scalar: {x!r}")
 
 

@@ -11,11 +11,10 @@ restricts its correctness claims to the margin-reduced part.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import to_fraction
+from .exact import Root, scalar
 from .metric import (
     ConstructionError,
     Family,
@@ -35,7 +34,7 @@ ROOT = "<root>"  # cone-tree root sentinel; never collides with word tuples
 
 EPSILON = ()
 
-DEFAULT_WINDOW_CAP = 200_000
+WINDOW_CAP = 200_000
 
 
 class FreeProductWindow:
@@ -47,14 +46,14 @@ class FreeProductWindow:
     max_norm - margin.
     """
 
-    def __init__(self, base, max_order, max_norm, *, margin=None, cap=DEFAULT_WINDOW_CAP):
+    def __init__(self, base, max_order, max_norm, *, margin=None):
         if base.basepoint is None:
             raise InputError("free-product windows need a pointed base space")
         self.base = base
         self.x0 = base.basepoint
         self.max_order = int(max_order)
-        self.max_norm = to_fraction(max_norm)
-        self.margin = None if margin is None else to_fraction(margin)
+        self.max_norm = scalar(max_norm)
+        self.margin = None if margin is None else scalar(margin)
         if self.max_order < 0 or self.max_norm < 0:
             raise InputError("window bounds must be non-negative")
 
@@ -64,18 +63,20 @@ class FreeProductWindow:
         gaps = [
             base.dist(p, q) for p, q in itertools.combinations(base.points, 2)
         ]
-        self.E = min(gaps) if gaps else Fraction(1)
+        if any(isinstance(g, Root) for g in gaps):
+            raise InputError("free-product windows need a base with rational distances")
+        self.E = min(gaps) if gaps else 1
         if gaps and self.E <= 0:
             raise InputError("base space is not discrete: zero gap between points")
 
-        self._norms = self._enumerate(cap)
+        self._norms = self._enumerate()
         self.words = tuple(sorted(self._norms, key=point_key))
         self.word_set = frozenset(self.words)
         self.space = FiniteMetricSpace(
             self.words, self._dist, basepoint=EPSILON, name="*X-window"
         )
 
-    def _enumerate(self, cap):
+    def _enumerate(self):
         letters = [
             x for x in sorted_points(self.letter_norm)
             if self.letter_norm[x] <= self.max_norm
@@ -85,8 +86,8 @@ class FreeProductWindow:
         while stack:
             w, nw = stack.pop()
             norms[w] = nw
-            if len(norms) > cap:
-                raise InputError(f"window exceeds the {cap}-word cap")
+            if len(norms) > WINDOW_CAP:
+                raise InputError(f"window exceeds the {WINDOW_CAP}-word cap")
             if len(w) == self.max_order:
                 continue
             for x in reversed(letters):
@@ -135,8 +136,8 @@ class FreeProductWindow:
         return len(self.words)
 
 
-def fp_window(base, max_order, max_norm, *, margin=None, cap=DEFAULT_WINDOW_CAP):
-    return FreeProductWindow(base, max_order, max_norm, margin=margin, cap=cap)
+def fp_window(base, max_order, max_norm, *, margin=None):
+    return FreeProductWindow(base, max_order, max_norm, margin=margin)
 
 
 def fp_distance(base, u, v):
@@ -155,7 +156,7 @@ def fp_distance(base, u, v):
                 raise InputError("words may not contain the basepoint letter")
 
     def norm(w):
-        return sum((base.dist(x0, c) for c in w), Fraction(0))
+        return sum(base.dist(x0, c) for c in w)
 
     i = 0
     n = min(len(u), len(v))
@@ -180,7 +181,7 @@ def word_norm(base, w):
 def cone_window(window, A, R):
     """A concatenated with all words whose letters have norm <= R, inside the window."""
     window.require(A)
-    R = to_fraction(R)
+    R = scalar(R)
     small = [x for x, nx in window.letter_norm.items() if nx <= R]
     small.sort(key=point_key)
     out = set()
@@ -227,11 +228,10 @@ def is_flat(A) -> bool:
 @dataclass
 class ConeTree:
     tree: RootedTree
-    base_set: frozenset
     cone: frozenset
-    E: Fraction
+    E: object  # the window's minimal positive gap
     D: object  # diameter of the flat base
-    M: Fraction
+    M: object  # the cone scale
     window: FreeProductWindow
 
 
@@ -244,14 +244,14 @@ def cone_tree(window, A, M):
     if not is_flat(A):
         raise InputError("cone_tree base must be flat")
     window.require(A)
-    M = to_fraction(M)
+    M = scalar(M)
     cone = cone_window(window, A, M)
     parent = {ROOT: None}
     for w in sorted_points(cone):
         parent[w] = ROOT if w in A else w[:-1]
     tree = RootedTree(parent)
     D = set_diameter(window.space, A)
-    return ConeTree(tree, A, cone, window.E, D, M, window)
+    return ConeTree(tree, cone, window.E, D, M, window)
 
 
 @dataclass
@@ -259,7 +259,6 @@ class QiReport:
     ok: bool
     violations: list
     pairs_checked: int
-    params: dict
 
 
 def qi_check(ct):
@@ -277,7 +276,7 @@ def qi_check(ct):
             violations.append(("lower", u, v, d, dT))
         if not (dT <= Fraction(d, 1) / E + 3):
             violations.append(("upper", u, v, d, dT))
-    return QiReport(not violations, violations, pairs, {"E": E, "D": D, "M": M})
+    return QiReport(not violations, violations, pairs)
 
 
 def cone_cover(window, A, M, r):
@@ -290,9 +289,9 @@ def cone_cover(window, A, M, r):
     A = frozenset(A)
     if not A:
         return [Family.of([]), Family.of([])], 0
-    r = to_fraction(r)
+    r = scalar(r)
     ct = cone_tree(window, A, M)
-    rt = math.ceil(Fraction(r, 1) / ct.E + 3)
+    rt = -(-r // ct.E) + 3  # ceil(r/E + 3), exactly
     tc = tree_cover(ct.tree, rt)
     families = []
     for fam in (tc.even, tc.odd):
@@ -303,8 +302,8 @@ def cone_cover(window, A, M, r):
 
 def cone_cover_bound(E, D_bound, M, r):
     """The cone_cover mesh bound with the base diameter replaced by a uniform cap."""
-    rt = math.ceil(Fraction(to_fraction(r), 1) / E + 3)
-    return to_fraction(M) * (3 * rt) + D_bound
+    rt = -(-r // E) + 3  # ceil(r/E + 3), exactly
+    return M * (3 * rt) + D_bound
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +327,7 @@ class CoreReport:
     core: frozenset
     flat: bool
     contained: bool
-    radius: Fraction
+    radius: object  # exact scalar
     artifacts: list  # boundary words where a check failed, norm beyond margin
     hard_failures: list  # failures among margin-reduced words
 
@@ -348,8 +347,7 @@ def component_core(window, C, M, R, D, *, margin=0):
     if not C:
         raise InputError("component_core needs a nonempty component")
     window.require(C)
-    M, R, D = to_fraction(M), to_fraction(R), to_fraction(D)
-    margin = to_fraction(margin)
+    M, R, D, margin = scalar(M), scalar(R), scalar(D), scalar(margin)
     k0 = min(len(w) for w in C)
     core = frozenset(w for w in C if len(w) == k0)
     flat = is_flat(core)
@@ -391,7 +389,7 @@ class CoverageAssignment:
 
 @dataclass
 class CoverageCertificate:
-    R_star: Fraction
+    R_star: object  # exact scalar
     assignments: list
     ok: bool
     problems: list
@@ -401,8 +399,7 @@ class CoverageCertificate:
 class VFamilies:
     families: list  # n + 1 families, the last is {{epsilon}}
     bounds: list  # member-diameter bound per family
-    scales_used: list
-    R_star: Fraction
+    R_star: object  # exact scalar
     certificate: CoverageCertificate
 
 
@@ -430,7 +427,6 @@ def build_v_families(oracle_for_x, scales, window):
 
     families = []
     bounds = []
-    scales_used = []
     member_lookup = []  # per family: dict (prefix, set-id) -> member
     for i, entry in enumerate(witness.entries, start=1):
         members = {}
@@ -446,14 +442,12 @@ def build_v_families(oracle_for_x, scales, window):
                     members[(x, si)] = member
         dedup = sorted({m for m in members.values()},
                        key=lambda s: point_key(min(s, key=point_key)))
-        families.append(Family.of(dedup, label=f"V{i}"))
+        families.append(Family.of(dedup))
         bounds.append(entry.mesh_bound)
-        scales_used.append(scales.at(i))
         member_lookup.append(members)
 
-    families.append(Family.of([{EPSILON}], label=f"V{n + 1}"))
+    families.append(Family.of([{EPSILON}]))
     bounds.append(0)
-    scales_used.append(R_star)
 
     assignments = []
     problems = []
@@ -490,11 +484,12 @@ def build_v_families(oracle_for_x, scales, window):
             continue
         assignments.append(CoverageAssignment(w, i, member, mpos))
 
-    # family-level checks: disjointness at the family scale, flat bounded members
+    # family-level checks: disjointness at the family scale (R* for the
+    # trivial family n + 1), flat bounded members
     for i, fam in enumerate(families, start=1):
-        ok, bad = family_is_R_disjoint(window.space, fam, scales_used[i - 1])
+        ok, bad = family_is_R_disjoint(window.space, fam, scales.at(i))
         if not ok:
-            problems.append((f"V{i}", f"not {scales_used[i - 1]}-disjoint: {bad}"))
+            problems.append((f"V{i}", f"not {scales.at(i)}-disjoint: {bad}"))
         for member in fam.sets:
             if not is_flat(member):
                 problems.append((f"V{i}", f"member not flat: {sorted_points(member)[:3]}"))
@@ -502,7 +497,7 @@ def build_v_families(oracle_for_x, scales, window):
                 problems.append((f"V{i}", "member exceeds the diameter bound"))
 
     cert = CoverageCertificate(R_star, assignments, not problems, problems)
-    return VFamilies(families, bounds, scales_used, R_star, cert)
+    return VFamilies(families, bounds, R_star, cert)
 
 
 class _FreeProductDecomposable:
@@ -521,7 +516,6 @@ class _FreeProductDecomposable:
         self.margin = margin
         self.vf = None
         self.M = None
-        self.core_reports = []
         self.artifacts = []
         self._last = None  # (counting view of the last stream, its families)
 
@@ -544,21 +538,20 @@ class _FreeProductDecomposable:
             support = fam.support()
             cone = cone_window(self.window, support, self.M)
             comps = r_components(self.window.space, cone, sub.at(i))
-            out.append((sub.at(i), Family.of(comps, label=f"cone-comps-{i}")))
+            out.append((sub.at(i), Family.of(comps)))
         self._last = (sub, out)
         return out
 
     def subcover(self, i, U, R):
-        D_i = to_fraction(self.vf.bounds[i - 1])
+        D_i = scalar(self.vf.bounds[i - 1])
         report = component_core(self.window, U, self.M, R, D_i, margin=self.margin)
-        self.core_reports.append((i, report))
         self.artifacts.extend(report.artifacts)
         if report.hard_failures:
             raise ConstructionError(
                 f"component core failed inside the margin-reduced window: "
                 f"{report.hard_failures[:3]}"
             )
-        core_cap = 2 * self.M + 2 * to_fraction(R) + 2 * D_i
+        core_cap = 2 * self.M + 2 * R + 2 * D_i
         B = cone_cover_bound(self.window.E, core_cap, report.radius, R)
         if not report.flat:
             # whole component is a boundary artifact; emit nothing for it
@@ -582,7 +575,7 @@ class _FreeProductDecomposable:
 class FreeProductResult:
     witness: CoverWitness
     window: FreeProductWindow
-    margin: Fraction
+    margin: object  # exact scalar
     reduced_points: frozenset
     v_families: VFamilies
     artifacts: list

@@ -16,9 +16,8 @@ import math
 import operator
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .exact import to_fraction
+from .exact import scalar
 from .metric import (
     ConstructionError,
     Family,
@@ -37,6 +36,10 @@ from .combinators import (
     product_engine,
 )
 from .freeprod import fp_window, free_product_cover, wedge_space
+
+
+BALL_CAP = 1_000_000  # elements a Cayley window's norm table may hold
+KNAPSACK_CAP = 10**6  # weight budget of the exact expansion modulus
 
 
 class WindowExhausted(InputError):
@@ -262,7 +265,7 @@ class WeightedGeneratingSet:
     def __init__(self, model, gens):
         table = {}
         for elem, w in gens:
-            w = w if isinstance(w, int) else to_fraction(w)
+            w = scalar(w)
             if w <= 0:
                 raise InputError(f"non-positive weight for generator {elem!r}")
             if elem == model.identity():
@@ -297,18 +300,18 @@ class CayleyWindow:
     index of g -> (w_1 g_1, ..., w_d g_d); every other window has none.
     """
 
-    def __init__(self, model, genset, radius, *, norm_radius=None, node_cap=1_000_000):
+    def __init__(self, model, genset, radius, *, norm_radius=None):
         self.model = model
         self.genset = genset
-        self.radius = to_fraction(radius)
+        self.radius = scalar(radius)
         if self.radius < 0:
             raise InputError("ball radius must be non-negative")
         self.norm_radius = (
-            2 * self.radius if norm_radius is None else to_fraction(norm_radius)
+            2 * self.radius if norm_radius is None else scalar(norm_radius)
         )
         if self.norm_radius < self.radius:
             raise InputError("norm_radius must be at least the ball radius")
-        self.norms = self._dijkstra(node_cap)
+        self.norms = self._dijkstra()
         self.points = tuple(
             sorted((g for g, n in self.norms.items() if n <= self.radius), key=point_key)
         )
@@ -331,7 +334,7 @@ class CayleyWindow:
             weights[axis[s]] = w
         return LatticeIndex(lambda g: tuple(map(operator.mul, weights, g)), (range(d),))
 
-    def _dijkstra(self, node_cap):
+    def _dijkstra(self):
         e = self.model.identity()
         norms = {}
         heap = [(0, 0, e)]
@@ -341,8 +344,8 @@ class CayleyWindow:
             if g in norms:
                 continue
             norms[g] = n
-            if len(norms) > node_cap:
-                raise InputError(f"ball exceeds the {node_cap}-element cap")
+            if len(norms) > BALL_CAP:
+                raise InputError(f"ball exceeds the {BALL_CAP}-element cap")
             for s, w in self.genset:
                 nn = n + w
                 if nn <= self.norm_radius:
@@ -394,16 +397,15 @@ def group_distance(window, g, h):
 # stabilizers and fiber schemes
 
 
-def r_stabilizer(window, action, target_space, x0, R, *, domain="points",
-                 check_isometry=64, rng_seed=0):
+def r_stabilizer(window, action, target_space, x0, R, *, check_isometry=64):
     """Window elements moving x0 by at most R under the action.
 
     Optionally spot-checks that the action is isometric on sampled pairs.
     """
     target_space.require([x0])
-    elems = window.points if domain == "points" else list(window.extended_elements())
+    elems = window.points
     if check_isometry:
-        rng = random.Random(rng_seed)
+        rng = random.Random(0)
         pts = target_space.points
         for _ in range(min(check_isometry, len(elems) * len(pts))):
             g = rng.choice(elems)
@@ -422,8 +424,7 @@ def r_stabilizer(window, action, target_space, x0, R, *, domain="points",
     return frozenset(out)
 
 
-def action_fiber_scheme(window, action, target_space, x0, n, stabilizer_cover,
-                        *, displacement=None):
+def action_fiber_scheme(window, displacement, n, stabilizer_cover):
     """Scheme factory for the orbit map g -> g.x0 from covers of R-stabilizers.
 
     stabilizer_cover(stab, M, R) must return (B, n+1 families covering stab,
@@ -432,12 +433,10 @@ def action_fiber_scheme(window, action, target_space, x0, n, stabilizer_cover,
     one of its elements into the M-stabilizer, covered there, and translated
     back; left-invariance preserves scales and meshes exactly.
 
-    displacement(g) may be supplied to measure d(g.x0, x0) on the extended
-    (twice-radius) region, where g.x0 can leave the target window proper.
+    displacement(g) is d(g.x0, x0), measured on the extended (twice-radius)
+    region, where g.x0 can leave the target window proper.
     """
     model = window.model
-    if displacement is None:
-        displacement = lambda g: target_space.dist(action(g, x0), x0)
 
     def provider(M, R):
         stab = frozenset(
@@ -487,9 +486,8 @@ class IntervalKernelSource:
     n = 1
 
     def cover(self, elems, R):
-        step = self.step if isinstance(self.step, int) else to_fraction(self.step)
-        R = to_fraction(R)
-        length = max(1, math.ceil(R / step))
+        step, R = scalar(self.step), scalar(R)
+        length = max(1, -(-R // step))  # ceil(R / step), exactly
         blocks = {}
         for g in elems:
             blocks.setdefault(self.coordinate(g) // length, set()).add(g)
@@ -527,7 +525,7 @@ def section_stabilizer_cover(window, phi, sigma, windowH, kernel_source):
             if nh <= M
         ]
         sigma_max = max(sigma_norms, default=0)
-        Rp = to_fraction(R) + 2 * sigma_max
+        Rp = R + 2 * sigma_max
         kappa = {}
         for g in stab:
             k = model.mul(g, model.inv(sigma(phi(g))))
@@ -551,12 +549,8 @@ def hom_fiber_scheme(window, phi, sigma, windowH, kernel_source):
     finite unions of kernel cosets, covered through the section.
     """
     cover = section_stabilizer_cover(window, phi, sigma, windowH, kernel_source)
-    action = lambda g, h: windowH.model.mul(phi(g), h)
     return action_fiber_scheme(
-        window, action, windowH.space, windowH.model.identity(),
-        kernel_source.n, cover,
-        displacement=lambda g: windowH.norm_of(phi(g)),
-    )
+        window, lambda g: windowH.norm_of(phi(g)), kernel_source.n, cover)
 
 
 def projection_fiber_scheme(oracle_H):
@@ -573,7 +567,7 @@ def projection_fiber_scheme(oracle_H):
 # expansion moduli from weights
 
 
-def rho_from_weights(genset, action, target_space, x0, *, exact=False, scale_cap=10**6):
+def rho_from_weights(genset, action, target_space, x0, *, exact=False):
     """A sound expansion modulus for the orbit map of a weighted action.
 
     Default: rho(N) = floor(N / w_min) * max_s d(s.x0, x0), a cheap upper
@@ -590,27 +584,23 @@ def rho_from_weights(genset, action, target_space, x0, *, exact=False, scale_cap
 
     if not exact:
         def rho(N):
-            N = to_fraction(N)
+            N = scalar(N)
             if N < 0:
-                return Fraction(0)
+                return 0
             return (N // w_min) * max_disp
 
         return rho
 
-    denom = 1
-    for w, d in disp.values():
-        denom = denom * to_fraction(w).denominator // math.gcd(
-            denom, to_fraction(w).denominator
-        )
-    items = [(int(to_fraction(w) * denom), d) for w, d in disp.values()]
+    denom = math.lcm(*(w.denominator for w, _ in disp.values()))
+    items = [(int(w * denom), d) for w, d in disp.values()]
     memo = {}
 
     def rho_exact(N):
-        N = to_fraction(N)
+        N = scalar(N)
         if N < 0:
             return 0
         budget = math.floor(N * denom)
-        if budget > scale_cap:
+        if budget > KNAPSACK_CAP:
             raise InputError("exact modulus budget too large; use the bound")
         if budget not in memo:
             # unbounded knapsack on the common weight denominator; carrying

@@ -13,7 +13,7 @@ import os
 import tempfile
 from fractions import Fraction
 
-from .exact import Root, root_of, to_fraction
+from .exact import Root, root_of, scalar
 from .metric import (
     Family,
     FiniteMetricSpace,
@@ -42,21 +42,12 @@ def encode_scalar(x):
 
 
 def decode_scalar(v):
-    if isinstance(v, bool):
-        raise InputError("bool is not a scalar")
-    if isinstance(v, int):
-        return v
-    if isinstance(v, str):
-        try:
-            f = Fraction(v)
-        except (ValueError, ZeroDivisionError) as e:
-            raise InputError(f"cannot decode scalar {v!r}: {e}") from None
-        return int(f) if f.denominator == 1 else f
-    if isinstance(v, dict) and set(v) == {"sqrt"}:
-        return root_of(to_fraction(decode_scalar(v["sqrt"])))
-    if isinstance(v, float):
-        return to_fraction(v)
-    raise InputError(f"cannot decode scalar {v!r}")
+    try:
+        if isinstance(v, dict) and set(v) == {"sqrt"}:
+            return root_of(v["sqrt"])
+        return scalar(v)
+    except (TypeError, ValueError, ZeroDivisionError) as e:
+        raise InputError(f"cannot decode scalar {v!r}: {e}") from None
 
 
 def encode_point(p):
@@ -294,9 +285,11 @@ def _model_from_spec(spec):
         raise InputError(f"unknown model string {spec!r} (use Z^d or free-k)")
     if isinstance(spec, dict):
         if "product" in spec:
-            return DirectProductModel([_model_from_spec(s) for s in spec["product"]])
+            return DirectProductModel(
+                [_model_from_spec(s) for s in _list(spec["product"], "product model")])
         if "freeprod" in spec:
-            return FreeProductModel([_model_from_spec(s) for s in spec["freeprod"]])
+            return FreeProductModel(
+                [_model_from_spec(s) for s in _list(spec["freeprod"], "freeprod model")])
         if "table" in spec:
             t = spec["table"]
             _check_fields(t, ["elements", "rows", "identity"], [], "table model")
@@ -313,7 +306,15 @@ def _model_from_spec(spec):
     raise InputError(f"unknown group model spec {spec!r}")
 
 
-def group_window_from_obj(obj, **kw):
+def _rational(v, where):
+    """A decoded scalar that must be rational, as group weights and radii are."""
+    x = decode_scalar(v)
+    if isinstance(x, Root):
+        raise InputError(f"{where} {v!r} is not rational")
+    return x
+
+
+def group_window_from_obj(obj):
     from .groups import cayley_ball
 
     _check_fields(obj, ["model", "generators", "radius"], ["norm_radius"], "group file")
@@ -326,16 +327,16 @@ def group_window_from_obj(obj, **kw):
         elem = decode_point(g["elem"])
         if not model.is_element(elem):
             raise InputError(f"generator {g['elem']!r} is not an element of {model.name}")
-        gens.append((elem, decode_scalar(g["weight"])))
-    extra = {}
+        gens.append((elem, _rational(g["weight"], "generator weight")))
+    norm_radius = None
     if "norm_radius" in obj:
-        extra["norm_radius"] = decode_scalar(obj["norm_radius"])
-    extra.update(kw)
-    return cayley_ball(model, gens, decode_scalar(obj["radius"]), **extra)
+        norm_radius = _rational(obj["norm_radius"], "group norm_radius")
+    return cayley_ball(model, gens, _rational(obj["radius"], "group radius"),
+                       norm_radius=norm_radius)
 
 
-def load_group_window(path, **kw):
-    return group_window_from_obj(read_file(path), **kw)
+def load_group_window(path):
+    return group_window_from_obj(read_file(path))
 
 
 # ---------------------------------------------------------------------------
@@ -426,10 +427,10 @@ def tree_dot(tree, families=None):
     return "\n".join(lines) + "\n"
 
 
-def word_window_to_obj(window, *, base_spec=None):
+def word_window_to_obj(window):
     """Word window export: base space, bounds, and the word list."""
     return {
-        "base": space_to_obj(window.base, generator_spec=base_spec),
+        "base": space_to_obj(window.base),
         "max_order": window.max_order,
         "max_norm": encode_scalar(window.max_norm),
         "words": [[encode_point(c) for c in w] for w in window.words],

@@ -14,7 +14,7 @@ import operator
 import random
 from dataclasses import dataclass
 
-from .exact import Rational, hyp, root_of, sq_value, to_fraction, triangle_le
+from .exact import Rational, Root, ceil_scalar, hyp, root_of, scalar, sq_value, triangle_le
 
 DEFAULT_POINT_CAP = 200_000
 INF = math.inf
@@ -121,13 +121,12 @@ class Family:
     """An ordered collection of nonempty point sets. Empty sets are dropped."""
 
     sets: tuple
-    label: str = ""
 
     @staticmethod
-    def of(sets, label=""):
+    def of(sets):
         cleaned = [frozenset(s) for s in sets if s]
         cleaned.sort(key=lambda s: point_key(min(s, key=point_key)))
-        return Family(tuple(cleaned), label)
+        return Family(tuple(cleaned))
 
     def __len__(self):
         return len(self.sets)
@@ -288,25 +287,6 @@ def is_R_disjoint(space, S, T, R):
     return True
 
 
-def _float_lo(sq):
-    """A float no larger than sqrt(sq); 0 when not even isqrt(sq) fits a float."""
-    try:
-        return float(sq) ** 0.5 * (1 - 1e-12) - 1e-12
-    except OverflowError:
-        try:
-            return float(math.isqrt(math.floor(sq))) * (1 - 1e-12)
-        except OverflowError:
-            return 0.0
-
-
-def _float_hi(sq):
-    """A float no smaller than sqrt(sq); inf when sq is beyond floats."""
-    try:
-        return float(sq) ** 0.5 * (1 + 1e-12) + 1e-12
-    except OverflowError:
-        return INF
-
-
 def family_is_R_disjoint(space, family, R, *, diam_sqs=None):
     """Check pairwise R-disjointness of a family's distinct members.
 
@@ -315,10 +295,11 @@ def family_is_R_disjoint(space, family, R, *, diam_sqs=None):
     plain list loses its empty sets, as in :meth:`Family.of`, but keeps its
     order).  A space's index, when it has one, settles the
     passing case; otherwise, and to name the violation, representative-plus-
-    diameter prefilters skip clearly separated set pairs and far points, and
-    borderline pairs fall through to the exact squared comparison, so the
-    decision is exact.  Values too large for floats get bounds that prune
-    nothing.
+    diameter prefilters skip set pairs and points that no pair within R can
+    involve: with int upper bounds r >= R and D_i >= diam S_i, a pair of sets
+    whose representatives are more than r + D_i + D_j apart, and a point more
+    than r + D_b from the representative of S_b.  Both tests compare exact
+    squares, and every pair left is decided by the exact squared comparison.
     """
     sets = family.sets if isinstance(family, Family) else [frozenset(s) for s in family if s]
     if len(sets) <= 1:
@@ -331,19 +312,18 @@ def family_is_R_disjoint(space, family, R, *, diam_sqs=None):
     if diam_sqs is None:
         diam_sqs = [set_diameter_sq(space, s) for s in sets]
     reps = [min(s, key=point_key) for s in sets]
-    rf = _float_hi(R2)
-    dfl = [_float_hi(d) for d in diam_sqs]
+    r_up = ceil_scalar(R)
+    d_up = [ceil_scalar(root_of(d)) for d in diam_sqs]
     dist_sq = space.dist_sq
     for i, j in itertools.combinations(range(len(sets)), 2):
-        gap = _float_lo(dist_sq(reps[i], reps[j]))
-        if gap > rf + dfl[i] + dfl[j]:
+        if dist_sq(reps[i], reps[j]) > (r_up + d_up[i] + d_up[j]) ** 2:
             continue
         small, big = (i, j) if len(sets[i]) <= len(sets[j]) else (j, i)
         rep_b = reps[big]
-        cutoff = rf + dfl[big]
+        cutoff = (r_up + d_up[big]) ** 2
         members_b = list(sets[big])
         for p in sets[small]:
-            if _float_lo(dist_sq(p, rep_b)) > cutoff:
+            if dist_sq(p, rep_b) > cutoff:
                 continue
             for q in members_b:
                 sq = dist_sq(p, q)
@@ -716,7 +696,8 @@ def generate_space(spec, *, cap=DEFAULT_POINT_CAP):
 
 
 def matrix_space(ids, rows, *, basepoint=None, name="matrix"):
-    """Space from an explicit symmetric distance matrix (entries exact scalars)."""
+    """Space from an explicit symmetric distance matrix; entries are Roots or
+    anything :func:`~apckit.exact.scalar` takes."""
     ids = list(ids)
     n = len(ids)
     if len(rows) != n or any(len(r) != n for r in rows):
@@ -725,6 +706,6 @@ def matrix_space(ids, rows, *, basepoint=None, name="matrix"):
     for i in range(n):
         for j in range(n):
             v = rows[i][j]
-            table[(ids[i], ids[j])] = v if isinstance(v, int) else to_fraction(v)
+            table[(ids[i], ids[j])] = v if isinstance(v, Root) else scalar(v)
 
     return FiniteMetricSpace(ids, lambda p, q: table[(p, q)], basepoint=basepoint, name=name)

@@ -12,9 +12,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .exact import sq_value, to_fraction
+from .exact import scalar, sq_value
 from .metric import Family, FiniteMetricSpace, InputError, sorted_points
 from .covers import ApcOracle, witness_from_families
 
@@ -224,7 +223,7 @@ class TreeCover:
     even: Family
     odd: Family
     mesh_bound: object
-    r: Fraction
+    r: object  # exact scalar
     anchors: dict  # annulus index -> anchor depth
 
     def families(self):
@@ -239,12 +238,12 @@ def tree_cover(tree, r):
     are within r iff they share the ancestor at depth top - floor(floor(r)/2).
     For integer r the mesh bound is the stronger 3r - 2.
     """
-    r = to_fraction(r)
+    r = scalar(r)
     if r < 1:
         raise InputError("tree_cover needs r >= 1")
     s = math.floor(r)  # chain-step threshold: distances are integers
     half = s // 2
-    n_annuli = math.floor(tree.height() / r) + 1
+    n_annuli = tree.height() // r + 1
     families = {0: [], 1: []}
     anchors = {}
     for i in range(n_annuli):
@@ -278,14 +277,10 @@ def tree_cover(tree, r):
                 comps.setdefault(anchor(v), []).append(v)
         families[i % 2].extend(frozenset(c) for c in comps.values())
 
-    if isinstance(r, Fraction) and r.denominator == 1:
-        bound = 3 * int(r) - 2
-    else:
-        bound = 3 * r
     return TreeCover(
-        even=Family.of(families[0], label="even"),
-        odd=Family.of(families[1], label="odd"),
-        mesh_bound=bound,
+        even=Family.of(families[0]),
+        odd=Family.of(families[1]),
+        mesh_bound=3 * r - 2 if isinstance(r, int) else 3 * r,
         r=r,
         anchors=anchors,
     )

@@ -346,6 +346,14 @@ class TestExtension:
             by_column.setdefault(key, set()).add(row["B"])
         assert all(len(v) == 1 for v in by_column.values())
 
+    def test_interval_kernel_blocks_are_exact_beyond_floats(self):
+        # blocks of ceil(R) = 10**17 + 1 positions; a float quotient rounds the
+        # block length to 10**17 and puts both elements, R apart, in one family
+        R = 10**17 + 1
+        B, fams = IntervalKernelSource(coordinate=lambda g: g).cover({R - 2, 2 * R - 2}, R)
+        assert B == R - 1
+        assert [f.sets for f in fams] == [(frozenset({R - 2}),), (frozenset({2 * R - 2}),)]
+
     def test_trivial_kernel_scheme(self):
         Z = ZdModel(1)
         win = cayley_ball(Z, Z.standard_gens(), 4)

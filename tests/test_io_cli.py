@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,7 +10,8 @@ from apckit import io as fio
 from apckit.cli import main as cli_main
 from apckit.covers import ScaleSequence, interval_oracle, verify_apc_witness
 from apckit.exact import root_of
-from apckit.metric import InputError, LatticeIndex, grid_window, interval_window, matrix_space
+from apckit.metric import (InputError, LatticeIndex, grid_window, interval_window, matrix_space,
+                           product_space)
 from apckit.trees import random_tree
 
 
@@ -38,6 +40,17 @@ class TestSpaceFiles:
         p2 = tmp_path / "s2.json"
         fio.save_space(str(p2), loaded)
         assert p.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("nested", [False, True])
+    def test_l2_product_roundtrip(self, nested):
+        # a saved l2 product stores its irrational distances as {"sqrt": n}
+        space = product_space(interval_window(0, 1), interval_window(0, 1))
+        if nested:
+            space = product_space(space, interval_window(0, 2))
+        loaded = fio.space_from_obj(fio.space_to_obj(space))
+        assert loaded.points == space.points
+        assert all(loaded.dist(p, q) == space.dist(p, q)
+                   for p in space.points for q in space.points)
 
     def test_generator_file(self, tmp_path):
         p = tmp_path / "g.json"
@@ -396,6 +409,20 @@ class TestCli:
         (["cover", "verify", "--space", "{iv}", "--witness", "{f}"],
          {"scales": [1], "families": 5}),
         (["tree-cover", "--tree", "{f}", "--r", "1"], {"root": 0, "edges": [[0]]}),
+        (["group", "ball", "--group", "{f}"],
+         {"model": {"product": 5}, "generators": [], "radius": 1}),
+        (["space", "validate", "--in", "{f}"],
+         {"points": [0, 1], "metric": {"kind": "matrix", "rows": [[0, math.nan], [math.nan, 0]]}}),
+        (["space", "validate", "--in", "{f}"],
+         {"points": [0, 1], "metric": {"kind": "matrix", "rows": [[0, math.inf], [math.inf, 0]]}}),
+        (["space", "validate", "--in", "{f}"],
+         {"points": [0, 1], "metric": {"kind": "matrix", "rows": [[0, {"sqrt": -2}],
+                                                                  [{"sqrt": -2}, 0]]}}),
+        (["group", "ball", "--group", "{f}"],
+         {"model": "Z^1", "generators": [{"elem": [1], "weight": {"sqrt": 2}}], "radius": 2}),
+        (["freeprod", "window", "--base", "{f}", "--window", "2,4"],
+         {"points": ["o", "a", "b"], "basepoint": "o", "metric": {"kind": "matrix", "rows": [
+             [0, 1, {"sqrt": 2}], [1, 0, 1], [{"sqrt": 2}, 1, 0]]}}),
     ])
     def test_malformed_file_exit_2(self, tmp_path, capsys, argv, bad):
         files = {"iv": self._space_file(tmp_path, {"kind": "interval", "lo": 0, "hi": 4}),

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apckit.exact import Root, hyp, root_of, triangle_le
+from apckit.exact import Root, hyp, root_of, scalar, sq_value, triangle_le
 from apckit.metric import (
     Family,
     FiniteMetricSpace,
@@ -57,6 +58,19 @@ class TestExactScalars:
         assert triangle_le(root_of(2), 1, 1)
         assert not triangle_le(root_of(9), 1, 1)
         assert triangle_le(5, root_of(9), root_of(4))
+
+    def test_scalar_normal_form(self):
+        for x in (2, "2", "4/2", 2.0, Fraction(2)):
+            assert type(scalar(x)) is int and scalar(x) == 2
+        for x in ("1/2", 0.5):
+            assert type(scalar(x)) is Fraction and scalar(x) == Fraction(1, 2)
+
+    @pytest.mark.parametrize("x, error", [
+        (True, TypeError), (math.nan, ValueError), (math.inf, ValueError), ("abc", ValueError),
+    ])
+    def test_scalar_refuses(self, x, error):
+        with pytest.raises(error):
+            scalar(x)
 
 
 class TestValidateMetric:
@@ -204,6 +218,65 @@ class TestScalarsBeyondFloats:
         assert math.isclose(float(root_of(2 * 10**400)), math.sqrt(2) * 1e200, rel_tol=1e-15)
         with pytest.raises(OverflowError):
             float(root_of(2 * 10**700))
+
+
+def unfiltered_scan(space, family, R):
+    """family_is_R_disjoint's pair scan with no prefilter: same pair order,
+    every cross pair compared exactly."""
+    sets = family.sets
+    if len(sets) <= 1 or R < 0:
+        return True, None
+    R2 = sq_value(R)
+    for i, j in itertools.combinations(range(len(sets)), 2):
+        small, big = (i, j) if len(sets[i]) <= len(sets[j]) else (j, i)
+        for p in sets[small]:
+            for q in list(sets[big]):
+                sq = space.dist_sq(p, q)
+                if not sq > R2:
+                    return False, (i, j, p, q, root_of(sq))
+    return True, None
+
+
+@st.composite
+def scaled_matrix(draw):
+    """A matrix metric c * l1 + b off the diagonal, on points of a 7 x 7 grid,
+    with int, Fraction or beyond-float scale c; returns (space, c)."""
+    pts = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                        min_size=1, max_size=6, unique=True))
+    c = draw(st.sampled_from([1, 3, Fraction(1, 3), Fraction(7, 2), 10**310]))
+    b = c * draw(st.sampled_from([0, 0, 1, Fraction(1, 2)]))
+    rows = [[0 if p == q else c * (abs(p[0] - q[0]) + abs(p[1] - q[1])) + b for q in pts]
+            for p in pts]
+    return matrix_space(range(len(pts)), rows), c
+
+
+@st.composite
+def prefilter_case(draw):
+    """A matrix space or an l2 product of two, a family of disjoint sets on
+    it, and R: a realized distance (Roots on products), a Root, or a Fraction."""
+    space, c = draw(scaled_matrix())
+    if draw(st.booleans()):
+        other, c2 = draw(scaled_matrix())
+        space, c = product_space(space, other), max(c, c2)
+    labels = draw(st.lists(st.integers(-1, 4), min_size=len(space), max_size=len(space)))
+    fam = Family.of([{p for p, l in zip(space.points, labels) if l == k} for k in range(5)])
+    pairs = list(itertools.combinations(space.points, 2))
+    kind = draw(st.sampled_from(["distance", "root", "fraction"]))
+    if kind == "distance" and pairs:
+        R = space.dist(*draw(st.sampled_from(pairs)))
+    elif kind == "root":
+        R = root_of(draw(st.integers(0, 300)) * c * c)
+    else:
+        R = c * Fraction(draw(st.integers(0, 40)), 3)
+    return space, fam, R
+
+
+class TestPrefilter:
+    @given(prefilter_case())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_unfiltered_scan(self, case):
+        space, fam, R = case
+        assert family_is_R_disjoint(space, fam, R) == unfiltered_scan(space, fam, R)
 
 
 class TestComponents:

@@ -69,6 +69,11 @@ class TestTreeCover:
         assert set(cover.odd.sets) == {frozenset({2, 3})}
         assert cover.mesh_bound == 4
 
+    @pytest.mark.parametrize("r", [2, "2", 2.0, Fraction(4, 2)])
+    def test_integral_r_in_any_form_gets_bound_3r_minus_2(self, r):
+        cover = tree_cover(path_tree(6), r)
+        assert cover.mesh_bound == 4 and type(cover.mesh_bound) is int
+
     def test_huge_r_single_annulus(self):
         t = path_tree(4)
         cover = tree_cover(t, 10)
