@@ -73,7 +73,8 @@ class UniformlyExpansiveMap:
     The contract dist_Y(f(x), f(x')) <= rho(dist_X(x, x')) is checkable
     exhaustively; see check_uniformly_expansive.  rho must be non-decreasing
     with rho(0) >= 0: the column driver and the check's fiber-level proof
-    both rely on it.
+    both rely on it.  rho receives exact scalars, Roots included: the check
+    passes it source distances and box gaps, which are Roots on l2 products.
     """
 
     source: object

@@ -99,10 +99,7 @@ class FreeProductWindow:
         return norms
 
     def norm(self, w):
-        n = self._norms.get(w)
-        if n is None:
-            n = sum(self.letter_norm[c] for c in w)
-        return n
+        return self._norms[w]
 
     def _dist(self, u, v):
         # every prefix of a window word is a window word, so the cached
@@ -291,13 +288,9 @@ def cone_cover(window, A, M, r):
         return [Family.of([]), Family.of([])], 0
     r = scalar(r)
     ct = cone_tree(window, A, M)
-    rt = -(-r // ct.E) + 3  # ceil(r/E + 3), exactly
-    tc = tree_cover(ct.tree, rt)
-    families = []
-    for fam in (tc.even, tc.odd):
-        families.append(Family.of([s - {ROOT} for s in fam.sets]))
-    bound = ct.M * (3 * rt) + ct.D
-    return families, bound
+    tc = tree_cover(ct.tree, -(-r // ct.E) + 3)  # ceil(r/E + 3), exactly
+    families = [Family.of([s - {ROOT} for s in fam.sets]) for fam in (tc.even, tc.odd)]
+    return families, cone_cover_bound(ct.E, ct.D, ct.M, r)
 
 
 def cone_cover_bound(E, D_bound, M, r):
@@ -440,9 +433,7 @@ def build_v_families(oracle_for_x, scales, window):
                 )
                 if member:
                     members[(x, si)] = member
-        dedup = sorted({m for m in members.values()},
-                       key=lambda s: point_key(min(s, key=point_key)))
-        families.append(Family.of(dedup))
+        families.append(Family.of(set(members.values())))
         bounds.append(entry.mesh_bound)
         member_lookup.append(members)
 

@@ -17,13 +17,14 @@ import operator
 import random
 from dataclasses import dataclass
 
-from .exact import scalar
+from .exact import scalar, sq_value
 from .metric import (
     ConstructionError,
     Family,
     FiniteMetricSpace,
     InputError,
     LatticeIndex,
+    interval_window,
     point_key,
 )
 from .covers import _relabel_to_tuples, greedy_oracle, interval_oracle
@@ -424,53 +425,6 @@ def r_stabilizer(window, action, target_space, x0, R, *, check_isometry=64):
     return frozenset(out)
 
 
-def action_fiber_scheme(window, displacement, n, stabilizer_cover):
-    """Scheme factory for the orbit map g -> g.x0 from covers of R-stabilizers.
-
-    stabilizer_cover(stab, M, R) must return (B, n+1 families covering stab,
-    each R-disjoint, B-bounded) with B independent of everything but (M, R).
-    A fiber A with image of diameter below M is translated by the inverse of
-    one of its elements into the M-stabilizer, covered there, and translated
-    back; left-invariance preserves scales and meshes exactly.
-
-    displacement(g) is d(g.x0, x0), measured on the extended (twice-radius)
-    region, where g.x0 can leave the target window proper.
-    """
-    model = window.model
-
-    def provider(M, R):
-        stab = frozenset(
-            g for g in window.extended_elements() if displacement(g) <= M
-        )
-        B, fams = stabilizer_cover(stab, M, R)
-
-        def cover_fn(A):
-            A = frozenset(A)
-            if not A:
-                return [Family.of([]) for _ in range(n + 1)]
-            gA = min(A, key=point_key)
-            ginv = model.inv(gA)
-            back = {}
-            for a in A:
-                t = model.mul(ginv, a)
-                if t not in stab:
-                    raise ConstructionError(
-                        f"translated fiber element {t!r} escapes the {M}-stabilizer"
-                    )
-                back[t] = a
-            out = []
-            for fam in fams:
-                sets = [
-                    {back[t] for t in (S & back.keys())} for S in fam.sets
-                ]
-                out.append(Family.of(sets))
-            return out
-
-        return B, cover_fn
-
-    return fiber_scheme_from_asdim(n, provider)
-
-
 @dataclass
 class IntervalKernelSource:
     """Asdim-1 cover source for a Z-like kernel lying along an integer coordinate.
@@ -506,51 +460,58 @@ class TrivialKernelSource:
         return 0, [Family.of([{g} for g in elems])]
 
 
-def section_stabilizer_cover(window, phi, sigma, windowH, kernel_source):
-    """Cover W_M(e) of the translation action through a section of phi.
-
-    Splitting g = kappa(g) sigma(phi(g)) gives, for any two stabilizer
-    elements, |d(g, g') - d(kappa g, kappa g')| <= 2 max ||sigma||, so kernel
-    families at scale R + 2 max||sigma|| thicken to R-disjoint families of the
-    stabilizer with mesh growing by the same 2 max||sigma||.
-    """
-    model = window.model
-
-    def stabilizer_cover(stab, M, R):
-        # the fiber scale M can exceed the H ball radius, so range over the
-        # extended (norm-table) region when bounding the section norms
-        sigma_norms = [
-            window.norm_of(sigma(h))
-            for h, nh in windowH.norms.items()
-            if nh <= M
-        ]
-        sigma_max = max(sigma_norms, default=0)
-        Rp = R + 2 * sigma_max
-        kappa = {}
-        for g in stab:
-            k = model.mul(g, model.inv(sigma(phi(g))))
-            kappa[g] = k
-        B_k, kernel_fams = kernel_source.cover(set(kappa.values()), Rp)
-        out = []
-        for fam in kernel_fams:
-            sets = []
-            for S in fam.sets:
-                sets.append({g for g, k in kappa.items() if k in S})
-            out.append(Family.of(sets))
-        return B_k + 2 * sigma_max, out
-
-    return stabilizer_cover
-
-
 def hom_fiber_scheme(window, phi, sigma, windowH, kernel_source):
     """Fiber scheme for a homomorphism via the action g.h = phi(g) h.
 
-    The stabilizer of the identity is the kernel; its R-stabilizers are
-    finite unions of kernel cosets, covered through the section.
+    A fiber A with image of diameter below M is translated by the inverse of
+    one of its elements into the M-stabilizer of the identity, the g with
+    ||phi(g)|| <= M, covered there, and translated back; left-invariance
+    preserves scales and meshes exactly.  The stabilizer ranges over the
+    extended (twice-radius) region of the window, where phi(g) can leave the
+    H window proper, and is a finite union of kernel cosets.  Splitting
+    g = kappa(g) sigma(phi(g)) gives, for any two stabilizer elements,
+    |d(g, g') - d(kappa g, kappa g')| <= 2 max ||sigma||, the maximum over
+    the M-ball of H, so kernel families at scale R + 2 max ||sigma|| pull
+    back to R-disjoint families of the stabilizer with mesh growing by the
+    same 2 max ||sigma||.  The bound depends on (M, R) only.
     """
-    cover = section_stabilizer_cover(window, phi, sigma, windowH, kernel_source)
-    return action_fiber_scheme(
-        window, lambda g: windowH.norm_of(phi(g)), kernel_source.n, cover)
+    model = window.model
+    n = kernel_source.n
+
+    def provider(M, R):
+        by_kernel = {}  # kernel element -> the stabilizer elements splitting to it
+        for g in window.extended_elements():
+            h = phi(g)
+            if windowH.norm_of(h) <= M:
+                by_kernel.setdefault(model.mul(g, model.inv(sigma(h))), []).append(g)
+        stab = {g for gs in by_kernel.values() for g in gs}
+        # M can exceed the H ball radius, so the section norms range over the
+        # extended (norm-table) region of H too
+        sigma_max = max((window.norm_of(sigma(h)) for h, nh in windowH.norms.items()
+                         if nh <= M), default=0)
+        B_k, kernel_fams = kernel_source.cover(set(by_kernel), R + 2 * sigma_max)
+        fams = [[{g for k in S for g in by_kernel.get(k, ())} for S in fam.sets]
+                for fam in kernel_fams]
+
+        def cover_fn(A):
+            A = frozenset(A)
+            if not A:
+                return [Family.of([]) for _ in range(n + 1)]
+            ginv = model.inv(min(A, key=point_key))
+            back = {}
+            for a in A:
+                t = model.mul(ginv, a)
+                if t not in stab:
+                    raise ConstructionError(
+                        f"translated fiber element {t!r} escapes the {M}-stabilizer"
+                    )
+                back[t] = a
+            return [Family.of([{back[t] for t in S & back.keys()} for S in sets])
+                    for sets in fams]
+
+        return B_k + 2 * sigma_max, cover_fn
+
+    return fiber_scheme_from_asdim(n, provider)
 
 
 def projection_fiber_scheme(oracle_H):
@@ -573,6 +534,9 @@ def rho_from_weights(genset, action, target_space, x0, *, exact=False):
     Default: rho(N) = floor(N / w_min) * max_s d(s.x0, x0), a cheap upper
     bound for the exact maximum displacement reachable with weight budget N.
     With exact=True, solves the unbounded knapsack on a common denominator.
+    N is an exact scalar, a Root included: floor(N * c) for a rational
+    c > 0 is isqrt(floor(N^2 c^2)), since floor(x) = isqrt(floor(x^2)) for
+    x >= 0.
     """
     disp = {}
     for s, w in genset:
@@ -584,10 +548,9 @@ def rho_from_weights(genset, action, target_space, x0, *, exact=False):
 
     if not exact:
         def rho(N):
-            N = scalar(N)
             if N < 0:
                 return 0
-            return (N // w_min) * max_disp
+            return math.isqrt(sq_value(N) // (w_min * w_min)) * max_disp
 
         return rho
 
@@ -596,10 +559,9 @@ def rho_from_weights(genset, action, target_space, x0, *, exact=False):
     memo = {}
 
     def rho_exact(N):
-        N = scalar(N)
         if N < 0:
             return 0
-        budget = math.floor(N * denom)
+        budget = math.isqrt(math.floor(sq_value(N) * denom * denom))
         if budget > KNAPSACK_CAP:
             raise InputError("exact modulus budget too large; use the bound")
         if budget not in memo:
@@ -657,12 +619,9 @@ def z2_extension_pipeline(L, scales):
     genset = lifted_generating_set(G, kernel_gens, h_gens, sigma)
     window_G = CayleyWindow(G, genset, L)
     window_H = CayleyWindow(H, WeightedGeneratingSet(H, h_gens), L)
-    interval = FiniteMetricSpace(
-        sorted(h[0] for h in window_H.points),
-        lambda p, q: abs(p - q), basepoint=0, name=f"Z-window[{L}]",
-    )
-
-    oracle_H = _relabel_to_tuples(interval_oracle(interval), window_H.space, "interval-Z")
+    m = math.floor(window_H.radius)  # window_H holds (-m,), ..., (m,)
+    oracle_H = _relabel_to_tuples(
+        interval_oracle(interval_window(-m, m)), window_H.space, "interval-Z")
     kernel_source = IntervalKernelSource(coordinate=lambda g: g[0], step=1)
     witness = extension_cover(
         window_G, phi, sigma, window_H, oracle_H, kernel_source, scales

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from fractions import Fraction
 
 from .exact import Root, root_of, scalar
 from .metric import (
@@ -28,17 +27,13 @@ from .trees import tree_from_edges
 
 
 def encode_scalar(x):
-    if isinstance(x, bool):
-        raise InputError("bool is not a scalar")
-    if isinstance(x, int):
-        return x
-    if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
     if isinstance(x, Root):
         return {"sqrt": encode_scalar(x.sq)}
-    if isinstance(x, float) and x == int(x):
-        return int(x)
-    raise InputError(f"cannot encode scalar {x!r}")
+    try:
+        x = scalar(x)
+    except (TypeError, ValueError, ZeroDivisionError) as e:
+        raise InputError(f"cannot encode scalar {x!r}: {e}") from None
+    return x if isinstance(x, int) else f"{x.numerator}/{x.denominator}"
 
 
 def decode_scalar(v):

@@ -210,20 +210,11 @@ def random_tree(n, rng=None, *, shape="attach"):
     return RootedTree(parent)
 
 
-def _annulus_bounds(i, r):
-    """Integer depth range [lo, hi] of annulus i: i*r <= depth < (i+1)*r, exact."""
-    lo = math.ceil(i * r)
-    top = (i + 1) * r
-    hi = (math.ceil(top) - 1) if top != int(top) else int(top) - 1
-    return lo, hi
-
-
 @dataclass
 class TreeCover:
     even: Family
     odd: Family
     mesh_bound: object
-    r: object  # exact scalar
     anchors: dict  # annulus index -> anchor depth
 
     def families(self):
@@ -233,55 +224,42 @@ class TreeCover:
 def tree_cover(tree, r):
     """Two r-disjoint families covering the tree, mesh < 3r.
 
-    Components of an annulus are computed exactly by anchor subtrees: every
-    vertex connects up its branch to the annulus top, and two top vertices
-    are within r iff they share the ancestor at depth top - floor(floor(r)/2).
-    For integer r the mesh bound is the stronger 3r - 2.
+    One pass over the vertices in depth order.  Vertex v lies in annulus
+    i = depth(v) // r, the depths d with i*r <= d < (i+1)*r.  Within an
+    annulus every vertex connects up its branch to the annulus top, and two
+    top vertices are within r iff they share the ancestor at depth
+    ceil(i*r) - floor(floor(r)/2), the anchor; the components are the
+    vertices of an annulus that share an anchor.  v takes its parent's
+    anchor when the parent lies in the same annulus.  Otherwise v is at the
+    annulus top and its anchor is v itself (r < 2) or its parent's entry in
+    ``up``, which each vertex inherits from its parent the same way, so no
+    vertex walks up the tree and the pass is linear.  For integer r the mesh
+    bound is the stronger 3r - 2.
     """
     r = scalar(r)
     if r < 1:
         raise InputError("tree_cover needs r >= 1")
-    s = math.floor(r)  # chain-step threshold: distances are integers
-    half = s // 2
-    n_annuli = tree.height() // r + 1
-    families = {0: [], 1: []}
-    anchors = {}
-    for i in range(n_annuli):
-        lo, hi = _annulus_bounds(i, r)
-        members = [v for v in tree.vertices if lo <= tree.depth[v] <= hi]
-        if not members:
-            continue
-        if i == 0:
-            comps = {None: members}
-            anchors[i] = 0
+    half = math.floor(r) // 2  # chain-step threshold: distances are integers
+    # key: vertex -> (annulus, anchor); up: vertex -> its ancestor at the
+    # anchor depth of the next annulus, for vertices at least that deep
+    key, up, comps, anchors = {}, {}, {}, {}
+    for v in sorted(tree.vertices, key=tree.depth.__getitem__):
+        d, p = tree.depth[v], tree.parent[v]
+        i = d // r
+        if p is not None and key[p][0] == i:
+            key[v] = key[p]
         else:
-            h = lo - half
-            anchors[i] = h
-            memo = {}
-
-            def anchor(v):
-                seen = []
-                while v not in memo:
-                    if tree.depth[v] == h:
-                        memo[v] = v
-                        break
-                    seen.append(v)
-                    v = tree.parent[v]
-                a = memo[v]
-                for w in seen:
-                    memo[w] = a
-                return a
-
-            comps = {}
-            for v in members:
-                comps.setdefault(anchor(v), []).append(v)
-        families[i % 2].extend(frozenset(c) for c in comps.values())
+            anchors[i] = h = max(0, math.ceil(i * r) - half)
+            key[v] = (i, v if d == h else up[p])
+        h_next = math.ceil((i + 1) * r) - half
+        if d >= h_next:
+            up[v] = v if d == h_next else up[p]
+        comps.setdefault(key[v], []).append(v)
 
     return TreeCover(
-        even=Family.of(families[0]),
-        odd=Family.of(families[1]),
+        even=Family.of(c for (i, _), c in comps.items() if i % 2 == 0),
+        odd=Family.of(c for (i, _), c in comps.items() if i % 2),
         mesh_bound=3 * r - 2 if isinstance(r, int) else 3 * r,
-        r=r,
         anchors=anchors,
     )
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -6,11 +7,14 @@ import pytest
 
 from apckit.covers import ScaleSequence, interval_oracle, verify_apc_witness
 from apckit.combinators import product_cover, UniformlyExpansiveMap, identity_rho, fibering_cover
+from apckit.exact import root_of
+from apckit.io import canonical_dumps, witness_to_obj
 from apckit.metric import (
     InputError,
     LatticeIndex,
     interval_window,
     product_space,
+    sorted_points,
     validate_metric,
 )
 from apckit.groups import (
@@ -271,6 +275,28 @@ class TestRho:
         assert ok, bad
 
 
+    def test_modulus_takes_root_distances(self):
+        # an l2 product hands rho Root distances: the fiber proof calls it on
+        # box gaps and the pairwise loop on sqrt(2); each map gets a verdict
+        from apckit.combinators import check_uniformly_expansive
+
+        G = ZdModel(2)
+        win = cayley_ball(G, G.standard_gens(), 2)
+        X = product_space(interval_window(0, 3), interval_window(0, 3))
+        Z = interval_window(-6, 6)
+        for exact in (False, True):
+            both = rho_from_weights(win.genset, lambda s, x: x + s[0] + s[1], Z, 0, exact=exact)
+            first = rho_from_weights(win.genset, lambda s, x: x + s[0], Z, 0, exact=exact)
+            assert both(root_of(2)) == 1 and both(root_of(8)) == 2 and both(root_of(1)) == 1
+            # |p0 - q0| is an int at most the l2 distance, so floor(d) bounds it
+            ok, bad = check_uniformly_expansive(UniformlyExpansiveMap(X, Z, lambda p: p[0], first))
+            assert ok, bad
+            # p0 + p1 moves 2 over sqrt(2), and floor(sqrt(2)) = 1
+            ok, bad = check_uniformly_expansive(
+                UniformlyExpansiveMap(X, Z, lambda p: p[0] + p[1], both))
+            assert not ok and X.dist(*bad) == root_of(2)
+
+
 class TestProjectionScheme:
     def _window_box(self, LG, LH):
         G = ZdModel(1)
@@ -402,6 +428,50 @@ class TestExtension:
             for s in fam.sets:
                 covered |= s
         assert covered == A
+
+
+def witness_digest(scales, witness):
+    text = canonical_dumps(witness_to_obj(scales, witness)) + repr(witness.meta)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestExtensionPins:
+    """Witnesses and meta of the extension pipeline, and fiber covers of the
+    homomorphism scheme, pinned by SHA-256, so a rewrite of the fiber scheme
+    that changes any family, bound or audit row shows here."""
+
+    @pytest.mark.parametrize("L, stream, pin", [
+        (4, scales(1), "8021748cba2221a2e300cfeff419d48262e4c2fc90440f537dce6d16494d36ee"),
+        (6, scales(1, 2), "796336224b7b65fc959d505a4536d33a90c07b98d788e3cfa952cffc00e33c49"),
+        (8, scales(1, 2, 4), "58e79fc77f0546b09876b25d553aaae07961a0e6f9269ff468738621fee735e1"),
+        (10, scales(Fraction(3, 2), extend="arithmetic", param=1),
+         "201b70e4c6e97e1031c66f6d0936487d6adb314724622f4e1da09a7fb3c59d28"),
+        (12, scales(2, 3, extend="geometric", param=2),
+         "d3ef20f2e755570d5641f10a96faf2c2cc282505a5d8043cd5e2d89c4c029a4d"),
+    ])
+    def test_z2_extension_witness(self, L, stream, pin):
+        _, witness = z2_extension_pipeline(L, stream)
+        assert witness_digest(stream, witness) == pin
+
+    def test_trivial_kernel_fiber_covers(self):
+        # identity onto Z^2 (one kernel element) and the projection onto Z
+        # (many stabilizer elements per kernel element)
+        G, H = ZdModel(2), ZdModel(1)
+        win = cayley_ball(G, G.standard_gens(), 4)
+        winH = cayley_ball(H, H.standard_gens(), 4)
+        rows = []
+        for target, phi, sigma in ((win, lambda g: g, lambda h: h),
+                                   (winH, lambda g: (g[1],), lambda h: (0, h[0]))):
+            factory = hom_fiber_scheme(win, phi, sigma, target, TrivialKernelSource())
+            scheme = factory(scales(1, 2))
+            for M in (2, Fraction(5, 2), 3):
+                for x, y in ((0, 0), (-2, 1), (1, -3)):
+                    A = frozenset(g for g in win.points
+                                  if x <= g[0] <= x + 1 and y <= g[1] <= y + 1)
+                    rows.append((M, scheme.bound_for_scale(M),
+                                 [[sorted_points(s) for s in f.sets] for f in scheme.cover(A, M)]))
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+            "31fb6b36d378909fb1072edc81e7d0b3d6f7ccbf5a3b961d48a89a30a7f6e762")
 
 
 class TestGroupProduct:

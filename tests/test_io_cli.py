@@ -30,6 +30,14 @@ class TestScalarCodec:
     def test_integral_fraction_compact(self):
         assert fio.encode_scalar(Fraction(4, 2)) == 2
 
+    def test_encodings_and_refusals(self):
+        assert [fio.encode_scalar(x) for x in (7, 2.0, 0.5, Fraction(6, 4), root_of(8))] == [
+            7, 2, "1/2", "3/2", {"sqrt": 8}]
+        assert fio.encode_scalar(root_of(Fraction(5, 4))) == {"sqrt": "5/4"}
+        for bad in (float("inf"), float("-inf"), float("nan"), True, "abc", None):
+            with pytest.raises(InputError):
+                fio.encode_scalar(bad)
+
 
 class TestSpaceFiles:
     def test_matrix_roundtrip_byte_stable(self, tmp_path):

@@ -2,9 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apckit.covers import ScaleSequence, verify_apc_witness, witness_from_families
 from apckit.metric import (
+    Family,
     FiniteMetricSpace,
     InputError,
     family_is_R_disjoint,
@@ -155,6 +158,27 @@ class TestTreeCover:
                     h = cover.anchors[i]
                     anc = {t.ancestor_at_depth(v, h) for v in s}
                     assert len(anc) == 1
+
+
+@given(st.sampled_from(["attach", "path", "star", "caterpillar"]), st.integers(1, 40),
+       st.integers(0, 2**16),
+       st.sampled_from([1, 2, 3, 5, Fraction(3, 2), Fraction(5, 2), Fraction(7, 3)]))
+@settings(max_examples=300, deadline=None)
+def test_families_are_the_r_components_of_each_annulus(shape, n, seed, r):
+    # a plain space, so the components come from the generic all-pairs code;
+    # an anchor that splits a component still leaves a valid cover, so only
+    # this comparison catches it
+    tree = random_tree(n, random.Random(seed), shape=shape)
+    plain = FiniteMetricSpace(tree.vertices, tree.distance)
+    cover = tree_cover(tree, r)
+    for parity, fam in enumerate(cover.families()):
+        expected = []
+        i = parity
+        while i * r <= tree.height():
+            members = [v for v in tree.vertices if i * r <= tree.depth[v] < (i + 1) * r]
+            expected.extend(r_components(plain, members, r))
+            i += 2
+        assert fam == Family.of(expected), (shape, n, seed, r, parity)
 
 
 class TestTreeOracle:
