@@ -572,7 +572,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as e:
+    except (InputError, OSError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
     except ConstructionError as e:

@@ -388,6 +388,8 @@ def minimal_feasible_mesh(space, k, R, *, cap=DEFAULT_EXACT_CAP):
     Feasibility only changes at realized pairwise distances, so those are the
     only candidates scanned.
     """
+    if k < 1:
+        raise InputError(f"a cover needs at least one family, not k = {k}")
     R = scalar(R)
     pts = sorted_points(space.points)
     if len(pts) > cap:

@@ -21,7 +21,6 @@ from .metric import (
     FiniteMetricSpace,
     InputError,
     family_is_R_disjoint,
-    point_key,
     r_components,
     set_diameter,
     sorted_points,
@@ -70,17 +69,14 @@ class FreeProductWindow:
             raise InputError("base space is not discrete: zero gap between points")
 
         self._norms = self._enumerate()
-        self.words = tuple(sorted(self._norms, key=point_key))
+        self.words = tuple(sorted_points(self._norms))
         self.word_set = frozenset(self.words)
         self.space = FiniteMetricSpace(
             self.words, self._dist, basepoint=EPSILON, name="*X-window"
         )
 
     def _enumerate(self):
-        letters = [
-            x for x in sorted_points(self.letter_norm)
-            if self.letter_norm[x] <= self.max_norm
-        ]
+        # each word is pushed once, by its parent
         norms = {}
         stack = [(EPSILON, 0)]
         while stack:
@@ -88,14 +84,9 @@ class FreeProductWindow:
             norms[w] = nw
             if len(norms) > WINDOW_CAP:
                 raise InputError(f"window exceeds the {WINDOW_CAP}-word cap")
-            if len(w) == self.max_order:
-                continue
-            for x in reversed(letters):
-                nx = nw + self.letter_norm[x]
-                if nx <= self.max_norm:
-                    ext = w + (x,)
-                    if ext not in norms:
-                        stack.append((ext, nx))
+            if len(w) < self.max_order:
+                stack.extend((w + (x,), nw + nx) for x, nx in self.letter_norm.items()
+                             if nw + nx <= self.max_norm)
         return norms
 
     def norm(self, w):
@@ -180,23 +171,15 @@ def cone_window(window, A, R):
     window.require(A)
     R = scalar(R)
     small = [x for x, nx in window.letter_norm.items() if nx <= R]
-    small.sort(key=point_key)
-    out = set()
+    out = set(A)
     stack = list(A)
-    for a in A:
-        out.add(a)
     while stack:
         w = stack.pop()
-        if len(w) == window.max_order:
-            continue
-        nw = window.norm(w)
         for x in small:
-            nx = nw + window.letter_norm[x]
-            if nx <= window.max_norm:
-                ext = w + (x,)
-                if ext not in out and ext in window.word_set:
-                    out.add(ext)
-                    stack.append(ext)
+            ext = w + (x,)
+            if ext not in out and ext in window.word_set:
+                out.add(ext)
+                stack.append(ext)
     return frozenset(out)
 
 
@@ -243,9 +226,8 @@ def cone_tree(window, A, M):
     window.require(A)
     M = scalar(M)
     cone = cone_window(window, A, M)
-    parent = {ROOT: None}
-    for w in sorted_points(cone):
-        parent[w] = ROOT if w in A else w[:-1]
+    parent = {w: ROOT if w in A else w[:-1] for w in cone}
+    parent[ROOT] = None
     tree = RootedTree(parent)
     D = set_diameter(window.space, A)
     return ConeTree(tree, cone, window.E, D, M, window)
@@ -260,8 +242,10 @@ class QiReport:
 
 def qi_check(ct):
     """Exact verification of both quasi-isometry inequalities on all cone pairs:
-    d/M - D/M <= d_T <= d/E + 3."""
+    d/M - D/M <= d_T <= d/E + 3, which need a positive cone scale M."""
     E, D, M = ct.E, ct.D, ct.M
+    if M <= 0:
+        raise InputError(f"the quasi-isometry check needs a cone scale M > 0, not {M}")
     violations = []
     pairs = 0
     pts = sorted_points(ct.cone)
@@ -402,78 +386,49 @@ def build_v_families(oracle_for_x, scales, window):
 
     Family i collects x . (U minus the R*-ball) over window words x and
     members U of the i-th base family, where R* is the scale after the last
-    base slot; the extra family is the trivial word alone.  The certificate
-    assigns every window word to a family via its last heavy letter and
-    re-checks disjointness, flatness, and boundedness of every family.
+    base slot; the extra family is the trivial word alone.  Each word hangs
+    under its prefix by its last letter, so one pass over the words ending in
+    a heavy letter fills every member.  The certificate assigns every window
+    word to the first base set, in witness order, holding its last heavy
+    letter, and re-checks disjointness, flatness, and boundedness of every
+    family.
     """
-    base = window.base
-    if oracle_for_x.space.point_set != base.point_set:
+    if oracle_for_x.space.point_set != window.base.point_set:
         raise InputError("oracle is not over the window's base space")
     witness = oracle_for_x.checked(scales)
     n = len(witness.entries)
     R_star = scales.at(n + 1)
-    x0 = base.basepoint
 
-    heavy_letters = {
-        x for x, nx in window.letter_norm.items() if nx > R_star
-    }
-
-    families = []
-    bounds = []
-    member_lookup = []  # per family: dict (prefix, set-id) -> member
-    for i, entry in enumerate(witness.entries, start=1):
-        members = {}
+    # heavy letter -> (family, set) indices of the base sets holding it
+    heavy = {x for x, nx in window.letter_norm.items() if nx > R_star}
+    holders = {}
+    for i, entry in enumerate(witness.entries):
         for si, U in enumerate(entry.family.sets):
-            U_heavy = frozenset(u for u in U if u != x0 and u in heavy_letters)
-            if not U_heavy:
-                continue
-            for x in window.words:
-                member = frozenset(
-                    x + (u,) for u in U_heavy if x + (u,) in window.word_set
-                )
-                if member:
-                    members[(x, si)] = member
-        families.append(Family.of(set(members.values())))
-        bounds.append(entry.mesh_bound)
-        member_lookup.append(members)
+            for u in heavy & U:
+                holders.setdefault(u, []).append((i, si))
 
+    members = [{} for _ in range(n)]  # per family: (prefix, set index) -> member
+    for w in window.words:
+        for i, si in holders.get(w[-1], ()) if w else ():
+            members[i].setdefault((w[:-1], si), set()).add(w)
+    members = [{k: frozenset(m) for k, m in fam.items()} for fam in members]
+    families = [Family.of(set(fam.values())) for fam in members]
     families.append(Family.of([{EPSILON}]))
-    bounds.append(0)
+    bounds = [entry.mesh_bound for entry in witness.entries] + [0]
 
     assignments = []
     problems = []
-    base_sets = [
-        list(entry.family.sets) for entry in witness.entries
-    ]
     for w in window.words:
-        heavy_pos = [k for k, c in enumerate(w) if c in heavy_letters]
+        heavy_pos = [k for k, c in enumerate(w) if c in heavy]
         if not heavy_pos:
             assignments.append(CoverageAssignment(w, n + 1, frozenset({EPSILON}), None))
             continue
-        mpos = max(heavy_pos)
-        letter = w[mpos]
-        found = None
-        for i, sets in enumerate(base_sets, start=1):
-            for si, U in enumerate(sets):
-                if letter in U:
-                    found = (i, si)
-                    break
-            if found:
-                break
-        if found is None:
+        mpos = heavy_pos[-1]
+        if w[mpos] not in holders:
             problems.append((w, "letter not covered by the base witness"))
             continue
-        i, si = found
-        prefix = w[:mpos]
-        member = member_lookup[i - 1].get((prefix, si))
-        if member is None or w[: mpos + 1] not in member:
-            problems.append((w, "assigned member does not contain the heavy prefix"))
-            continue
-        tail = w[mpos + 1 :]
-        if any(window.letter_norm[c] > R_star for c in tail):
-            problems.append((w, "tail letter above R*"))
-            continue
-        assignments.append(CoverageAssignment(w, i, member, mpos))
+        i, si = holders[w[mpos]][0]
+        assignments.append(CoverageAssignment(w, i + 1, members[i][(w[:mpos], si)], mpos))
 
     # family-level checks: disjointness at the family scale (R* for the
     # trivial family n + 1), flat bounded members

@@ -473,7 +473,10 @@ def hom_fiber_scheme(window, phi, sigma, windowH, kernel_source):
     |d(g, g') - d(kappa g, kappa g')| <= 2 max ||sigma||, the maximum over
     the M-ball of H, so kernel families at scale R + 2 max ||sigma|| pull
     back to R-disjoint families of the stabilizer with mesh growing by the
-    same 2 max ||sigma||.  The bound depends on (M, R) only.
+    same 2 max ||sigma||.  The bound depends on (M, R) only.  The disjointness
+    slack is loose in :func:`z2_extension_pipeline`, whose metric is l1 with
+    sigma(h) = (0, h), so kappa(g) = (g0, 0) and d(kappa g, kappa g') <= d(g, g');
+    only a metric under which kappa is not 1-Lipschitz can make it tight.
     """
     model = window.model
     n = kernel_source.n

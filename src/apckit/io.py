@@ -173,11 +173,11 @@ def scales_to_obj(scales):
 
 
 def scales_from_obj(obj):
-    prefix = [decode_scalar(x) for x in _list(obj.get("scales", []), "scales")]
+    prefix = [_rational(x, "scale") for x in _list(obj.get("scales", []), "scales")]
     return ScaleSequence(
         prefix,
         obj.get("extend", "repeat-last"),
-        decode_scalar(obj["extend_param"]) if "extend_param" in obj else None,
+        _rational(obj["extend_param"], "extend_param") if "extend_param" in obj else None,
     )
 
 
@@ -202,7 +202,7 @@ def witness_to_obj(scales, witness):
 
 def witness_from_obj(obj):
     _check_fields(
-        obj, ["scales", "families"], ["extend", "extend_param", "meta"], "witness file"
+        obj, ["scales", "families"], ["extend", "extend_param"], "witness file"
     )
     scales = scales_from_obj(obj)
     entries = []
@@ -302,7 +302,7 @@ def _model_from_spec(spec):
 
 
 def _rational(v, where):
-    """A decoded scalar that must be rational, as group weights and radii are."""
+    """A decoded scalar that must be rational, as scales, group weights and radii are."""
     x = decode_scalar(v)
     if isinstance(x, Root):
         raise InputError(f"{where} {v!r} is not rational")

@@ -448,3 +448,249 @@ class TestWedge:
         Y = matrix_space(["y0", "b"], [[0, 2], [2, 0]], basepoint="y0")
         rep = wedge_embed_check(X, Y, 3, 6)
         assert rep.ok, rep.mismatches[:3]
+
+
+# ---------------------------------------------------------------------------
+# pins and brute-force references for the word window, cones and V-families
+
+
+def base_interval():
+    return interval_window(0, 3)
+
+
+def base_xab_fractional():
+    return matrix_space(
+        ["x0", "a", "b"],
+        [[0, "1/2", "3/2"], ["1/2", 0, "3/2"], ["3/2", "3/2", 0]],
+        basepoint="x0",
+        name="Xab/2",
+    )
+
+
+def base_z_wedge():
+    from apckit.groups import ZdModel, cayley_ball
+
+    Z = ZdModel(1)
+    ball = cayley_ball(Z, Z.standard_gens(), 2).space
+    return wedge_space(ball, ball)
+
+
+PIN_BASES = {
+    "xab": base_xab,
+    "interval": base_interval,
+    "xab-fractional": base_xab_fractional,
+    "z-wedge": base_z_wedge,
+}
+PIN_WINDOWS = [(2, 4), (3, 6), (2, 5)]
+PIN_STREAMS = [(1,), (1, 2), (2, 2, 3)]
+
+
+def _pin_cases(base_name, oracle_name):
+    from apckit.covers import exact_oracle, greedy_oracle
+
+    oracle = {"exact": exact_oracle, "greedy": greedy_oracle}[oracle_name]
+    X = PIN_BASES[base_name]()
+    for window, prefix in itertools.product(PIN_WINDOWS, PIN_STREAMS):
+        yield X, oracle, window, ScaleSequence(prefix)
+
+
+def _sha(parts):
+    import hashlib
+
+    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+
+
+def cover_digest(base_name, oracle_name):
+    """Canonical witness, sorted meta, margin, reduced words and artifacts of
+    free_product_cover over every pinned window and stream."""
+    from apckit.io import canonical_dumps, witness_to_obj
+    from apckit.metric import ConstructionError, sorted_points
+
+    parts = []
+    for X, oracle, (m, L), s in _pin_cases(base_name, oracle_name):
+        try:
+            res = free_product_cover(oracle(X), s, fp_window(X, m, L))
+        except (ConstructionError, InputError) as e:
+            parts.append(f"{type(e).__name__}: {e}")
+            continue
+        parts.append(canonical_dumps(witness_to_obj(s, res.witness)))
+        parts.append(repr(sorted(res.witness.meta.items())))
+        parts.append(repr((res.margin, sorted_points(res.reduced_points), res.artifacts)))
+    return _sha(parts)
+
+
+def v_families_digest(base_name, oracle_name):
+    """Families, bounds, R* and the whole coverage certificate of
+    build_v_families over every pinned window and stream."""
+    from apckit.metric import sorted_points
+
+    parts = []
+    for X, oracle, (m, L), s in _pin_cases(base_name, oracle_name):
+        vf = build_v_families(oracle(X), s, fp_window(X, m, L))
+        cert = vf.certificate
+        parts.append(repr([[sorted_points(u) for u in fam.sets] for fam in vf.families]))
+        parts.append(repr((vf.bounds, vf.R_star, cert.R_star, cert.ok, cert.problems)))
+        parts.append(repr([(a.word, a.family, sorted_points(a.member), a.split)
+                           for a in cert.assignments]))
+    return _sha(parts)
+
+
+PIN_KEYS = list(itertools.product(PIN_BASES, ["exact", "greedy"]))
+
+COVER_PINS = {
+    ("xab", "exact"): "06abc1153368de63f465d3881fa0c39ab6940b547922b666013d8414023af39b",
+    ("xab", "greedy"): "06abc1153368de63f465d3881fa0c39ab6940b547922b666013d8414023af39b",
+    ("interval", "exact"): "505a8af743a45909e28931a6591be5e8d9de60d800da37b0728e14c7869a0711",
+    ("interval", "greedy"): "505a8af743a45909e28931a6591be5e8d9de60d800da37b0728e14c7869a0711",
+    ("xab-fractional", "exact"): "504821a599735d1f05a837cd86fd85cbe2a59200cc2e7335b30cdaf45e8f56d1",
+    ("xab-fractional", "greedy"): "504821a599735d1f05a837cd86fd85cbe2a59200cc2e7335b30cdaf45e8f56d1",
+    ("z-wedge", "exact"): "0b9546ed6522b9c60757818da645d5fb11a67b6d003dfc3cb42daafe399229b0",
+    ("z-wedge", "greedy"): "0b9546ed6522b9c60757818da645d5fb11a67b6d003dfc3cb42daafe399229b0",
+}
+
+V_FAMILY_PINS = {
+    ("xab", "exact"): "976418db9982b09059b02fdde9ceaccd773eda0b4cc1488adbc4057acdeb8bf1",
+    ("xab", "greedy"): "976418db9982b09059b02fdde9ceaccd773eda0b4cc1488adbc4057acdeb8bf1",
+    ("interval", "exact"): "43e20f811dfb8d86f295dbafb82f8a6113210a1b9286f38f1ef319e4e21b8a88",
+    ("interval", "greedy"): "43e20f811dfb8d86f295dbafb82f8a6113210a1b9286f38f1ef319e4e21b8a88",
+    ("xab-fractional", "exact"): "976418db9982b09059b02fdde9ceaccd773eda0b4cc1488adbc4057acdeb8bf1",
+    ("xab-fractional", "greedy"): "976418db9982b09059b02fdde9ceaccd773eda0b4cc1488adbc4057acdeb8bf1",
+    ("z-wedge", "exact"): "a8106e97ae83d6bc0586f728f90d8ecf427051527c5b80b5faeec05e62d4ab31",
+    ("z-wedge", "greedy"): "a8106e97ae83d6bc0586f728f90d8ecf427051527c5b80b5faeec05e62d4ab31",
+}
+
+
+class TestFreeProductPins:
+    """free_product_cover and build_v_families outputs pinned by SHA-256, so a
+    rewrite of the word window, cones or V-families that changes any family,
+    bound, assignment, problem, meta entry, margin or artifact shows here."""
+
+    @pytest.mark.parametrize("base_name, oracle_name", PIN_KEYS)
+    def test_cover(self, base_name, oracle_name):
+        assert cover_digest(base_name, oracle_name) == COVER_PINS[base_name, oracle_name]
+
+    @pytest.mark.parametrize("base_name, oracle_name", PIN_KEYS)
+    def test_v_families(self, base_name, oracle_name):
+        assert v_families_digest(base_name, oracle_name) == V_FAMILY_PINS[base_name, oracle_name]
+
+
+def brute_window_words(X, m, L):
+    """Non-basepoint letter tuples of order <= m and norm <= L, by enumeration."""
+    letters = [x for x in X.points if x != X.basepoint]
+    return {
+        w
+        for k in range(m + 1)
+        for w in itertools.product(letters, repeat=k)
+        if sum(X.dist(X.basepoint, c) for c in w) <= L
+    }
+
+
+def brute_cone(win, A, R):
+    """Window words that extend some a in A by letters of norm <= R."""
+    small = {x for x, nx in win.letter_norm.items() if nx <= R}
+    return {
+        w for w in win.words
+        if any(w[: len(a)] == a and set(w[len(a):]) <= small for a in A)
+    }
+
+
+def brute_v_families(witness, win, R_star):
+    """V-families as sets of members and the assignment of every word, straight
+    from the definition: family i holds x . (U minus the R*-ball) for window
+    words x and members U of base family i; a word goes to the first base set,
+    in witness order, that holds its last heavy letter."""
+    heavy = {x for x, nx in win.letter_norm.items() if nx > R_star}
+
+    def member(x, U):
+        return frozenset(x + (u,) for u in U & heavy if x + (u,) in win.word_set)
+
+    families = [
+        {member(x, U) for x in win.words for U in e.family.sets} - {frozenset()}
+        for e in witness.entries
+    ]
+    n = len(witness.entries)
+    assignments = []
+    for w in win.words:
+        pos = [k for k, c in enumerate(w) if c in heavy]
+        if not pos:
+            assignments.append((w, n + 1, frozenset({EPSILON}), None))
+            continue
+        k = pos[-1]
+        i, U = next((i, U) for i, e in enumerate(witness.entries, start=1)
+                    for U in e.family.sets if w[k] in U)
+        assignments.append((w, i, member(w[:k], U), k))
+    return families, assignments
+
+
+class TestAgainstDefinitions:
+    @pytest.mark.parametrize("base_name", list(PIN_BASES))
+    @pytest.mark.parametrize("m, L", [(0, 3), (1, Fraction(1, 2)), (2, 4), (3, 6), (4, 5)])
+    def test_window_words(self, base_name, m, L):
+        X = PIN_BASES[base_name]()
+        win = fp_window(X, m, L)
+        assert len(win.words) == len(set(win.words))
+        assert set(win.words) == brute_window_words(X, m, L)
+        for w in win.words:
+            assert win.norm(w) == word_norm(X, w)
+
+    @pytest.mark.parametrize("base_name", list(PIN_BASES))
+    def test_cone_window(self, base_name):
+        X = PIN_BASES[base_name]()
+        win = fp_window(X, 3, 5)
+        rng = random.Random(base_name)
+        for _ in range(25):
+            A = rng.sample(win.words, rng.randint(1, 4))
+            for R in (-1, 0, Fraction(1, 2), 1, Fraction(3, 2), 2, 3):
+                assert cone_window(win, A, R) == brute_cone(win, A, R)
+
+    @pytest.mark.parametrize("base_name", list(PIN_BASES))
+    def test_v_families(self, base_name):
+        from apckit.covers import exact_oracle
+
+        X = PIN_BASES[base_name]()
+        for (m, L), prefix in itertools.product(PIN_WINDOWS, PIN_STREAMS):
+            win, s = fp_window(X, m, L), ScaleSequence(prefix)
+            vf = build_v_families(exact_oracle(X), s, win)
+            families, assignments = brute_v_families(
+                exact_oracle(X).checked(s), win, vf.R_star)
+            assert [set(f.sets) for f in vf.families[:-1]] == families
+            assert [(a.word, a.family, a.member, a.split)
+                    for a in vf.certificate.assignments] == assignments
+
+    def test_overlapping_base_sets_at_negative_scale(self):
+        # at scale -1 overlapping sets are disjoint enough; {a} and {x0, a}
+        # give the same members, which the family holds once
+        X = base_xab()
+        sets = [{"x0", "a"}, {"a"}, {"a", "b"}, {"b"}]
+        witness = witness_from_families([Family.of(sets)], scales(-1), [2])
+        oracle = ApcOracle(X, lambda s: witness_from_families(
+            [Family.of(sets)], s, [2]), name="overlap")
+        for m, L in PIN_WINDOWS:
+            win = fp_window(X, m, L)
+            vf = build_v_families(oracle, scales(-1), win)
+            assert vf.R_star == -1 and vf.certificate.ok
+            families, assignments = brute_v_families(witness, win, -1)
+            assert set(vf.families[0].sets) == families[0]
+            assert len(vf.families[0].sets) == len(families[0])
+            assert vf.families[1].sets == (frozenset({EPSILON}),)
+            assert [(a.word, a.family, a.member, a.split)
+                    for a in vf.certificate.assignments] == assignments
+
+
+class TestConeScale:
+    def test_pipeline_cone_trees_at_scale_zero(self):
+        # streams below zero give cone covers at M = 0, which stay valid
+        from apckit.covers import exact_oracle
+
+        X = base_xab()
+        for prefix in [(-2, -1, 0), (Fraction(-1, 2),)]:
+            win, s = fp_window(X, 3, 6), ScaleSequence(prefix)
+            res = free_product_cover(exact_oracle(X), s, win)
+            assert verify_apc_witness(
+                win.space, s, res.witness, require_cover_of=res.reduced_points).ok
+
+    @pytest.mark.parametrize("M", [0, -1, Fraction(-1, 2)])
+    def test_qi_check_refuses_non_positive_scale(self, M):
+        win = fp_window(base_xab(), 2, 4)
+        with pytest.raises(InputError):
+            qi_check(cone_tree(win, {w(A), w(B)}, M))

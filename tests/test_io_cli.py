@@ -571,3 +571,36 @@ class TestCli:
         r2 = run_cli("demo", "hypercubes", "--max-dim", "3", "--out", str(o2))
         assert r1.returncode == 0 and r2.returncode == 0
         assert o1.read_bytes() == o2.read_bytes()
+
+
+class TestExitCodeContract:
+    """Malformed input exits 2 with one `input error:` line, never a traceback."""
+
+    WITNESS = {"scales": [1], "families": [{"R": 1, "mesh": 4, "sets": [[0, 1, 2, 3, 4]]}]}
+
+    @pytest.mark.parametrize("argv, witness", [
+        (["cover", "verify", "--space", "{iv}", "--witness", "{w}"],
+         {"scales": [{"sqrt": 2}], "families": []}),
+        (["cover", "verify", "--space", "{iv}", "--witness", "{w}"],
+         {"scales": [1], "extend": "arithmetic", "extend_param": {"sqrt": 2}, "families": []}),
+        (["cover", "verify", "--space", "{iv}", "--witness", "{w}"],
+         {**WITNESS, "meta": {"margin": 3}}),
+        (["freeprod", "qi-check", "--base", "{base}", "-m", "2", "-L", "4", "-M", "0"], None),
+        (["freeprod", "qi-check", "--base", "{base}", "-m", "2", "-L", "4", "-M", "-1"], None),
+        (["demo", "hypercubes", "--max-dim", "1", "--k", "0"], None),
+        (["space", "export", "--in", "{iv}", "--R", "1", "--dot", "{missing}/out.dot"], None),
+        (["cover", "solve", "--space", "{iv}", "--R", "1", "--B", "1",
+          "--out", "{missing}/w.json"], None),
+    ], ids=["sqrt-scale", "sqrt-extend-param", "witness-meta", "qi-check-M-0",
+            "qi-check-M-negative", "hypercubes-k-0", "dot-missing-dir", "out-missing-dir"])
+    def test_malformed_input_exits_2(self, tmp_path, capsys, argv, witness):
+        files = {"iv": str(tmp_path / "iv.json"), "w": str(tmp_path / "w.json"),
+                 "base": str(tmp_path / "base.json"), "missing": str(tmp_path / "missing")}
+        fio.save_space(files["iv"], interval_window(0, 4))
+        fio.write_file(files["w"], witness or self.WITNESS)
+        fio.write_file(files["base"], {"points": ["x0", "a", "b"], "basepoint": "x0",
+                                       "metric": {"kind": "matrix", "rows": [
+                                           [0, 1, 2], [1, 0, 2], [2, 2, 0]]}})
+        assert cli_main([a.format(**files) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and len(err.splitlines()) == 1, err
