@@ -341,6 +341,8 @@ def cmd_freeprod_qi_check(args):
                 checked += 1
                 if not rep.ok:
                     failures.append(rep.violations[0])
+    if not checked:
+        raise InputError(f"window ({m}, {L}) has no cone base to check")
     obj = {"cone_trees_checked": checked, "ok": not failures,
            "failures": [str(f) for f in failures[:5]]}
     _emit(args, obj, [f"{checked} cone trees checked; "
@@ -391,6 +393,8 @@ def cmd_group_pipeline(args):
 def hypercube_demo_rows(max_dim=4, k=2, R=2, cap=DEFAULT_EXACT_CAP):
     """Exact minimal mesh bound per cube dimension at a fixed family count
     and scale, with the greedy cross-check; values are run artifacts."""
+    if max_dim < 1:
+        raise InputError(f"the demo needs max_dim >= 1, not {max_dim}")
     rows = []
     for n in range(1, max_dim + 1):
         cube = grid_window((2,) * n)

@@ -103,8 +103,10 @@ def check_uniformly_expansive(m, *, pair_budget=2_000_000, seed=0):
     non-decreasing, and a pair inside one fiber needs only 0 <= rho(0).  The
     proof is exact only for such a rho.  If it does not go through, or
     cannot be tried, the pairwise loop runs, so every failing verdict and its
-    witness come from that loop.
+    witness come from that loop.  A negative budget is refused.
     """
+    if pair_budget < 0:
+        raise InputError(f"pair budget must be >= 0, not {pair_budget}")
     pts = m.source.points
     fibers = {}
     for x in pts:
@@ -395,6 +397,8 @@ def fibering_cover(umap, oracleY, scheme_factory, scales, *, rho_budget=200_000)
     is recorded and audited to be fiber-independent.
     """
     X = umap.source
+    if rho_budget < 1:
+        raise InputError(f"rho_budget must be >= 1, not {rho_budget}")
     ok, bad = check_uniformly_expansive(umap, pair_budget=rho_budget)
     if not ok:
         raise InputError(f"expansion modulus violated at {bad!r}")

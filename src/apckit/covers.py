@@ -8,6 +8,7 @@ the slot's recorded mesh bound and the union of all slots covering the space.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -276,8 +277,10 @@ def _search(pts, dist, R, B, k):
     families.  The search is iterative, so its depth is not bounded by the
     interpreter's recursion limit.  Returns ``(families, nodes)``: the
     families are None when no split exists, and nodes counts the points
-    branched on.
+    branched on.  No set has a negative diameter, so B < 0 is refused.
     """
+    if B < 0:
+        raise InputError(f"mesh bound must be >= 0, not {B}")
     n = len(pts)
     if n == 0:
         return [], 0
@@ -430,54 +433,37 @@ class ApcOracle:
         return f"ApcOracle({self.name})"
 
 
-def _relabel_to_tuples(oracle, space, name):
-    """Oracle on space answering with oracle's checked witnesses, every point
-    p renamed (p,): a cover of a 1-D window as a cover of its 1-tuples."""
-
-    def provide(scales):
-        w = oracle.checked(scales)
-        entries = [
-            WitnessEntry(e.required_scale,
-                         Family.of([{(p,) for p in s} for s in e.family.sets]),
-                         e.mesh_bound)
-            for e in w.entries
-        ]
-        return CoverWitness(entries, dict(w.meta))
-
-    return ApcOracle(space, provide, name=name)
-
-
-def _interval_blocks(coords, length):
-    """Partition sorted integer coordinates into consecutive blocks of the given span."""
-    lo = coords[0]
+def _parity_blocks(items, coord, length):
+    """The even and odd families of the blocks coord(g) // length, taken in
+    block order; blocks two apart in that order have a full block between them."""
     blocks = {}
-    for c in coords:
-        blocks.setdefault((c - lo) // length, []).append(c)
-    return [blocks[k] for k in sorted(blocks)]
+    for g in items:
+        blocks.setdefault(coord(g) // length, []).append(g)
+    ordered = [blocks[k] for k in sorted(blocks)]
+    return Family.of(ordered[0::2]), Family.of(ordered[1::2])
 
 
 def interval_oracle(space):
     """Two families of consecutive blocks for an integer interval window.
 
-    At scale R the blocks have ceil(R) points, so same-parity blocks are
-    separated by more than R.
+    The points are consecutive ints, or 1-tuples of them (a Z^1 Cayley
+    window, a 1-D grid).  At scale R the blocks have ceil(R) points, so
+    same-parity blocks are separated by more than R.
     """
-    coords = sorted(space.points)
+    pts = space.points
+    tuples = all(isinstance(p, tuple) and len(p) == 1 for p in pts)
+    coord = (lambda p: p[0]) if tuples else (lambda p: p)
+    coords = [coord(p) for p in pts]
     if any(not isinstance(c, int) for c in coords):
-        raise InputError("interval_oracle needs integer points")
-    if coords != list(range(coords[0], coords[-1] + 1)):
+        raise InputError("interval_oracle needs integer points or 1-tuples of them")
+    if not coords or max(coords) - min(coords) + 1 != len(coords):
         raise InputError("interval_oracle needs a contiguous integer window")
+    lo = min(coords)
 
     def provide(scales):
-        R2 = scales.at(2)
-        length = max(1, math.ceil(R2))
-        blocks = _interval_blocks(coords, length)
-        if len(blocks) == 1:
-            fam = Family.of([blocks[0]])
-            return witness_from_families([fam], scales, [length - 1])
-        even = Family.of(blocks[0::2])
-        odd = Family.of(blocks[1::2])
-        return witness_from_families([even, odd], scales, [length - 1, length - 1])
+        length = max(1, math.ceil(scales.at(2)))
+        fams = [f for f in _parity_blocks(pts, lambda p: coord(p) - lo, length) if len(f)]
+        return witness_from_families(fams, scales, [length - 1] * len(fams))
 
     return ApcOracle(space, provide, name=f"interval({space.name})")
 
@@ -518,36 +504,18 @@ def greedy_oracle(space):
 def grid_oracle(space, shape):
     """Product of interval oracles, one per grid dimension, over the l1 window.
 
-    Reuses the product combinator with l1 mesh combination and relabels the
-    nested pair points back to flat grid tuples.
+    Each axis after the first joins by the product combinator with l1 mesh
+    combination, appending its coordinate to the grid tuple.
     """
     from .combinators import product_engine
 
     shape = tuple(int(s) for s in shape)
     if len(shape) < 1:
         raise InputError("grid shape must have at least one dimension")
-    axes = [interval_oracle(interval_window(0, s - 1)) for s in shape]
-
-    if len(axes) == 1:
-        return _relabel_to_tuples(axes[0], space, f"grid{shape}")
-
-    def provide(scales):
-        oracle = axes[0]
-        flat_arity = 1
-        for nxt in axes[1:]:
-            oracle = _pair_product_oracle(oracle, nxt, flat_arity)
-            flat_arity += 1
-        return oracle.provide(scales)
-
-    def _pair_product_oracle(oX, oY, arity):
-        def pair_point(x, y):
-            if arity == 1:
-                return (x, y)
-            return x + (y,)
-
-        def provide_pair(scales):
-            return product_engine(oX, oY, scales, mesh_combine="l1", pair_point=pair_point)
-
-        return ApcOracle(grid_window(shape[:arity + 1]), provide_pair, name="grid-partial")
-
-    return ApcOracle(space, provide, name=f"grid{shape}")
+    oracle = interval_oracle(grid_window(shape[:1]))
+    for d in range(1, len(shape)):
+        axis = interval_oracle(interval_window(0, shape[d] - 1))
+        provide = functools.partial(product_engine, oracle, axis, mesh_combine="l1",
+                                    pair_point=lambda x, y: x + (y,))
+        oracle = ApcOracle(grid_window(shape[:d + 1]), provide, name="grid-partial")
+    return ApcOracle(space, oracle.provide, name=f"grid{shape}")

@@ -24,10 +24,9 @@ from .metric import (
     FiniteMetricSpace,
     InputError,
     LatticeIndex,
-    interval_window,
     point_key,
 )
-from .covers import _relabel_to_tuples, greedy_oracle, interval_oracle
+from .covers import _parity_blocks, greedy_oracle, interval_oracle
 from .combinators import (
     UniformlyExpansiveMap,
     _projection_scheme,
@@ -442,12 +441,7 @@ class IntervalKernelSource:
     def cover(self, elems, R):
         step, R = scalar(self.step), scalar(R)
         length = max(1, -(-R // step))  # ceil(R / step), exactly
-        blocks = {}
-        for g in elems:
-            blocks.setdefault(self.coordinate(g) // length, set()).add(g)
-        ordered = [blocks[k] for k in sorted(blocks)]
-        B = step * (length - 1)
-        return B, [Family.of(ordered[0::2]), Family.of(ordered[1::2])]
+        return step * (length - 1), list(_parity_blocks(elems, self.coordinate, length))
 
 
 @dataclass
@@ -622,9 +616,7 @@ def z2_extension_pipeline(L, scales):
     genset = lifted_generating_set(G, kernel_gens, h_gens, sigma)
     window_G = CayleyWindow(G, genset, L)
     window_H = CayleyWindow(H, WeightedGeneratingSet(H, h_gens), L)
-    m = math.floor(window_H.radius)  # window_H holds (-m,), ..., (m,)
-    oracle_H = _relabel_to_tuples(
-        interval_oracle(interval_window(-m, m)), window_H.space, "interval-Z")
+    oracle_H = interval_oracle(window_H.space)
     kernel_source = IntervalKernelSource(coordinate=lambda g: g[0], step=1)
     witness = extension_cover(
         window_G, phi, sigma, window_H, oracle_H, kernel_source, scales

@@ -125,7 +125,7 @@ def space_to_obj(space, *, generator_spec=None):
     return obj
 
 
-def space_from_obj(obj, *, cap=None):
+def space_from_obj(obj):
     _check_fields(obj, ["metric"], ["points", "basepoint"], "space file")
     metric = obj["metric"]
     _check_fields(metric, ["kind"], ["rows", "spec"], "space metric")
@@ -138,8 +138,7 @@ def space_from_obj(obj, *, cap=None):
                 for row in _list(metric.get("rows", []), "matrix rows")]
         return matrix_space(pts, rows, basepoint=basepoint)
     if metric["kind"] == "generator":
-        kw = {} if cap is None else {"cap": cap}
-        space = generate_space(metric.get("spec"), **kw)
+        space = generate_space(metric.get("spec"))
         if "points" in obj:
             declared = {decode_point(p) for p in _list(obj["points"], "space points")}
             if declared != space.point_set:
@@ -157,8 +156,8 @@ def save_space(path, space, **kw):
     write_file(path, space_to_obj(space, **kw))
 
 
-def load_space(path, **kw):
-    return space_from_obj(read_file(path), **kw)
+def load_space(path):
+    return space_from_obj(read_file(path))
 
 
 # ---------------------------------------------------------------------------

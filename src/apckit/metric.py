@@ -188,8 +188,11 @@ def validate_metric(space, *, pair_budget=2_000_000, triple_budget=2_000_000, se
 
     Returns a report listing every violated axiom with a witnessing pair or
     triple.  Sampling never reports false violations; it can only miss some,
-    and the report records which mode ran.
+    and the report records which mode ran.  A budget below 1 would check
+    nothing, so it is refused.
     """
+    if pair_budget < 1 or triple_budget < 1:
+        raise InputError(f"budgets must be >= 1, not {pair_budget}, {triple_budget}")
     pts = space.points
     n = len(pts)
     violations = []

@@ -604,3 +604,28 @@ class TestExitCodeContract:
         assert cli_main([a.format(**files) for a in argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("input error:") and len(err.splitlines()) == 1, err
+
+    @pytest.mark.parametrize("argv", [
+        ["space", "validate", "--in", "{iv}", "--budget", "0"],
+        ["space", "validate", "--in", "{iv}", "--budget", "-1"],
+        ["cover", "solve", "--space", "{iv}", "--R", "1", "--B", "-1", "--out", "{out}"],
+        ["cover", "solve", "--space", "{iv}", "--R", "1", "--B=-1/2", "--mode", "greedy",
+         "--out", "{out}"],
+        ["freeprod", "qi-check", "--base", "{base}", "--window", "0,4", "-M", "1"],
+        ["freeprod", "qi-check", "--base", "{base}", "--window", "3,0", "-M", "1"],
+        ["demo", "hypercubes", "--max-dim", "0", "--out", "{out}"],
+        ["demo", "hypercubes", "--max-dim", "-2", "--out", "{out}"],
+    ], ids=["validate-budget-0", "validate-budget-negative", "solve-B-negative",
+            "greedy-B-negative", "qi-check-order-0", "qi-check-norm-0", "hypercubes-max-dim-0",
+            "hypercubes-max-dim-negative"])
+    def test_nothing_to_check_exits_2(self, tmp_path, capsys, argv):
+        files = {"iv": str(tmp_path / "iv.json"), "base": str(tmp_path / "base.json"),
+                 "out": str(tmp_path / "out.json")}
+        fio.save_space(files["iv"], interval_window(0, 9))
+        fio.write_file(files["base"], {"points": ["x0", "a", "b"], "basepoint": "x0",
+                                       "metric": {"kind": "matrix", "rows": [
+                                           [0, 1, 2], [1, 0, 2], [2, 2, 0]]}})
+        assert cli_main([a.format(**files) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and len(err.splitlines()) == 1, err
+        assert not (tmp_path / "out.json").exists()
