@@ -12,12 +12,9 @@ from .metric import (
     FiniteMetricSpace,
     InputError,
     generate_space,
-    is_R_disjoint,
-    mesh,
     product_space,
     r_components,
     set_diameter,
-    set_distance,
     validate_metric,
 )
 from .covers import (
@@ -36,14 +33,12 @@ from .covers import (
 from .combinators import (
     FiberCoverScheme,
     UniformlyExpansiveMap,
-    check_coarsely_surjective,
     check_uniformly_expansive,
     decompose,
     fiber_scheme_from_asdim,
     fibering_cover,
     product_cover,
     triangular_index,
-    triangular_inverse,
 )
 from .trees import RootedTree, random_tree, tree_cover, tree_from_edges, tree_oracle
 from .freeprod import (
@@ -53,14 +48,12 @@ from .freeprod import (
     cone_cover,
     cone_tree,
     cone_window,
-    fp_distance,
     fp_window,
     free_product_cover,
     is_flat,
     qi_check,
     wedge_embed_check,
     wedge_space,
-    word_norm,
 )
 from .groups import (
     CayleyWindow,
@@ -72,8 +65,6 @@ from .groups import (
     cayley_ball,
     extension_cover,
     free_product_cover_groups,
-    group_distance,
-    group_norm,
     hom_fiber_scheme,
     product_cover_groups,
     projection_fiber_scheme,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import re
 import sys
 
 from . import io as fio
@@ -571,9 +572,28 @@ def build_parser():
     return ap
 
 
+def _attach_negative_values(argv):
+    """Join a value such as -1/2 or -1/2,1 to the option before it.
+
+    argparse reads a token as a negative number only in the form -1 or -1.5
+    and takes any other token that starts with '-' for an option.  No apckit
+    option starts with '-' and a digit, and every option but --help takes one
+    value, so such a token after an option is that option's value.
+    """
+    out = []
+    for tok in argv:
+        prev = out[-1] if out else ""
+        if (re.match(r"-\d", tok) and re.fullmatch(r"--?[A-Za-z][\w-]*", prev)
+                and prev not in ("-h", "--help")):
+            out[-1] = f"{prev}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None):
     ap = build_parser()
-    args = ap.parse_args(argv)
+    args = ap.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (InputError, OSError) as e:

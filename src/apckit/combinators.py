@@ -9,7 +9,6 @@ built for.  Empty slots are kept, never compacted.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -43,18 +42,6 @@ def triangular_index(i: int, j: int) -> int:
         raise InputError("triangular indices start at 1")
     d = i + j
     return (d - 1) * (d - 2) // 2 + i
-
-
-def triangular_inverse(k: int):
-    if k < 1:
-        raise InputError("triangular positions start at 1")
-    d = (3 + math.isqrt(8 * k - 7)) // 2
-    while (d - 1) * (d - 2) // 2 >= k:
-        d -= 1
-    while d * (d - 1) // 2 < k:
-        d += 1
-    i = k - (d - 1) * (d - 2) // 2
-    return i, d - i
 
 
 def column_stream(scales, i):
@@ -103,11 +90,12 @@ def check_uniformly_expansive(m, *, pair_budget=2_000_000, seed=0):
     non-decreasing, and a pair inside one fiber needs only 0 <= rho(0).  The
     proof is exact only for such a rho.  If it does not go through, or
     cannot be tried, the pairwise loop runs, so every failing verdict and its
-    witness come from that loop.  A negative budget is refused.
+    witness come from that loop.  A budget that would check no pair is
+    refused: below 1 on a source with two or more points, below 0 on any.
     """
-    if pair_budget < 0:
-        raise InputError(f"pair budget must be >= 0, not {pair_budget}")
     pts = m.source.points
+    if pair_budget < (1 if len(pts) > 1 else 0):
+        raise InputError(f"a pair budget of {pair_budget} checks no pair of {len(pts)} points")
     fibers = {}
     for x in pts:
         fx = m.fmap(x)
@@ -135,16 +123,6 @@ def _fibers_expand(m, fibers, pair_budget):
     dist, rho = m.target.dist, m.rho
     return all(dist(images[i], images[j]) <= rho(root_of(g))
                for (i, j), g in gaps_sq(list(fibers.values())).items())
-
-
-def check_coarsely_surjective(fmap, X, Y, R):
-    """For each y in Y there must be x in X with dist(y, f(x)) < R (strict)."""
-    images = [fmap(x) for x in X.points]
-    Y.require(images)
-    for y in Y.points:
-        if not any(Y.dist(y, fy) < R for fy in images):
-            return False, y
-    return True, None
 
 
 # ---------------------------------------------------------------------------
@@ -317,37 +295,6 @@ def fiber_scheme_from_asdim(n, provider):
             bound_for_scale=lambda M: entry(M)[0],
             cover=lambda A, M: entry(M)[1](A),
         )
-
-    return factory
-
-
-def whole_fiber_scheme():
-    """k = 1 scheme covering each fiber by itself; valid when diam A <= diam f(A).
-
-    Useful for identity-like maps; the single family is vacuously disjoint at
-    any scale.
-    """
-
-    def factory(stream):
-        return FiberCoverScheme(
-            family_count=1,
-            bound_for_scale=lambda M: M,
-            cover=lambda A, M: [Family.of([A])],
-        )
-
-    return factory
-
-
-def singleton_fiber_scheme():
-    """k = 1, mesh 0 scheme; valid only when every coarse fiber is a single point."""
-
-    def factory(stream):
-        def cover(A, M):
-            if len(A) > 1:
-                raise ConstructionError("singleton fiber scheme got a multi-point fiber")
-            return [Family.of([A])]
-
-        return FiberCoverScheme(1, lambda M: 0, cover)
 
     return factory
 

@@ -128,40 +128,6 @@ def fp_window(base, max_order, max_norm, *, margin=None):
     return FreeProductWindow(base, max_order, max_norm, margin=margin)
 
 
-def fp_distance(base, u, v):
-    """Common-prefix elimination distance between two words over a pointed base.
-
-    When one word extends the other, the distance is the extension's norm
-    (forced by the trivial-word rule); otherwise it pays the letter distance
-    at the first divergence plus both tail norms.
-    """
-    if base.basepoint is None:
-        raise InputError("fp_distance needs a pointed base space")
-    x0 = base.basepoint
-    for w in (u, v):
-        for c in w:
-            if c == x0:
-                raise InputError("words may not contain the basepoint letter")
-
-    def norm(w):
-        return sum(base.dist(x0, c) for c in w)
-
-    i = 0
-    n = min(len(u), len(v))
-    while i < n and u[i] == v[i]:
-        i += 1
-    tu, tv = u[i:], v[i:]
-    if not tu:
-        return norm(tv)
-    if not tv:
-        return norm(tu)
-    return base.dist(tu[0], tv[0]) + norm(tu[1:]) + norm(tv[1:])
-
-
-def word_norm(base, w):
-    return fp_distance(base, EPSILON, w)
-
-
 # ---------------------------------------------------------------------------
 # cones and flat sets
 
@@ -285,18 +251,6 @@ def cone_cover_bound(E, D_bound, M, r):
 
 # ---------------------------------------------------------------------------
 # component cores
-
-
-def words_adjacent(u, v) -> bool:
-    """Adjacent words differ in their last letter or extend one another by one."""
-    if u == v:
-        return False
-    if len(u) == len(v):
-        return len(u) > 0 and u[:-1] == v[:-1]
-    if abs(len(u) - len(v)) != 1:
-        return False
-    longer, shorter = (u, v) if len(u) > len(v) else (v, u)
-    return longer[:-1] == shorter
 
 
 @dataclass

@@ -194,18 +194,6 @@ class DirectProductModel:
         return (isinstance(a, tuple) and len(a) == len(self.factors)
                 and all(f.is_element(x) for f, x in zip(self.factors, a)))
 
-    def embedded_gens(self, factor_gens):
-        """Lift per-factor generator lists into the product."""
-        gens = []
-        for i, fg in enumerate(factor_gens):
-            for elem, w in fg:
-                lifted = tuple(
-                    elem if j == i else f.identity()
-                    for j, f in enumerate(self.factors)
-                )
-                gens.append((lifted, w))
-        return gens
-
 
 class FreeProductModel:
     """Alternating words of nontrivial factor elements, tagged by factor index."""
@@ -246,13 +234,6 @@ class FreeProductModel:
         return (all(self.factors[i].is_element(e) and e != self.factors[i].identity()
                     for i, e in a)
                 and all(x[0] != y[0] for x, y in zip(a, a[1:])))
-
-    def embedded_gens(self, factor_gens):
-        gens = []
-        for i, fg in enumerate(factor_gens):
-            for elem, w in fg:
-                gens.append((((i, elem),), w))
-        return gens
 
 
 # ---------------------------------------------------------------------------
@@ -383,14 +364,6 @@ def cayley_ball(model, genset_items, L, **kw):
         else WeightedGeneratingSet(model, genset_items)
     )
     return CayleyWindow(model, genset, L, **kw)
-
-
-def group_norm(window, g):
-    return window.norm_of(g)
-
-
-def group_distance(window, g, h):
-    return window._dist(g, h)
 
 
 # ---------------------------------------------------------------------------

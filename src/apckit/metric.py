@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from .exact import Rational, Root, ceil_scalar, hyp, root_of, scalar, sq_value, triangle_le
 
 DEFAULT_POINT_CAP = 200_000
-INF = math.inf
 
 
 class InputError(ValueError):
@@ -245,15 +244,6 @@ def validate_metric(space, *, pair_budget=2_000_000, triple_budget=2_000_000, se
 # set-level distance operations
 
 
-def set_distance(space, S, T):
-    """min cross distance between two sets; +inf if either is empty."""
-    space.require(S)
-    space.require(T)
-    if not S or not T:
-        return INF
-    return root_of(min(space.dist_sq(p, q) for p in S for q in T))
-
-
 def set_diameter(space, S):
     return root_of(set_diameter_sq(space, S))
 
@@ -267,27 +257,6 @@ def set_diameter_sq(space, S):
     if space.index is not None:
         return space.index.diameter_sq(S)
     return max(space.dist_sq(p, q) for p, q in itertools.combinations(S, 2))
-
-
-def mesh(space, family):
-    sets = family.sets if isinstance(family, Family) else list(family)
-    if not sets:
-        return 0
-    return max(set_diameter(space, s) for s in sets)
-
-
-def is_R_disjoint(space, S, T, R):
-    """True iff every cross pair is at distance strictly greater than R."""
-    space.require(S)
-    space.require(T)
-    if R < 0:
-        return True
-    R2 = sq_value(R)
-    for p in S:
-        for q in T:
-            if not space.dist_sq(p, q) > R2:
-                return False
-    return True
 
 
 def family_is_R_disjoint(space, family, R, *, diam_sqs=None):

@@ -114,23 +114,11 @@ class RootedTree:
         depths = table[0]
         return depths[i] + depths[j] + 2 - 2 * (a if a < b else b)
 
-    def ancestor_at_depth(self, v, h):
-        d = self.depth[v]
-        if d < h:
-            raise InputError("vertex is above the requested depth")
-        while d > h:
-            v = self.parent[v]
-            d -= 1
-        return v
-
     def as_space(self):
         return FiniteMetricSpace(
             self.vertices, self.distance, basepoint=self.root, name="tree",
             index=TreeIndex(self),
         )
-
-    def height(self):
-        return max(self.depth.values())
 
 
 class TreeIndex:

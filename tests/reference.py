@@ -1,0 +1,237 @@
+"""Reference functions the tests check the library against.
+
+Each one works straight from a definition: common-prefix elimination for
+free-product words, all-pairs scans for set distances, walks up the parent
+map for trees.  None of them is on a library path; the library answers the
+same questions through its windows, indexes and combinators, and the tests
+compare the two.  :func:`check_witness` decides a cover witness from an
+explicit distance table, with every pair and no index.
+"""
+
+import itertools
+import math
+from fractions import Fraction
+
+from apckit.combinators import FiberCoverScheme
+from apckit.exact import Root, root_of, sq_value
+from apckit.metric import ConstructionError, Family, InputError, set_diameter
+
+INF = math.inf
+
+
+# ---------------------------------------------------------------------------
+# free-product words
+
+
+def fp_distance(base, u, v):
+    """Common-prefix elimination distance between two words over a pointed base.
+
+    When one word extends the other, the distance is the extension's norm
+    (forced by the trivial-word rule); otherwise it pays the letter distance
+    at the first divergence plus both tail norms.
+    """
+    if base.basepoint is None:
+        raise InputError("fp_distance needs a pointed base space")
+    x0 = base.basepoint
+    for w in (u, v):
+        for c in w:
+            if c == x0:
+                raise InputError("words may not contain the basepoint letter")
+
+    def norm(w):
+        return sum(base.dist(x0, c) for c in w)
+
+    i = 0
+    n = min(len(u), len(v))
+    while i < n and u[i] == v[i]:
+        i += 1
+    tu, tv = u[i:], v[i:]
+    if not tu:
+        return norm(tv)
+    if not tv:
+        return norm(tu)
+    return base.dist(tu[0], tv[0]) + norm(tu[1:]) + norm(tv[1:])
+
+
+def words_adjacent(u, v) -> bool:
+    """Adjacent words differ in their last letter or extend one another by one."""
+    if u == v:
+        return False
+    if len(u) == len(v):
+        return len(u) > 0 and u[:-1] == v[:-1]
+    if abs(len(u) - len(v)) != 1:
+        return False
+    longer, shorter = (u, v) if len(u) > len(v) else (v, u)
+    return longer[:-1] == shorter
+
+
+# ---------------------------------------------------------------------------
+# set-level distances
+
+
+def set_distance(space, S, T):
+    """min cross distance between two sets; +inf if either is empty."""
+    space.require(S)
+    space.require(T)
+    if not S or not T:
+        return INF
+    return root_of(min(space.dist_sq(p, q) for p in S for q in T))
+
+
+def mesh(space, family):
+    sets = family.sets if isinstance(family, Family) else list(family)
+    if not sets:
+        return 0
+    return max(set_diameter(space, s) for s in sets)
+
+
+def is_R_disjoint(space, S, T, R):
+    """True iff every cross pair is at distance strictly greater than R."""
+    space.require(S)
+    space.require(T)
+    if R < 0:
+        return True
+    R2 = sq_value(R)
+    for p in S:
+        for q in T:
+            if not space.dist_sq(p, q) > R2:
+                return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# combinator bookkeeping and fiber schemes
+
+
+def check_coarsely_surjective(fmap, X, Y, R):
+    """For each y in Y there must be x in X with dist(y, f(x)) < R (strict)."""
+    images = [fmap(x) for x in X.points]
+    Y.require(images)
+    for y in Y.points:
+        if not any(Y.dist(y, fy) < R for fy in images):
+            return False, y
+    return True, None
+
+
+def triangular_inverse(k: int):
+    if k < 1:
+        raise InputError("triangular positions start at 1")
+    d = (3 + math.isqrt(8 * k - 7)) // 2
+    while (d - 1) * (d - 2) // 2 >= k:
+        d -= 1
+    while d * (d - 1) // 2 < k:
+        d += 1
+    i = k - (d - 1) * (d - 2) // 2
+    return i, d - i
+
+
+def whole_fiber_scheme():
+    """k = 1 scheme covering each fiber by itself; valid when diam A <= diam f(A).
+
+    Useful for identity-like maps; the single family is vacuously disjoint at
+    any scale.
+    """
+
+    def factory(stream):
+        return FiberCoverScheme(
+            family_count=1,
+            bound_for_scale=lambda M: M,
+            cover=lambda A, M: [Family.of([A])],
+        )
+
+    return factory
+
+
+def singleton_fiber_scheme():
+    """k = 1, mesh 0 scheme; valid only when every coarse fiber is a single point."""
+
+    def factory(stream):
+        def cover(A, M):
+            if len(A) > 1:
+                raise ConstructionError("singleton fiber scheme got a multi-point fiber")
+            return [Family.of([A])]
+
+        return FiberCoverScheme(1, lambda M: 0, cover)
+
+    return factory
+
+
+# ---------------------------------------------------------------------------
+# group models
+
+
+def embedded_gens(model, factor_gens):
+    """Lift per-factor generator lists into a DirectProductModel."""
+    gens = []
+    for i, fg in enumerate(factor_gens):
+        for elem, w in fg:
+            lifted = tuple(
+                elem if j == i else f.identity()
+                for j, f in enumerate(model.factors)
+            )
+            gens.append((lifted, w))
+    return gens
+
+
+# ---------------------------------------------------------------------------
+# rooted trees
+
+
+def ancestor_at_depth(tree, v, h):
+    d = tree.depth[v]
+    if d < h:
+        raise InputError("vertex is above the requested depth")
+    while d > h:
+        v = tree.parent[v]
+        d -= 1
+    return v
+
+
+def height(tree):
+    return max(tree.depth.values())
+
+
+# ---------------------------------------------------------------------------
+# cover witnesses
+
+
+def _square(x):
+    """x * x exactly; a Root is sqrt of the rational it holds."""
+    return x.sq if isinstance(x, Root) else Fraction(x) ** 2
+
+
+def _at_most(d, r):
+    """d <= r, for a distance d >= 0 and a scale or bound r of either sign."""
+    return r >= 0 and _square(d) <= _square(r)
+
+
+def check_witness(dist, scales, slots, require_cover_of=None):
+    """Every violation of a cover witness, straight from the definition.
+
+    dist maps each ordered pair (p, q) of points of the space, p == q
+    included, to d(p, q): an int, a Fraction or a Root, compared by squares.
+    The points of those pairs are the space.  slots[i - 1] is the family at
+    slot i as (mesh bound, list of sets), disjoint at scales[i - 1].  The
+    witness is valid iff the returned set is empty.  It holds
+    ("coverage", None, p) for each point of the space, or of
+    require_cover_of, that no set holds; ("disjointness", i, (p, q)) for each
+    ordered pair from two distinct sets of slot i with d(p, q) <= R_i; and
+    ("mesh", i, S) for each set S of slot i with two points farther apart
+    than its bound.  A point outside the space raises LookupError.
+    """
+    space = {p for p, _ in dist}
+    target = space if require_cover_of is None else set(require_cover_of)
+    if not target <= space or any(not set(S) <= space for _, sets in slots for S in sets):
+        raise LookupError("a point outside the space")
+    found = set()
+    covered = set()
+    for i, (bound, sets) in enumerate(slots, start=1):
+        for S in sets:
+            covered |= set(S)
+            if any(not _at_most(dist[p, q], bound) for p in S for q in S):
+                found.add(("mesh", i, frozenset(S)))
+        for S, T in itertools.permutations(sets, 2):
+            found |= {("disjointness", i, (p, q))
+                      for p in S for q in T if _at_most(dist[p, q], scales[i - 1])}
+    found |= {("coverage", None, p) for p in target - covered}
+    return found

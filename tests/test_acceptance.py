@@ -33,6 +33,7 @@ from apckit.metric import (
 from apckit.trees import RootedTree, random_tree, set_tree_diameter, tree_cover
 from apckit import io as fio
 from conftest import random_points_space
+from reference import ancestor_at_depth
 
 
 class Stopwatch:
@@ -182,7 +183,7 @@ def _check_tree_cover(tree, r, rng, matrix=None, samples=1_200):
             # full containment check: each component in one anchor subtree
             i = min(tree.depth[v] for v in s) // r
             h = cover.anchors[i]
-            assert len({tree.ancestor_at_depth(v, h) for v in s}) == 1
+            assert len({ancestor_at_depth(tree, v, h) for v in s}) == 1
         sets = fam.sets
         if len(sets) <= 1:
             continue

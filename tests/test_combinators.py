@@ -7,7 +7,6 @@ import pytest
 from apckit.combinators import (
     FiberCoverScheme,
     UniformlyExpansiveMap,
-    check_coarsely_surjective,
     check_uniformly_expansive,
     column_stream,
     decompose,
@@ -17,10 +16,7 @@ from apckit.combinators import (
     product_cover,
     product_engine,
     projection_scheme_from_oracle,
-    singleton_fiber_scheme,
     triangular_index,
-    triangular_inverse,
-    whole_fiber_scheme,
 )
 from apckit.covers import (
     ApcOracle,
@@ -43,6 +39,8 @@ from apckit.metric import (
     product_space,
     set_diameter,
 )
+from reference import (check_coarsely_surjective, singleton_fiber_scheme, triangular_inverse,
+                       whole_fiber_scheme)
 
 
 def scales(*prefix, **kw):

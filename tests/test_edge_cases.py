@@ -13,7 +13,6 @@ from apckit.combinators import (
     fibering_cover,
     identity_rho,
     product_cover,
-    whole_fiber_scheme,
 )
 from apckit.covers import (
     ApcOracle,
@@ -36,6 +35,7 @@ from apckit.metric import (
     interval_window,
     product_space,
 )
+from reference import whole_fiber_scheme
 
 
 def scales(*prefix, **kw):

@@ -611,13 +611,14 @@ class TestExitCodeContract:
         ["cover", "solve", "--space", "{iv}", "--R", "1", "--B", "-1", "--out", "{out}"],
         ["cover", "solve", "--space", "{iv}", "--R", "1", "--B=-1/2", "--mode", "greedy",
          "--out", "{out}"],
+        ["cover", "solve", "--space", "{iv}", "--R", "1", "--B", "-1/2", "--out", "{out}"],
         ["freeprod", "qi-check", "--base", "{base}", "--window", "0,4", "-M", "1"],
         ["freeprod", "qi-check", "--base", "{base}", "--window", "3,0", "-M", "1"],
         ["demo", "hypercubes", "--max-dim", "0", "--out", "{out}"],
         ["demo", "hypercubes", "--max-dim", "-2", "--out", "{out}"],
     ], ids=["validate-budget-0", "validate-budget-negative", "solve-B-negative",
-            "greedy-B-negative", "qi-check-order-0", "qi-check-norm-0", "hypercubes-max-dim-0",
-            "hypercubes-max-dim-negative"])
+            "greedy-B-negative", "solve-B-negative-separate", "qi-check-order-0",
+            "qi-check-norm-0", "hypercubes-max-dim-0", "hypercubes-max-dim-negative"])
     def test_nothing_to_check_exits_2(self, tmp_path, capsys, argv):
         files = {"iv": str(tmp_path / "iv.json"), "base": str(tmp_path / "base.json"),
                  "out": str(tmp_path / "out.json")}
@@ -629,3 +630,12 @@ class TestExitCodeContract:
         err = capsys.readouterr().err
         assert err.startswith("input error:") and len(err.splitlines()) == 1, err
         assert not (tmp_path / "out.json").exists()
+
+    def test_negative_scales_as_separate_argument_run_like_the_joined_form(self, tmp_path, capsys):
+        iv = str(tmp_path / "iv.json")
+        fio.save_space(iv, interval_window(0, 4))
+        runs = []
+        for scales in (["--scales=-1/2,1"], ["--scales", "-1/2,1"]):
+            assert cli_main(["product", "--space-x", iv, "--space-y", iv, *scales]) == 0
+            runs.append(capsys.readouterr())
+        assert runs[0] == runs[1]

@@ -12,6 +12,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +24,7 @@ from apckit.groups import ZdModel, cayley_ball
 from apckit.metric import (
     Family,
     FiniteMetricSpace,
+    InputError,
     LatticeIndex,
     cycle_space,
     family_is_R_disjoint,
@@ -311,6 +313,12 @@ def test_expansion_check_matches_generic_path(case, budget):
     space, target, fmap, rho = case
     n = len(space.points)
     budget = n * (n - 1) // 2 if budget is None else budget
+    if budget == 0 and n > 1:
+        for source in (space, plain_space(space)):
+            with pytest.raises(InputError):
+                check_uniformly_expansive(UniformlyExpansiveMap(source, target, fmap, rho),
+                                          pair_budget=budget)
+        return
     got = check_uniformly_expansive(UniformlyExpansiveMap(space, target, fmap, rho),
                                     pair_budget=budget)
     want = check_uniformly_expansive(UniformlyExpansiveMap(plain_space(space), target, fmap, rho),

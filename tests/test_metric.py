@@ -16,21 +16,19 @@ from apckit.metric import (
     hypercube_collapse,
     hypercube_union,
     interval_window,
-    is_R_disjoint,
     family_is_R_disjoint,
     matrix_space,
-    mesh,
     generate_space,
     product_space,
     r_components,
     set_diameter,
-    set_distance,
     star_space,
     cycle_space,
     validate_metric,
 )
 from apckit.covers import ScaleSequence, verify_apc_witness, witness_from_families
 from conftest import brute_components, random_points_space
+from reference import is_R_disjoint, mesh, set_distance
 
 
 def line(lo, hi):

@@ -7,10 +7,11 @@ import pytest
 
 from apckit.cli import hypercube_demo_rows
 from apckit.combinators import (UniformlyExpansiveMap, check_uniformly_expansive,
-                                fibering_cover, identity_rho, whole_fiber_scheme)
+                                fibering_cover, identity_rho)
 from apckit.covers import (NegativeCertificate, ScaleSequence, greedy_families_at_scale,
                            interval_oracle, min_families_at_scale)
 from apckit.metric import InputError, interval_window, matrix_space, validate_metric
+from reference import whole_fiber_scheme
 
 
 def doubling():
@@ -23,6 +24,15 @@ def test_expansion_check_refuses_a_negative_budget():
     assert check_uniformly_expansive(doubling(), pair_budget=1)[0] is False
     with pytest.raises(InputError):
         check_uniformly_expansive(doubling(), pair_budget=-1)
+
+
+def test_expansion_check_refuses_a_budget_that_checks_no_pair():
+    assert check_uniformly_expansive(doubling(), pair_budget=1) == (False, (6, 7))
+    with pytest.raises(InputError):
+        check_uniformly_expansive(doubling(), pair_budget=0)
+    point = interval_window(0, 0)
+    assert check_uniformly_expansive(UniformlyExpansiveMap(point, point, lambda p: p, identity_rho),
+                                     pair_budget=0) == (True, None)
 
 
 @pytest.mark.parametrize("budget", [0, -1])

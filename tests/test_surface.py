@@ -1,0 +1,76 @@
+"""The library holds what the library runs.
+
+Every function, class and method defined in ``src/apckit`` must be
+referenced from somewhere other than its own definition: another part of the
+package or the benchmark in ``apcbench/``.  Exports in ``__init__.py`` do not
+count, and neither do the tests, so a function that only the tests call
+shows up here and belongs in ``tests/reference.py``.  A reference is a name,
+an attribute or a string naming it (``apcbench/tracer.py`` patches methods by
+name).  The allowlist holds the paper's constructions that the tests
+exercise and no workload runs yet, and the seeded tree generator, which
+``tests/test_cli_golden.py`` imports from the package to build its pinned
+tree file.
+"""
+
+import ast
+import collections
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+CONSTRUCTIONS = {
+    "covers.NegativeCertificate.replay",
+    "freeprod.wedge_embed_check",
+    "groups.TableModel.check_axioms",
+    "groups.TableModel.cyclic",
+    "groups.TrivialKernelSource",
+    "groups.product_cover_groups",
+    "groups.product_group_window",
+    "groups.projection_fiber_scheme",
+    "groups.r_stabilizer",
+    "groups.rho_from_weights",
+    "metric.hypercube_collapse",
+    "trees.tree_oracle",
+}
+GENERATORS = {"trees.random_tree"}
+
+
+def referenced_names(node):
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            yield from (part for part in n.value.split(".") if part.isidentifier())
+
+
+def definitions(node, prefix):
+    """(qualified name, node) of every function and class under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            name = f"{prefix}.{child.name}"
+            if not (child.name.startswith("__") and child.name.endswith("__")):
+                yield name, child
+            yield from definitions(child, name)
+        else:
+            yield from definitions(child, prefix)
+
+
+def unreferenced():
+    modules = {p.stem: ast.parse(p.read_text()) for p in sorted((ROOT / "src/apckit").glob("*.py"))
+               if p.name != "__init__.py"}
+    trees = list(modules.values()) + [ast.parse(p.read_text())
+                                      for p in sorted((ROOT / "apcbench").glob("*.py"))]
+    refs = collections.Counter(name for tree in trees for name in referenced_names(tree))
+    out = set()
+    for module, tree in modules.items():
+        for qualname, node in definitions(tree, module):
+            own = sum(name == node.name for name in referenced_names(node))
+            if refs[node.name] == own:
+                out.add(qualname)
+    return out
+
+
+def test_every_definition_outside_the_allowlist_is_referenced():
+    assert unreferenced() == CONSTRUCTIONS | GENERATORS

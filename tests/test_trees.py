@@ -23,6 +23,7 @@ from apckit.trees import (
     tree_from_edges,
     tree_oracle,
 )
+from reference import ancestor_at_depth, height
 
 
 def path_tree(n):
@@ -109,7 +110,7 @@ class TestTreeCover:
             )
             expected = []
             i = 0
-            while i * r <= t.height():
+            while i * r <= height(t):
                 members = [v for v in t.vertices if i * r <= t.depth[v] < (i + 1) * r]
                 if members:
                     expected.extend(sorted(c) for c in r_components(space, members, r))
@@ -156,7 +157,7 @@ class TestTreeCover:
                     depths = [t.depth[v] for v in s]
                     i = min(depths) // r
                     h = cover.anchors[i]
-                    anc = {t.ancestor_at_depth(v, h) for v in s}
+                    anc = {ancestor_at_depth(t, v, h) for v in s}
                     assert len(anc) == 1
 
 
@@ -174,7 +175,7 @@ def test_families_are_the_r_components_of_each_annulus(shape, n, seed, r):
     for parity, fam in enumerate(cover.families()):
         expected = []
         i = parity
-        while i * r <= tree.height():
+        while i * r <= height(tree):
             members = [v for v in tree.vertices if i * r <= tree.depth[v] < (i + 1) * r]
             expected.extend(r_components(plain, members, r))
             i += 2
