@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import Root, scalar
+from .exact import Root, scalar, sq_value
 from .metric import (
     ConstructionError,
     Family,
@@ -40,9 +40,13 @@ class FreeProductWindow:
     """Finite truncation of the word space over a pointed base.
 
     Holds every word of order <= max_order and norm <= max_norm, the word
-    metric, the base's minimal positive gap E, and an optional margin: all
-    pipeline correctness assertions are restricted to words of norm at most
-    max_norm - margin.
+    metric, the base's minimal positive gap E, and an optional margin >= 0:
+    all pipeline correctness assertions are restricted to words of norm at
+    most max_norm - margin.  ``letter_dist`` maps each ordered pair of
+    distinct base points to their distance, computed once with E; the word
+    metric reads its divergence distance from it.  The window's space carries
+    a :class:`WordIndex`, which answers diameters, separation and
+    R-neighbour pairs on the trie of the words involved.
     """
 
     def __init__(self, base, max_order, max_norm, *, margin=None):
@@ -55,24 +59,28 @@ class FreeProductWindow:
         self.margin = None if margin is None else scalar(margin)
         if self.max_order < 0 or self.max_norm < 0:
             raise InputError("window bounds must be non-negative")
+        if self.margin is not None and self.margin < 0:
+            raise InputError(f"the window margin must be non-negative, not {self.margin}")
 
-        self.letter_norm = {
-            x: base.dist(self.x0, x) for x in base.points if x != self.x0
-        }
-        gaps = [
-            base.dist(p, q) for p, q in itertools.combinations(base.points, 2)
-        ]
+        self.letter_dist = {}
+        for p, q in itertools.combinations(base.points, 2):
+            self.letter_dist[p, q] = self.letter_dist[q, p] = base.dist(p, q)
+        gaps = self.letter_dist.values()
         if any(isinstance(g, Root) for g in gaps):
             raise InputError("free-product windows need a base with rational distances")
         self.E = min(gaps) if gaps else 1
         if gaps and self.E <= 0:
             raise InputError("base space is not discrete: zero gap between points")
+        self.letter_norm = {
+            x: self.letter_dist[self.x0, x] for x in base.points if x != self.x0
+        }
 
         self._norms = self._enumerate()
         self.words = tuple(sorted_points(self._norms))
         self.word_set = frozenset(self.words)
         self.space = FiniteMetricSpace(
-            self.words, self._dist, basepoint=EPSILON, name="*X-window"
+            self.words, self._dist, basepoint=EPSILON, name="*X-window",
+            index=WordIndex(self),
         )
 
     def _enumerate(self):
@@ -105,7 +113,7 @@ class FreeProductWindow:
             return nv - nu
         if i == len(v):
             return nu - nv
-        head = self.base.dist(u[i], v[i])
+        head = self.letter_dist[u[i], v[i]]
         return head + (nu - norms[u[: i + 1]]) + (nv - norms[v[: i + 1]])
 
     def dist(self, u, v):
@@ -122,6 +130,152 @@ class FreeProductWindow:
 
     def __len__(self):
         return len(self.words)
+
+
+class WordIndex:
+    """Set diameters, R-separation and R-neighbour pairs of a word window.
+
+    Two words diverge at their longest common prefix c.  When c is one of
+    them their distance is the norm of the other's tail below c; otherwise it
+    is d_X(x, y) for the letters x, y after c plus the norms of the tails
+    below c+x and c+y.  So each question about a set of words is answered on
+    the trie of their prefixes, from the window's norms and letter table,
+    with no word distance evaluated.  The trie is built per query, so an
+    index that is never asked costs nothing.  Distances are rational and R
+    may be a Root, so every test compares the distance spent with R.
+    """
+
+    def __init__(self, window):
+        self.window = window
+
+    @staticmethod
+    def _children(words):
+        """Trie node -> letters of its child nodes, over all prefixes of words."""
+        kids = {}
+        for w in words:
+            if w in kids:
+                continue
+            kids[w] = []
+            while w:
+                c = w[:-1]
+                known = c in kids
+                kids.setdefault(c, []).append(w[-1])
+                if known:
+                    break
+                w = c
+        return kids
+
+    def diameter_sq(self, S):
+        """With T(c) the deepest tail of S below a trie node c, the diameter
+        is the largest T(c+x) + d_X(x, y) + T(c+y) over sibling nodes, or
+        T(c) when c is in S."""
+        norms, ld = self.window._norms, self.window.letter_dist
+        deep = {}
+        for s in S:
+            ns = norms[s]
+            for k in range(len(s), -1, -1):
+                c = s[:k]
+                t = ns - norms[c]
+                if c in deep and deep[c] >= t:
+                    break  # a deeper tail already passed through c and above
+                deep[c] = t
+        best = max(deep[s] for s in S)
+        kids = {}
+        for c, t in deep.items():
+            if c:
+                kids.setdefault(c[:-1], []).append((c[-1], t))
+        for ks in kids.values():
+            for (x, tx), (y, ty) in itertools.combinations(ks, 2):
+                d = tx + ld[x, y] + ty
+                if d > best:
+                    best = d
+        return sq_value(best)
+
+    def separated(self, sets, R):
+        """True iff every pair of words from two distinct sets is more than R apart.
+
+        Bottom-up over the trie, each node keeps its nearest labelled word
+        below it and the nearest one with another label, at most R away.  A
+        cross pair within R shows at its divergence node: a labelled node
+        with another label below it, or two sibling nodes whose entries of
+        distinct labels are within R through their letter distance.  A word
+        in two sets fails at once.
+        """
+        if R < 0:
+            return True
+        label = {}
+        for i, s in enumerate(sets):
+            for w in s:
+                if label.setdefault(w, i) != i:
+                    return False
+        ln, ld = self.window.letter_norm, self.window.letter_dist
+        kids = self._children(label)
+        near = {}  # node -> up to two (distance, label) of distinct labels
+        for c in sorted(kids, key=len, reverse=True):
+            below = [(x, near.pop(c + (x,))) for x in kids[c] if c + (x,) in near]
+            for (x, ex), (y, ey) in itertools.combinations(below, 2):
+                dxy = ld[x, y]
+                for dx, a in ex:
+                    for dy, b in ey:
+                        if a != b and dx + dxy + dy <= R:
+                            return False
+            found = [(0, label[c])] if c in label else []
+            for x, ex in below:
+                found += [(d + ln[x], a) for d, a in ex if d + ln[x] <= R]
+            if not found:
+                continue
+            found.sort()
+            first = found[0]
+            other = next((e for e in found if e[1] != first[1]), None)
+            if other is None:
+                near[c] = [first]
+            elif c in label:
+                return False  # a word of another set within R below c
+            else:
+                near[c] = [first, other]
+        return True
+
+    def pairs_within(self, pts, R):
+        """Index pairs (i, j), i < j, of words at most R >= 0 apart, each once.
+
+        From each word s, walk up its prefixes while the tail fits in R: an
+        ancestor in pts is a pair, and at each ancestor c the walk branches
+        to the sibling letters y listed after s's own letter x while
+        tail + d_X(x, y) fits, then walks down the trie of pts while the
+        norms fit.  A pair that diverges at c is reached from the word under
+        the earlier of its two letters, and an ancestor pair from the lower
+        word, so every pair is reached once.
+        """
+        if R < 0:
+            return []
+        norms, ln, ld = self.window._norms, self.window.letter_norm, self.window.letter_dist
+        at = {w: i for i, w in enumerate(pts)}
+        kids = self._children(pts)
+        out = []
+        for i, s in enumerate(pts):
+            ns = norms[s]
+            for k in range(len(s) - 1, -1, -1):
+                c, x = s[:k], s[k]
+                tail = ns - norms[s[:k + 1]]
+                if tail > R:
+                    break
+                j = at.get(c)
+                if j is not None and tail + ln[x] <= R:
+                    out.append((j, i) if j < i else (i, j))
+                letters = kids[c]
+                for y in letters[letters.index(x) + 1:]:
+                    spent = tail + ld[x, y]
+                    stack = [(c + (y,), spent)] if spent <= R else []
+                    while stack:
+                        t, d = stack.pop()
+                        j = at.get(t)
+                        if j is not None:
+                            out.append((j, i) if j < i else (i, j))
+                        for z in kids[t]:
+                            dz = d + ln[z]
+                            if dz <= R:
+                                stack.append((t + (z,), dz))
+        return out
 
 
 def fp_window(base, max_order, max_norm, *, margin=None):

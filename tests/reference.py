@@ -4,8 +4,9 @@ Each one works straight from a definition: common-prefix elimination for
 free-product words, all-pairs scans for set distances, walks up the parent
 map for trees.  None of them is on a library path; the library answers the
 same questions through its windows, indexes and combinators, and the tests
-compare the two.  :func:`check_witness` decides a cover witness from an
-explicit distance table, with every pair and no index.
+compare the two.  :func:`without_index` gives the index-free copy of a space
+that the index tests compare against.  :func:`check_witness` decides a cover
+witness from an explicit distance table, with every pair and no index.
 """
 
 import itertools
@@ -14,7 +15,7 @@ from fractions import Fraction
 
 from apckit.combinators import FiberCoverScheme
 from apckit.exact import Root, root_of, sq_value
-from apckit.metric import ConstructionError, Family, InputError, set_diameter
+from apckit.metric import ConstructionError, Family, FiniteMetricSpace, InputError, set_diameter
 
 INF = math.inf
 
@@ -67,6 +68,13 @@ def words_adjacent(u, v) -> bool:
 
 # ---------------------------------------------------------------------------
 # set-level distances
+
+
+def without_index(space):
+    """The same points, distances and basepoint, with no index, so every
+    set-level question about it takes the generic all-pairs path."""
+    return FiniteMetricSpace(space.points, space.raw_dist, dist_sq=space.dist_sq,
+                             basepoint=space.basepoint, name="plain")
 
 
 def set_distance(space, S, T):

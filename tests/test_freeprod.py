@@ -129,6 +129,12 @@ class TestWindow:
     def test_E_is_min_gap(self):
         assert fp_window(base_xab(), 1, 1).E == 1
 
+    @pytest.mark.parametrize("margin", [-1, Fraction(-1, 2)])
+    def test_negative_margin_refused(self, margin):
+        with pytest.raises(InputError, match="margin"):
+            fp_window(base_xab(), 3, 6, margin=margin)
+        assert fp_window(base_xab(), 3, 6, margin=0).margin == 0
+
 
 class TestCones:
     def test_cone_of_a(self):

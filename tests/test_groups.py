@@ -550,3 +550,22 @@ class TestGroupFreeProduct:
             require_cover_of=res.reduced_points,
         )
         assert report.ok, report.describe()
+
+    def test_modular_group_pins(self):
+        """Z/2 * Z/3, the modular group PSL(2, Z), over the wedge of the
+        radius-1 balls at order and norm 6: witness and meta pinned by
+        SHA-256, and the witness verifies on the margin-reduced words."""
+        Z2, Z3 = TableModel.cyclic(2), TableModel.cyclic(3)
+        stream = scales(1, 2)
+        res = free_product_cover_groups(cayley_ball(Z2, [(1, 1)], 1),
+                                        cayley_ball(Z3, [(1, 1)], 1), stream, 6, 6)
+        assert len(res.window) == 1093
+        witness = canonical_dumps(witness_to_obj(stream, res.witness))
+        meta = repr(sorted(res.witness.meta.items()))
+        assert hashlib.sha256(witness.encode()).hexdigest() == (
+            "d44ab7a79cd93f21a920f9c8f538254736f294243f09290eed1d3685cbeba76b")
+        assert hashlib.sha256(meta.encode()).hexdigest() == (
+            "2a283e18367905ffe2fc55675330a4828cb25cb5ea5d19af1bcd1b56dd97a3cf")
+        report = verify_apc_witness(res.window.space, stream, res.witness,
+                                    require_cover_of=res.reduced_points)
+        assert report.ok, report.describe()

@@ -591,8 +591,11 @@ class TestExitCodeContract:
         (["space", "export", "--in", "{iv}", "--R", "1", "--dot", "{missing}/out.dot"], None),
         (["cover", "solve", "--space", "{iv}", "--R", "1", "--B", "1",
           "--out", "{missing}/w.json"], None),
+        (["freeprod", "cover", "--base", "{base}", "--window", "3,6", "--scales", "1,2",
+          "--margin", "-1"], None),
     ], ids=["sqrt-scale", "sqrt-extend-param", "witness-meta", "qi-check-M-0",
-            "qi-check-M-negative", "hypercubes-k-0", "dot-missing-dir", "out-missing-dir"])
+            "qi-check-M-negative", "hypercubes-k-0", "dot-missing-dir", "out-missing-dir",
+            "freeprod-margin-negative"])
     def test_malformed_input_exits_2(self, tmp_path, capsys, argv, witness):
         files = {"iv": str(tmp_path / "iv.json"), "w": str(tmp_path / "w.json"),
                  "base": str(tmp_path / "base.json"), "missing": str(tmp_path / "missing")}

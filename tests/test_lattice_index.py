@@ -1,8 +1,8 @@
 """The lattice index against the generic all-pairs path and the definitions.
 
 Every check builds the same space twice: as the constructors return it,
-carrying a ``LatticeIndex``, and as a plain ``FiniteMetricSpace`` over the
-same distance functions, which takes the generic code.  Verdicts, violation
+carrying a ``LatticeIndex``, and as its copy without the index
+(``reference.without_index``), which takes the generic code.  Verdicts, violation
 tuples, diameters, R-components, whole verifier reports and the expansion
 check's results must agree.  The spaces are interval windows, grid windows,
 their l2 products and Z^d Cayley windows on the axis generators.
@@ -35,6 +35,7 @@ from apckit.metric import (
     r_components,
     set_diameter_sq,
 )
+from reference import without_index
 
 KINDS = ("interval", "grid1", "grid2", "grid3", "interval^2", "grid2 x interval",
          "(interval^2) x interval", "cayley")
@@ -79,11 +80,6 @@ def spaces(draw):
         return product_space(draw(grids(2)), draw(intervals(4)))
     return product_space(product_space(draw(intervals(4)), draw(intervals(3))),
                          draw(intervals(3)))
-
-
-def plain_space(space):
-    return FiniteMetricSpace(space.points, space.raw_dist, dist_sq=space.dist_sq,
-                             basepoint=space.basepoint, name="plain")
 
 
 def boxes(space, rng, count):
@@ -143,7 +139,7 @@ def test_constructors_attach_the_index():
 @settings(max_examples=400, deadline=None)
 def test_set_level_results_match_generic_path(case):
     space, sets, R = case
-    plain = plain_space(space)
+    plain = without_index(space)
     assert family_is_R_disjoint(space, sets, R) == family_is_R_disjoint(plain, sets, R)
     for s in sets:
         assert set_diameter_sq(space, s) == set_diameter_sq(plain, s)
@@ -155,7 +151,7 @@ def test_set_level_results_match_generic_path(case):
 @settings(max_examples=400, deadline=None)
 def test_separated_and_pairs_within_match_definition(case):
     space, sets, R = case
-    plain = plain_space(space)
+    plain = without_index(space)
     sets = [frozenset(s) for s in sets]
     within = (lambda p, q: False) if R < 0 else (lambda p, q: plain.dist_sq(p, q) <= sq_value(R))
     assert space.index.separated(sets, R) == (not any(
@@ -170,7 +166,7 @@ def test_separated_and_pairs_within_match_definition(case):
 @settings(max_examples=150, deadline=None)
 def test_whole_space_and_single_scale_results(space, R):
     """The whole point set: one box, so diameters come from its corners alone."""
-    plain = plain_space(space)
+    plain = without_index(space)
     assert set_diameter_sq(space, space.points) == set_diameter_sq(plain, space.points)
     assert r_components(space, space.points, R) == r_components(plain, space.points, R)
     halves = [h for h in (space.points[::2], space.points[1::2]) if h]
@@ -207,7 +203,7 @@ def plant(rng, sets, diam_sq, fault):
 @st.composite
 def space_and_witness(draw):
     space = draw(spaces())
-    plain = plain_space(space)
+    plain = without_index(space)
     rng = random.Random(draw(st.integers(0, 2**16)))
     slots = draw(st.integers(1, 3))
     prefix = sorted(draw(st.sampled_from(SCALES)) for _ in range(slots))
@@ -233,7 +229,7 @@ def space_and_witness(draw):
 def test_verifier_report_matches_generic_path(case):
     space, scales, witness = case
     got = verify_apc_witness(space, scales, witness)
-    want = verify_apc_witness(plain_space(space), scales, witness)
+    want = verify_apc_witness(without_index(space), scales, witness)
     assert (got.ok, got.per_entry, got.violations, got.stats) == (
         want.ok, want.per_entry, want.violations, want.stats)
 
@@ -242,7 +238,7 @@ def test_verifier_report_matches_generic_path(case):
 @settings(max_examples=300, deadline=None)
 def test_gaps_sq_bounds_every_cross_distance(case):
     space, sets, _ = case
-    plain = plain_space(space)
+    plain = without_index(space)
     sets = [list(s) for s in sets if s]
     gaps = space.index.gaps_sq(sets)
     assert sorted(gaps) == list(itertools.combinations(range(len(sets)), 2))
@@ -280,7 +276,7 @@ def expansive_maps(draw):
     space = draw(spaces())
     coords = {p: space.index.coord(p) for p in space.points}
     kind = draw(st.sampled_from(["identity", "projection", "lipschitz", "stretch"]))
-    fmap, target = (lambda p: p), plain_space(space)
+    fmap, target = (lambda p: p), without_index(space)
     if kind == "projection":
         keep = draw(st.lists(st.sampled_from(draw(st.sampled_from(space.index.blocks))),
                              min_size=1, unique=True))
@@ -314,14 +310,14 @@ def test_expansion_check_matches_generic_path(case, budget):
     n = len(space.points)
     budget = n * (n - 1) // 2 if budget is None else budget
     if budget == 0 and n > 1:
-        for source in (space, plain_space(space)):
+        for source in (space, without_index(space)):
             with pytest.raises(InputError):
                 check_uniformly_expansive(UniformlyExpansiveMap(source, target, fmap, rho),
                                           pair_budget=budget)
         return
     got = check_uniformly_expansive(UniformlyExpansiveMap(space, target, fmap, rho),
                                     pair_budget=budget)
-    want = check_uniformly_expansive(UniformlyExpansiveMap(plain_space(space), target, fmap, rho),
+    want = check_uniformly_expansive(UniformlyExpansiveMap(without_index(space), target, fmap, rho),
                                      pair_budget=budget)
     assert got == want
 
@@ -349,7 +345,7 @@ def test_negative_rho_at_zero_takes_the_pairwise_loop():
         assert spy.calls == 1
         assert got[0] is ok
         assert got == check_uniformly_expansive(
-            UniformlyExpansiveMap(plain_space(space), target, proj, rho))
+            UniformlyExpansiveMap(without_index(space), target, proj, rho))
 
 
 def test_proof_settles_contractions_without_the_pairwise_loop(monkeypatch):
@@ -380,7 +376,7 @@ def test_one_step_stretch_on_sparse_coordinates_is_rejected():
         x0 = window.model.identity()
         y0 = window.model.standard_gens()[0][0]
         moved = lambda p: y0 if p == x0 else p
-        for source in (window.space, plain_space(window.space)):
+        for source in (window.space, without_index(window.space)):
             ok, bad = check_uniformly_expansive(
-                UniformlyExpansiveMap(source, plain_space(window.space), moved, identity_rho))
+                UniformlyExpansiveMap(source, without_index(window.space), moved, identity_rho))
             assert not ok and x0 in bad

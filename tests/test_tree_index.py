@@ -1,8 +1,8 @@
 """The tree index against the generic all-pairs path and the definitions.
 
 Every check builds the same tree twice: ``tree.as_space()``, which carries
-the index, and a plain ``FiniteMetricSpace`` over ``tree.distance``, which
-takes the generic code.  Verdicts, violation tuples, diameters and whole
+the index, and its copy without the index (``reference.without_index``),
+which takes the generic code.  Verdicts, violation tuples, diameters and whole
 verifier reports must agree.
 """
 
@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apckit.covers import ScaleSequence, WitnessEntry, CoverWitness, verify_apc_witness
-from apckit.metric import Family, FiniteMetricSpace, family_is_R_disjoint, set_diameter_sq
+from apckit.metric import Family, family_is_R_disjoint, set_diameter_sq
 from apckit.trees import random_tree, tree_cover
+from reference import without_index
 
 SHAPES = ("attach", "path", "star", "caterpillar")
 RADII = [-1, Fraction(-1, 2), 0, Fraction(1, 2), 1, Fraction(3, 2), 2, 3, Fraction(7, 2), 5, 100]
@@ -46,10 +47,6 @@ def families(draw, tree):
     return list(draw(st.sampled_from(cover.families())).sets)
 
 
-def plain_space(tree):
-    return FiniteMetricSpace(tree.vertices, tree.distance, basepoint=tree.root, name="plain")
-
-
 def separated_by_definition(tree, sets, R):
     return all(tree.distance(p, q) > R
                for a, b in itertools.combinations(sets, 2) for p in a for q in b)
@@ -65,7 +62,7 @@ def tree_and_family(draw):
 @settings(max_examples=300, deadline=None)
 def test_family_disjointness_and_diameters_match_generic_path(case):
     tree, sets, R = case
-    indexed, plain = tree.as_space(), plain_space(tree)
+    indexed, plain = tree.as_space(), without_index(tree.as_space())
     assert family_is_R_disjoint(indexed, sets, R) == family_is_R_disjoint(plain, sets, R)
     for s in sets:
         assert set_diameter_sq(indexed, s) == set_diameter_sq(plain, s)
@@ -97,7 +94,7 @@ def tree_and_witness(draw):
 def test_verifier_report_matches_generic_path(case):
     tree, scales, witness = case
     got = verify_apc_witness(tree.as_space(), scales, witness)
-    want = verify_apc_witness(plain_space(tree), scales, witness)
+    want = verify_apc_witness(without_index(tree.as_space()), scales, witness)
     assert (got.ok, got.per_entry, got.violations, got.stats) == (
         want.ok, want.per_entry, want.violations, want.stats)
 
