@@ -78,16 +78,6 @@ def _window_params(args):
     return args.max_order, _scalar(args.max_norm, "--max-norm")
 
 
-def _require_reduced_words(res):
-    """A free-product cover whose margin-reduced window is empty certifies no
-    coverage at all; refuse it as a bad window before anything is written."""
-    if not res.reduced_points:
-        raise InputError(
-            f"margin {res.margin} exceeds max_norm {res.window.max_norm}, "
-            "so the margin-reduced window is empty"
-        )
-
-
 def _emit(args, obj, text_lines):
     if args.format == "text":
         for line in text_lines:
@@ -127,7 +117,12 @@ def _load_space_and_oracle(path, choice, cap):
     return space, _oracle_for_space_obj(obj, space, choice, cap)
 
 
-def _verdict(args, report, extra=None):
+def _finish(args, space, scales, witness, extra=None, cover_of=None):
+    """Verify a witness, write it to --out when the command has that flag,
+    report the verdict with the extra fields, and return the exit code."""
+    report = verify_apc_witness(space, scales, witness, require_cover_of=cover_of)
+    if getattr(args, "out", None):
+        fio.save_witness(args.out, scales, witness)
     obj = fio.report_to_obj(report)
     if extra:
         obj.update(extra)
@@ -135,6 +130,19 @@ def _verdict(args, report, extra=None):
     lines += [v.describe() for v in report.violations[:10]]
     _emit(args, obj, lines)
     return 0 if report.ok else 1
+
+
+def _finish_free_product(args, scales, res, extra=None):
+    """_finish on the margin-reduced window.  A free-product cover whose
+    reduced window is empty certifies no coverage at all; refuse it as a bad
+    window before anything is written."""
+    if not res.reduced_points:
+        raise InputError(
+            f"margin {res.margin} exceeds max_norm {res.window.max_norm}, "
+            "so the margin-reduced window is empty"
+        )
+    extra = {**(extra or {}), "window_words": len(res.window.words)}
+    return _finish(args, res.window.space, scales, res.witness, extra, res.reduced_points)
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +173,7 @@ def cmd_space_export(args):
 def cmd_cover_verify(args):
     space = fio.load_space(args.space)
     scales, witness = fio.load_witness(args.witness)
-    report = verify_apc_witness(space, scales, witness)
-    return _verdict(args, report)
+    return _finish(args, space, scales, witness)
 
 
 def cmd_cover_solve(args):
@@ -202,11 +209,8 @@ def cmd_product(args):
     sy, oy = _load_space_and_oracle(args.space_y, args.oracle_y, args.cap)
     scales = _parse_scales(args)
     witness = product_cover(ox, oy, scales)
-    P = product_space(sx, sy)
-    report = verify_apc_witness(P, scales, witness)
-    if args.out:
-        fio.save_witness(args.out, scales, witness)
-    return _verdict(args, report, {"slots": len(witness.entries)})
+    return _finish(args, product_space(sx, sy), scales, witness,
+                   {"slots": len(witness.entries)})
 
 
 def cmd_fibering(args):
@@ -216,15 +220,12 @@ def cmd_fibering(args):
     P = product_space(sx, sy)
     proj = UniformlyExpansiveMap(P, sy, lambda p: p[1], identity_rho)
     witness = fibering_cover(proj, oy, projection_scheme_from_oracle(ox), scales)
-    report = verify_apc_witness(P, scales, witness)
-    if args.out:
-        fio.save_witness(args.out, scales, witness)
     audit = [
         {"column": row["column"], "M": fio.encode_scalar(row["M"]),
          "B": fio.encode_scalar(row["B"]), "fibers": row["fibers"]}
         for row in witness.meta["bounds"]
     ]
-    return _verdict(args, report, {"slots": len(witness.entries), "bounds": audit})
+    return _finish(args, P, scales, witness, {"slots": len(witness.entries), "bounds": audit})
 
 
 class _FileDecomposable:
@@ -265,10 +266,7 @@ def cmd_decompose(args):
     scales = _parse_scales(args)
     hyp = _FileDecomposable(space, families, bounds, args.k, args.cap)
     witness = decompose(space, args.k, hyp, scales)
-    report = verify_apc_witness(space, scales, witness)
-    if args.out:
-        fio.save_witness(args.out, scales, witness)
-    return _verdict(args, report, {"slots": len(witness.entries)})
+    return _finish(args, space, scales, witness, {"slots": len(witness.entries)})
 
 
 def cmd_tree_cover(args):
@@ -278,14 +276,11 @@ def cmd_tree_cover(args):
     scales = ScaleSequence([r])
     fams = [f for f in cover.families() if len(f)]
     witness = witness_from_families(fams, scales, [cover.mesh_bound] * len(fams))
-    space = tree.as_space()
-    report = verify_apc_witness(space, scales, witness)
-    if args.out:
-        fio.save_witness(args.out, scales, witness)
     if args.dot:
         with open(args.dot, "w") as fh:
             fh.write(fio.tree_dot(tree, cover.families()))
-    return _verdict(args, report, {"mesh_bound": fio.encode_scalar(cover.mesh_bound)})
+    return _finish(args, tree.as_space(), scales, witness,
+                   {"mesh_bound": fio.encode_scalar(cover.mesh_bound)})
 
 
 def cmd_freeprod_window(args):
@@ -307,22 +302,11 @@ def cmd_freeprod_cover(args):
     oracle = exact_oracle(base, cap=args.cap) if len(base) <= args.cap else greedy_oracle(base)
     scales = _parse_scales(args)
     res = free_product_cover(oracle, scales, win)
-    _require_reduced_words(res)
-    report = verify_apc_witness(
-        win.space, scales, res.witness, require_cover_of=res.reduced_points
-    )
-    if args.out:
-        fio.save_witness(args.out, scales, res.witness)
-    return _verdict(
-        args,
-        report,
-        {
-            "margin": fio.encode_scalar(res.margin),
-            "window_words": len(win.words),
-            "reduced_words": len(res.reduced_points),
-            "artifacts": len(res.artifacts),
-        },
-    )
+    return _finish_free_product(args, scales, res, {
+        "margin": fio.encode_scalar(res.margin),
+        "reduced_words": len(res.reduced_points),
+        "artifacts": len(res.artifacts),
+    })
 
 
 def cmd_freeprod_qi_check(args):
@@ -369,10 +353,7 @@ def cmd_group_pipeline(args):
     scales = _parse_scales(args)
     if args.kind == "z2-extension":
         window, witness = z2_extension_pipeline(args.radius, scales)
-        report = verify_apc_witness(window.space, scales, witness)
-        if args.out:
-            fio.save_witness(args.out, scales, witness)
-        return _verdict(args, report, {"radius": args.radius})
+        return _finish(args, window.space, scales, witness, {"radius": args.radius})
     if args.kind == "free-product-zz":
         Z = ZdModel(1)
         gens = Z.standard_gens()
@@ -381,13 +362,7 @@ def cmd_group_pipeline(args):
         res = free_product_cover_groups(
             winG, winH, scales, args.max_order, _scalar(args.max_norm, "--max-norm")
         )
-        _require_reduced_words(res)
-        report = verify_apc_witness(
-            res.window.space, scales, res.witness, require_cover_of=res.reduced_points
-        )
-        if args.out:
-            fio.save_witness(args.out, scales, res.witness)
-        return _verdict(args, report, {"window_words": len(res.window.words)})
+        return _finish_free_product(args, scales, res)
     raise InputError(f"unknown pipeline kind {args.kind!r}")
 
 

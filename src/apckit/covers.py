@@ -74,10 +74,6 @@ class ScaleSequence:
             return scalar(last + self.param * k)
         return scalar(last * self.param**k)
 
-    def describe(self):
-        tail = {"repeat-last": "", "arithmetic": f" +{self.param}", "geometric": f" *{self.param}"}
-        return f"({', '.join(str(x) for x in self.prefix)}, ...{tail[self.extend]})"
-
 
 class MappedStream:
     """Reindexed view of a stream: at(i) = base.at(index_map(i))."""

@@ -25,7 +25,7 @@ from .metric import (
     set_diameter,
     sorted_points,
 )
-from .covers import CountingStream, CoverWitness, MappedStream
+from .covers import CoverWitness, MappedStream
 from .combinators import decompose
 from .trees import RootedTree, tree_cover
 
@@ -559,9 +559,9 @@ class _FreeProductDecomposable:
 
     Families are the R_i-components of the (R* + 1)-cones over the translated
     base families; each component is re-covered through its core's cone tree.
-    A repeated families() call whose stream agrees with the last one on every
-    index that call read returns the same families, after reading those
-    indices again, so a counting stream records the same consumption.
+    The margin is fixed by the caller (free_product_cover states its
+    default): a failed core check at a word of norm above max_norm - margin
+    is a window artifact, elsewhere an error.
     """
 
     def __init__(self, oracle_for_x, window, margin):
@@ -571,29 +571,20 @@ class _FreeProductDecomposable:
         self.vf = None
         self.M = None
         self.artifacts = []
-        self._last = None  # (counting view of the last stream, its families)
 
     def families(self, sub):
-        if self._last is not None:
-            seen, out = self._last
-            if all(sub.at(i) == seen.at(i) for i in range(1, seen.max_index + 1)):
-                return out
-        sub = CountingStream(sub)
         self.vf = build_v_families(self.oracle, sub, self.window)
         if not self.vf.certificate.ok:
             raise ConstructionError(
                 f"coverage certificate failed: {self.vf.certificate.problems[:3]}"
             )
         self.M = self.vf.R_star + 1
-        if self.margin is None:
-            self.margin = self.vf.R_star + self.M  # one cone layer per step
         out = []
         for i, fam in enumerate(self.vf.families, start=1):
             support = fam.support()
             cone = cone_window(self.window, support, self.M)
             comps = r_components(self.window.space, cone, sub.at(i))
             out.append((sub.at(i), Family.of(comps)))
-        self._last = (sub, out)
         return out
 
     def subcover(self, i, U, R):
@@ -638,16 +629,18 @@ class FreeProductResult:
 def free_product_cover(oracle_for_x, scales, window):
     """End-to-end free-product cover on a window, via decompose with k = 2.
 
-    The returned witness passes verify_apc_witness with coverage required on
-    the margin-reduced window; boundary words whose components were clipped
-    are reported as artifacts.
+    The margin is the window's, or else R* + M with cone scale M = R* + 1:
+    one cone layer per step, where R* is the scale of the 2-subsampled stream
+    just after the base witness's last slot.  The returned witness passes
+    verify_apc_witness with coverage required on the margin-reduced window;
+    boundary words whose components were clipped are reported as artifacts.
     """
-    hyp = _FreeProductDecomposable(oracle_for_x, window, window.margin)
-    # the hypothesis learns its margin when families() computes R*; to hand
-    # decompose the exempt set up front, resolve the families eagerly on
-    # decompose's own subsampled stream, which its call then reuses
-    hyp.families(MappedStream(scales, lambda i: i * 2))
-    margin = hyp.margin
+    margin = window.margin
+    if margin is None:
+        sub = MappedStream(scales, lambda i: i * 2)
+        R_star = sub.at(len(oracle_for_x.checked(sub).entries) + 1)
+        margin = 2 * R_star + 1
+    hyp = _FreeProductDecomposable(oracle_for_x, window, margin)
     reduced = window.inner_words(margin)
     allow = window.word_set - reduced
 
@@ -672,25 +665,15 @@ def wedge_space(X, Y):
     points = ["*"]
     points += [("x", p) for p in X.points if p != x0]
     points += [("y", q) for q in Y.points if q != y0]
-
-    def component(a):
-        if a == "*":
-            return None, None
-        return a[0], a[1]
-
-    def norm(side, p):
-        if side is None:
-            return 0
-        return X.dist(x0, p) if side == "x" else Y.dist(y0, p)
+    sides = {"x": (X, x0), "y": (Y, y0)}
 
     def d(a, b):
-        sa, pa = component(a)
-        sb, pb = component(b)
-        if sa == sb and sa is not None:
-            return X.dist(pa, pb) if sa == "x" else Y.dist(pa, pb)
+        sa, p = ("x", x0) if a == "*" else a
+        sb, q = ("x", x0) if b == "*" else b
+        (A, a0), (B, b0) = sides[sa], sides[sb]
         if sa == sb:
-            return 0
-        return norm(sa, pa) + norm(sb, pb)
+            return A.dist(p, q)
+        return A.dist(a0, p) + B.dist(b0, q)
 
     return FiniteMetricSpace(points, d, basepoint="*", name=f"({X.name})v({Y.name})")
 

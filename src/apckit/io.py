@@ -23,6 +23,14 @@ from .metric import (
     sorted_points,
 )
 from .covers import CoverWitness, ScaleSequence, WitnessEntry
+from .groups import (
+    DirectProductModel,
+    FreeGroupModel,
+    FreeProductModel,
+    TableModel,
+    ZdModel,
+    cayley_ball,
+)
 from .trees import tree_from_edges
 
 
@@ -264,14 +272,6 @@ def load_tree(path):
 
 
 def _model_from_spec(spec):
-    from .groups import (
-        DirectProductModel,
-        FreeGroupModel,
-        FreeProductModel,
-        TableModel,
-        ZdModel,
-    )
-
     if isinstance(spec, str):
         for prefix, model in (("Z^", ZdModel), ("free-", FreeGroupModel)):
             if spec.startswith(prefix) and spec[len(prefix):].isdecimal():
@@ -309,8 +309,6 @@ def _rational(v, where):
 
 
 def group_window_from_obj(obj):
-    from .groups import cayley_ball
-
     _check_fields(obj, ["model", "generators", "radius"], ["norm_radius"], "group file")
     model = _model_from_spec(obj["model"])
     if not isinstance(obj["generators"], list):
@@ -378,10 +376,9 @@ def _dot_id(p):
     return '"' + str(p).replace('"', "'") + '"'
 
 
-def proximity_dot(space, R, subset=None):
-    """The <=R proximity graph of a space (or a subset) in DOT format."""
-    pts = sorted_points(subset if subset is not None else space.points)
-    space.require(pts)
+def proximity_dot(space, R):
+    """The <=R proximity graph of a space in DOT format."""
+    pts = sorted_points(space.points)
     lines = ["graph proximity {"]
     for p in pts:
         lines.append(f"  {_dot_id(p)};")

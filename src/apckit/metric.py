@@ -328,7 +328,8 @@ def r_components(space, S, R):
     """Partition S into maximal R-connected pieces (chain steps <= R).
 
     Distinct pieces are automatically R-disjoint: a cross pair at distance
-    <= R would merge them.
+    <= R would merge them.  Each piece is opened at its least point, so the
+    pieces come in the order Family.of gives them.
     """
     space.require(S)
     pts = sorted_points(S)
@@ -347,9 +348,7 @@ def r_components(space, S, R):
     groups = {}
     for i, p in enumerate(pts):
         groups.setdefault(uf.find(i), []).append(p)
-    comps = [frozenset(g) for g in groups.values()]
-    comps.sort(key=lambda c: point_key(min(c, key=point_key)))
-    return comps
+    return [frozenset(g) for g in groups.values()]
 
 
 # ---------------------------------------------------------------------------

@@ -341,9 +341,9 @@ class TestFreeProductCover:
             assert report.ok, report.describe()
 
     def test_hypothesis_built_once_with_the_same_witness(self, monkeypatch):
-        # the second families() call, made by decompose, must reuse the first
-        # and still leave the witness a fresh hypothesis would give, down to
-        # meta["scales_consumed"]
+        # the default margin is fixed before decompose runs, so the V-families
+        # are built once, inside decompose, and the witness is the one a fresh
+        # hypothesis with that margin gives, down to meta["scales_consumed"]
         from apckit import freeprod
         from apckit.combinators import decompose
         from apckit.covers import exact_oracle
@@ -372,6 +372,16 @@ class TestFreeProductCover:
             assert res.witness.meta == {**ref.meta, "margin": res.margin,
                                         "artifacts": len(fresh.artifacts)}
             assert res.v_families.families == fresh.vf.families
+
+    def test_oracle_over_another_base_refused(self):
+        # with the default margin the oracle runs once on its own base before
+        # decompose; the base check in build_v_families still refuses it
+        X = base_xab()
+        other = matrix_space(["x0", "a"], [[0, 1], [1, 0]], basepoint="x0")
+        for margin in (None, 2):
+            win = fp_window(X, 2, 4, margin=margin)
+            with pytest.raises(InputError, match="oracle is not over the window's base space"):
+                free_product_cover(one_family_oracle(other), scales(1, 1), win)
 
     def test_exact_oracle_base(self):
         # a two-family base witness yields three word families, one possibly
@@ -452,6 +462,40 @@ class TestWedge:
         Y = matrix_space(["y0", "b"], [[0, 2], [2, 0]], basepoint="y0")
         rep = wedge_embed_check(X, Y, 3, 6)
         assert rep.ok, rep.mismatches[:3]
+
+    def test_distances_match_definition_on_random_bases(self):
+        # same side: the factor's own distance; across: ||p||_X + ||q||_Y; the
+        # wedge point "*" is the basepoint of both factors
+        rng = random.Random(7)
+
+        def random_base(tag):
+            n = rng.randint(1, 4)
+            pts = rng.sample([(i, j) for i in range(5) for j in range(5)], n)
+            unit = Fraction(1, rng.randint(1, 3))
+            rows = [[unit * (abs(p[0] - q[0]) + abs(p[1] - q[1])) for q in pts] for p in pts]
+            ids = [f"{tag}{i}" for i in range(n)]
+            base = rng.randrange(n)
+            return matrix_space(ids, rows, basepoint=ids[base]), ids, rows, base
+
+        for _ in range(30):
+            X, xs, dX, bx = random_base("p")
+            Y, ys, dY, by = random_base("q")
+            W = wedge_space(X, Y)
+            side = {"*": ("x", bx)}
+            side.update({("x", p): ("x", i) for i, p in enumerate(xs) if i != bx})
+            side.update({("y", q): ("y", j) for j, q in enumerate(ys) if j != by})
+            assert set(W.points) == set(side) and W.basepoint == "*"
+            for a, b in itertools.product(W.points, repeat=2):
+                (sa, i), (sb, j) = side[a], side[b]
+                if b == "*":
+                    sb = sa  # "*" sits on either side at that side's basepoint
+                    j = bx if sa == "x" else by
+                if sa == sb:
+                    want = (dX if sa == "x" else dY)[i][j]
+                else:
+                    (_, i), (_, j) = sorted([side[a], side[b]])
+                    want = dX[bx][i] + dY[by][j]
+                assert W.raw_dist(a, b) == want, (a, b)
 
 
 # ---------------------------------------------------------------------------
