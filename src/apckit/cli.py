@@ -2,7 +2,8 @@
 constructions, verify, and export.
 
 Exit codes: 0 success, 1 verification or construction failure, 2 malformed
-input.  Reports are machine-readable JSON by default; pass --format text for
+input, 3 internal error (any other exception, reported on one stderr line).
+Reports are machine-readable JSON by default; pass --format text for
 human-readable output.  All outputs are canonical JSON, so identical configs
 produce byte-identical files.
 """
@@ -287,9 +288,8 @@ def cmd_freeprod_window(args):
     base = fio.load_space(args.base)
     m, L = _window_params(args)
     win = fp_window(base, m, L)
-    obj = fio.word_window_to_obj(win)
     if args.out:
-        fio.write_file(args.out, obj)
+        fio.write_file(args.out, fio.word_window_to_obj(win))
     _emit(args, {"words": len(win.words)}, [f"{len(win.words)} words"])
     return 0
 
@@ -317,7 +317,7 @@ def cmd_freeprod_qi_check(args):
     checked = 0
     failures = []
     prefixes = [w for w in win.words if len(w) < m]
-    letters = sorted(win.letter_norm)
+    letters = sorted_points(win.letter_norm)
     for prefix in prefixes:
         ext = [prefix + (c,) for c in letters if prefix + (c,) in win.word_set]
         for k in range(1, len(ext) + 1):
@@ -341,8 +341,8 @@ def cmd_group_ball(args):
     for g in win.points:
         n = win.norm_of(g)
         by_norm[n] = by_norm.get(n, 0) + 1
-    sizes = sorted((fio.encode_scalar(n), c) for n, c in by_norm.items())
-    obj = {"points": len(win.points), "spheres": [[n, c] for n, c in sizes]}
+    spheres = [[fio.encode_scalar(n), c] for n, c in sorted(by_norm.items())]
+    obj = {"points": len(win.points), "spheres": spheres}
     if args.out:
         fio.save_space(args.out, win.space)
     _emit(args, obj, [f"ball has {len(win.points)} points"])
@@ -577,6 +577,9 @@ def main(argv=None):
     except ConstructionError as e:
         print(f"construction failed: {e}", file=sys.stderr)
         return 1
+    except Exception as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

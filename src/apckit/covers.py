@@ -118,9 +118,6 @@ class CoverWitness:
     entries: list
     meta: dict = field(default_factory=dict)
 
-    def __len__(self):
-        return len(self.entries)
-
     def nonempty_slots(self):
         return [i for i, e in enumerate(self.entries, start=1) if not e.is_empty()]
 

@@ -194,12 +194,8 @@ class WordIndex:
     def separated(self, sets, R):
         """True iff every pair of words from two distinct sets is more than R apart.
 
-        Bottom-up over the trie, each node keeps its nearest labelled word
-        below it and the nearest one with another label, at most R away.  A
-        cross pair within R shows at its divergence node: a labelled node
-        with another label below it, or two sibling nodes whose entries of
-        distinct labels are within R through their letter distance.  A word
-        in two sets fails at once.
+        A word in two sets fails at once; otherwise the sets are separated
+        iff no pair that :meth:`pairs_within` finds joins two of them.
         """
         if R < 0:
             return True
@@ -208,32 +204,8 @@ class WordIndex:
             for w in s:
                 if label.setdefault(w, i) != i:
                     return False
-        ln, ld = self.window.letter_norm, self.window.letter_dist
-        kids = self._children(label)
-        near = {}  # node -> up to two (distance, label) of distinct labels
-        for c in sorted(kids, key=len, reverse=True):
-            below = [(x, near.pop(c + (x,))) for x in kids[c] if c + (x,) in near]
-            for (x, ex), (y, ey) in itertools.combinations(below, 2):
-                dxy = ld[x, y]
-                for dx, a in ex:
-                    for dy, b in ey:
-                        if a != b and dx + dxy + dy <= R:
-                            return False
-            found = [(0, label[c])] if c in label else []
-            for x, ex in below:
-                found += [(d + ln[x], a) for d, a in ex if d + ln[x] <= R]
-            if not found:
-                continue
-            found.sort()
-            first = found[0]
-            other = next((e for e in found if e[1] != first[1]), None)
-            if other is None:
-                near[c] = [first]
-            elif c in label:
-                return False  # a word of another set within R below c
-            else:
-                near[c] = [first, other]
-        return True
+        words = list(label)
+        return all(label[words[i]] == label[words[j]] for i, j in self.pairs_within(words, R))
 
     def pairs_within(self, pts, R):
         """Index pairs (i, j), i < j, of words at most R >= 0 apart, each once.
@@ -411,14 +383,13 @@ def cone_cover_bound(E, D_bound, M, r):
 class CoreReport:
     core: frozenset
     flat: bool
-    contained: bool
     radius: object  # exact scalar
     artifacts: list  # boundary words where a check failed, norm beyond margin
     hard_failures: list  # failures among margin-reduced words
 
     @property
     def ok(self):
-        return self.flat and self.contained and not self.hard_failures
+        return self.flat and not self.hard_failures
 
 
 def component_core(window, C, M, R, D, *, margin=0):
@@ -456,8 +427,7 @@ def component_core(window, C, M, R, D, *, margin=0):
             artifacts = sorted_points(boundary)
         else:
             hard = sorted_points(C)
-    contained = not hard and flat
-    return CoreReport(core, flat, contained, radius, artifacts, hard)
+    return CoreReport(core, flat, radius, artifacts, hard)
 
 
 # ---------------------------------------------------------------------------

@@ -353,9 +353,6 @@ class CayleyWindow:
     def extended_elements(self):
         return self.norms.keys()
 
-    def __len__(self):
-        return len(self.points)
-
 
 def cayley_ball(model, genset_items, L, **kw):
     genset = (

@@ -393,16 +393,15 @@ def proximity_dot(space, R):
 _PALETTE = ["lightblue", "lightsalmon", "palegreen", "plum", "khaki", "lightgray"]
 
 
-def tree_dot(tree, families=None):
-    """Tree edges in DOT format; optional families color their member sets."""
+def tree_dot(tree, families):
+    """Tree edges in DOT format, with the families' member sets colored."""
     color = {}
-    if families:
-        set_index = 0
-        for fam in families:
-            for s in fam.sets:
-                for v in s:
-                    color[v] = _PALETTE[set_index % len(_PALETTE)]
-                set_index += 1
+    set_index = 0
+    for fam in families:
+        for s in fam.sets:
+            for v in s:
+                color[v] = _PALETTE[set_index % len(_PALETTE)]
+            set_index += 1
     lines = ["graph tree {"]
     for v in sorted_points(tree.parent):
         if v in color:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .exact import Rational, Root, ceil_scalar, hyp, root_of, scalar, sq_value, triangle_le
 
-DEFAULT_POINT_CAP = 200_000
+POINT_CAP = 200_000
 
 
 class InputError(ValueError):
@@ -104,9 +104,6 @@ class FiniteMetricSpace:
 
     def __len__(self):
         return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)
 
     def __contains__(self, p):
         return p in self.point_set
@@ -517,16 +514,16 @@ def product_space(X, Y):
     )
 
 
-def _check_cap(count, cap):
-    if count > cap:
-        raise InputError(f"generator would produce {count} points; cap is {cap}")
+def _check_cap(count):
+    if count > POINT_CAP:
+        raise InputError(f"generator would produce {count} points; cap is {POINT_CAP}")
 
 
-def interval_window(lo, hi, *, cap=DEFAULT_POINT_CAP):
+def interval_window(lo, hi):
     """Integer interval [lo, hi] with |i - j|."""
     if hi < lo:
         raise InputError("empty interval window")
-    _check_cap(hi - lo + 1, cap)
+    _check_cap(hi - lo + 1)
     return FiniteMetricSpace(
         range(lo, hi + 1), lambda p, q: abs(p - q), basepoint=lo,
         name=f"interval[{lo},{hi}]", dist_sq=lambda p, q: (p - q) ** 2,
@@ -534,7 +531,7 @@ def interval_window(lo, hi, *, cap=DEFAULT_POINT_CAP):
     )
 
 
-def grid_window(shape, *, cap=DEFAULT_POINT_CAP):
+def grid_window(shape):
     """d-dimensional grid window of the given shape under l1."""
     shape = tuple(int(s) for s in shape)
     if any(s <= 0 for s in shape):
@@ -542,7 +539,7 @@ def grid_window(shape, *, cap=DEFAULT_POINT_CAP):
     count = 1
     for s in shape:
         count *= s
-    _check_cap(count, cap)
+    _check_cap(count)
     points = list(itertools.product(*(range(s) for s in shape)))
 
     def d(p, q):
@@ -554,17 +551,17 @@ def grid_window(shape, *, cap=DEFAULT_POINT_CAP):
                              dist_sq=lambda p, q: d(p, q) ** 2, index=index)
 
 
-def path_space(n, *, cap=DEFAULT_POINT_CAP):
+def path_space(n):
     """Path on n vertices with unit steps; same metric as interval_window(0, n-1)."""
     if n <= 0:
         raise InputError("path needs at least one vertex")
-    return interval_window(0, n - 1, cap=cap)
+    return interval_window(0, n - 1)
 
 
-def cycle_space(n, *, cap=DEFAULT_POINT_CAP):
+def cycle_space(n):
     if n <= 0:
         raise InputError("cycle needs at least one vertex")
-    _check_cap(n, cap)
+    _check_cap(n)
 
     def d(p, q):
         k = abs(p - q)
@@ -573,11 +570,11 @@ def cycle_space(n, *, cap=DEFAULT_POINT_CAP):
     return FiniteMetricSpace(range(n), d, basepoint=0, name=f"cycle[{n}]")
 
 
-def star_space(leaves, *, cap=DEFAULT_POINT_CAP):
+def star_space(leaves):
     """Star: center 0 and the given number of unit-distance leaves."""
     if leaves < 0:
         raise InputError("negative leaf count")
-    _check_cap(leaves + 1, cap)
+    _check_cap(leaves + 1)
 
     def d(p, q):
         if p == q:
@@ -587,7 +584,7 @@ def star_space(leaves, *, cap=DEFAULT_POINT_CAP):
     return FiniteMetricSpace(range(leaves + 1), d, basepoint=0, name=f"star[{leaves}]")
 
 
-def hypercube_union(max_dim, *, cap=DEFAULT_POINT_CAP):
+def hypercube_union(max_dim):
     """Disjoint union of the 0/1 cubes of dimensions 1..max_dim.
 
     Points are (n, bits).  Inside cube n the metric is l1; across cubes
@@ -598,7 +595,7 @@ def hypercube_union(max_dim, *, cap=DEFAULT_POINT_CAP):
     if max_dim < 1:
         raise InputError("hypercube_union needs max_dim >= 1")
     count = sum(2**n for n in range(1, max_dim + 1))
-    _check_cap(count, cap)
+    _check_cap(count)
     points = []
     for n in range(1, max_dim + 1):
         for bits in itertools.product((0, 1), repeat=n):
@@ -613,13 +610,13 @@ def hypercube_union(max_dim, *, cap=DEFAULT_POINT_CAP):
     return FiniteMetricSpace(points, d, basepoint=(1, (0,)), name=f"hypercubes[1..{max_dim}]")
 
 
-def hypercube_collapse(max_dim, *, cap=DEFAULT_POINT_CAP):
+def hypercube_collapse(max_dim):
     """The cube union, the integer target window, and the collapsing point map.
 
     The map sends every point of cube n to n^2; with the union metric above
     it is 1-Lipschitz, so the stored expansion modulus is the identity.
     """
-    space = hypercube_union(max_dim, cap=cap)
+    space = hypercube_union(max_dim)
     values = sorted(n * n for n in range(1, max_dim + 1))
     target = FiniteMetricSpace(values, lambda p, q: abs(p - q), basepoint=values[0],
                                name=f"squares[1..{max_dim}]")
@@ -633,7 +630,7 @@ def hypercube_collapse(max_dim, *, cap=DEFAULT_POINT_CAP):
 GENERATOR_KINDS = ("interval", "grid", "path", "cycle", "star", "hypercube_union")
 
 
-def generate_space(spec, *, cap=DEFAULT_POINT_CAP):
+def generate_space(spec):
     """Build a space from a generator spec dict (see the space file format)."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise InputError(f"generator spec must be a dict with a 'kind': {spec!r}")
@@ -647,20 +644,20 @@ def generate_space(spec, *, cap=DEFAULT_POINT_CAP):
 
     try:
         if kind == "interval":
-            return interval_window(integer(spec["lo"]), integer(spec["hi"]), cap=cap)
+            return interval_window(integer(spec["lo"]), integer(spec["hi"]))
         if kind == "grid":
             shape = spec["shape"]
             if not isinstance(shape, (list, tuple)):
                 raise InputError(f"generator spec 'grid': shape {shape!r} is not a list")
-            return grid_window([integer(s) for s in shape], cap=cap)
+            return grid_window([integer(s) for s in shape])
         if kind == "path":
-            return path_space(integer(spec["n"]), cap=cap)
+            return path_space(integer(spec["n"]))
         if kind == "cycle":
-            return cycle_space(integer(spec["n"]), cap=cap)
+            return cycle_space(integer(spec["n"]))
         if kind == "star":
-            return star_space(integer(spec["leaves"]), cap=cap)
+            return star_space(integer(spec["leaves"]))
         if kind == "hypercube_union":
-            return hypercube_union(integer(spec["max_dim"]), cap=cap)
+            return hypercube_union(integer(spec["max_dim"]))
     except KeyError as e:
         raise InputError(f"generator spec {kind!r} is missing field {e}") from None
     raise InputError(f"unknown generator kind: {kind!r} (known: {GENERATOR_KINDS})")

@@ -23,6 +23,8 @@ class RootedTree:
 
     def __init__(self, parent):
         self.parent = dict(parent)
+        if None in self.parent:
+            raise InputError("None is not a tree vertex: it marks the root's parent")
         roots = [v for v, p in self.parent.items() if p is None]
         if len(roots) != 1:
             raise InputError(f"tree must have exactly one root, found {len(roots)}")

@@ -273,6 +273,25 @@ class TestComponentCore:
         with pytest.raises(InputError):
             component_core(win, set(), 1, 1, 0)
 
+    def test_flat_core_sorts_unreached_words_by_the_margin(self):
+        # the 1-cone of (a) misses both b-words; with margin 1 only norms up
+        # to 5 are inner, so (b, b) is a hard failure and (b, b, b) an artifact
+        win = fp_window(base_xab(), 3, 6)
+        rep = component_core(win, {w(A), w(B, B), w(B, B, B)}, 1, 0, 0, margin=1)
+        assert rep.flat and rep.core == {w(A)}
+        assert rep.artifacts == [w(B, B, B)] and rep.hard_failures == [w(B, B)]
+        assert not rep.ok
+
+    @pytest.mark.parametrize("margin, artifacts, hard", [
+        (4, [w(A, B), w(B, A)], []),
+        (0, [], [w(A, B), w(B, A)]),
+    ])
+    def test_non_flat_core_is_an_artifact_only_at_the_boundary(self, margin, artifacts, hard):
+        win = fp_window(base_xab(), 3, 6)
+        rep = component_core(win, {w(A, B), w(B, A)}, 1, 0, 0, margin=margin)
+        assert not rep.flat and not rep.ok
+        assert rep.artifacts == artifacts and rep.hard_failures == hard
+
 
 class TestBuildVFamilies:
     def test_spec_scenario(self):

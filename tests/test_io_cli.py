@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from apckit import cli
 from apckit import io as fio
 from apckit.cli import main as cli_main
 from apckit.covers import ScaleSequence, interval_oracle, verify_apc_witness
@@ -431,6 +432,8 @@ class TestCli:
         (["freeprod", "window", "--base", "{f}", "--window", "2,4"],
          {"points": ["o", "a", "b"], "basepoint": "o", "metric": {"kind": "matrix", "rows": [
              [0, 1, {"sqrt": 2}], [1, 0, 1], [{"sqrt": 2}, 1, 0]]}}),
+        (["tree-cover", "--tree", "{f}", "--r", "1"], {"root": 0, "edges": [[0, None]]}),
+        (["tree-cover", "--tree", "{f}", "--r", "1"], {"root": None}),
     ])
     def test_malformed_file_exit_2(self, tmp_path, capsys, argv, bad):
         files = {"iv": self._space_file(tmp_path, {"kind": "interval", "lo": 0, "hi": 4}),
@@ -537,6 +540,53 @@ class TestCli:
         assert r.returncode == 0, r.stderr
         assert json.loads(r.stdout)["ok"]
 
+    def test_freeprod_qi_check_letters_of_mixed_id_types(self, tmp_path, capsys):
+        p = tmp_path / "base.json"
+        fio.write_file(str(p), {
+            "points": ["x0", [1], "b"],
+            "metric": {"kind": "matrix",
+                       "rows": [[0, 1, 2], [1, 0, 2], [2, 2, 0]]},
+            "basepoint": "x0",
+        })
+        assert cli_main(["freeprod", "qi-check", "--base", str(p), "-m", "2", "-L", "4",
+                         "-M", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"]
+
+    def test_group_ball_fractional_weight_spheres_in_norm_order(self, tmp_path, capsys):
+        p = tmp_path / "g.json"
+        fio.write_file(str(p), {"model": "Z^1", "radius": 2,
+                                "generators": [{"elem": [1], "weight": "1/2"}]})
+        assert cli_main(["group", "ball", "--group", str(p)]) == 0
+        assert json.loads(capsys.readouterr().out)["spheres"] == [
+            [0, 1], ["1/2", 2], [1, 2], ["3/2", 2], [2, 2]]
+
+    def test_freeprod_window_out_writes_the_words(self, tmp_path, capsys):
+        p, out = tmp_path / "base.json", tmp_path / "words.json"
+        fio.write_file(str(p), {
+            "points": ["x0", "a"],
+            "metric": {"kind": "matrix", "rows": [[0, 1], [1, 0]]},
+            "basepoint": "x0",
+        })
+        assert cli_main(["freeprod", "window", "--base", str(p), "--window", "3,3",
+                         "--out", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out)["words"] == 4
+        assert fio.read_file(str(out))["words"] == [[], ["a"], ["a", "a"], ["a", "a", "a"]]
+
+    def test_cover_verify_text_format(self, tmp_path, capsys):
+        f = self._space_file(tmp_path, {"kind": "path", "n": 5})
+        w = tmp_path / "w.json"
+        fio.write_file(str(w), {"scales": [1], "families": [
+            {"R": 1, "mesh": 4, "sets": [[0, 1, 2, 3, 4]]}]})
+        assert cli_main(["cover", "verify", "--space", f, "--witness", str(w),
+                         "--format", "text"]) == 0
+        assert capsys.readouterr().out == "pass\n"
+
+    def test_product_greedy_oracle(self, tmp_path, capsys):
+        f = self._space_file(tmp_path, {"kind": "interval", "lo": 0, "hi": 4})
+        assert cli_main(["product", "--space-x", f, "--space-y", f, "--oracle-x", "greedy",
+                         "--scales", "1,2"]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"]
+
     def test_tree_cover_command(self, tmp_path):
         t = random_tree(20)
         tf = tmp_path / "t.json"
@@ -593,9 +643,21 @@ class TestExitCodeContract:
           "--out", "{missing}/w.json"], None),
         (["freeprod", "cover", "--base", "{base}", "--window", "3,6", "--scales", "1,2",
           "--margin", "-1"], None),
+        (["decompose", "--space", "{iv}", "--witness", "{w}", "--k", "1",
+          "--subcover-mesh", "0", "--scales", "1", "--cap", "3"], None),
+        (["decompose", "--space", "{iv}", "--witness", "{w}", "--k", "1",
+          "--subcover-mesh", "0,1", "--scales", "1"], None),
+        (["product", "--space-x", "{iv}", "--space-y", "{iv}", "--oracle-x", "grid",
+          "--scales", "1"], None),
+        (["product", "--space-x", "{iv}", "--space-y", "{iv}", "--oracle-x", "bogus",
+          "--scales", "1"], None),
+        (["freeprod", "window", "--base", "{base}", "--window", "3"], None),
+        (["freeprod", "window", "--base", "{base}"], None),
     ], ids=["sqrt-scale", "sqrt-extend-param", "witness-meta", "qi-check-M-0",
             "qi-check-M-negative", "hypercubes-k-0", "dot-missing-dir", "out-missing-dir",
-            "freeprod-margin-negative"])
+            "freeprod-margin-negative", "decompose-member-above-cap",
+            "decompose-mesh-count", "product-grid-oracle-on-interval", "product-unknown-oracle",
+            "window-one-bound", "window-missing"])
     def test_malformed_input_exits_2(self, tmp_path, capsys, argv, witness):
         files = {"iv": str(tmp_path / "iv.json"), "w": str(tmp_path / "w.json"),
                  "base": str(tmp_path / "base.json"), "missing": str(tmp_path / "missing")}
@@ -633,6 +695,26 @@ class TestExitCodeContract:
         err = capsys.readouterr().err
         assert err.startswith("input error:") and len(err.splitlines()) == 1, err
         assert not (tmp_path / "out.json").exists()
+
+    def test_construction_failure_exits_1(self, tmp_path, capsys):
+        iv, w = str(tmp_path / "iv.json"), str(tmp_path / "w.json")
+        fio.save_space(iv, interval_window(0, 4))
+        fio.write_file(w, self.WITNESS)
+        # one family at mesh 0 cannot cover five points 1 apart at scale 1
+        assert cli_main(["decompose", "--space", iv, "--witness", w, "--k", "1",
+                         "--subcover-mesh", "0", "--scales", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("construction failed:") and len(err.splitlines()) == 1, err
+
+    def test_other_exceptions_exit_3(self, tmp_path, capsys, monkeypatch):
+        def boom(args):
+            raise RuntimeError("unexpected")
+
+        monkeypatch.setattr(cli, "cmd_space_validate", boom)
+        iv = str(tmp_path / "iv.json")
+        fio.save_space(iv, interval_window(0, 4))
+        assert cli_main(["space", "validate", "--in", iv]) == 3
+        assert capsys.readouterr().err == "internal error: RuntimeError: unexpected\n"
 
     def test_negative_scales_as_separate_argument_run_like_the_joined_form(self, tmp_path, capsys):
         iv = str(tmp_path / "iv.json")

@@ -370,7 +370,7 @@ class TestGenerators:
 
     def test_generator_cap(self):
         with pytest.raises(InputError):
-            generate_space({"kind": "grid", "shape": [1000, 1000]}, cap=1000)
+            generate_space({"kind": "grid", "shape": [1000, 1000]})
 
     def test_unknown_kind(self):
         with pytest.raises(InputError):
