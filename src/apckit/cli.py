@@ -416,12 +416,23 @@ def cmd_demo_hypercubes(args):
 # argument wiring
 
 
+def _cap(text):
+    """The exact solver's point cap: an int of at least 0."""
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"cap {cap} is below 0")
+    return cap
+
+
 def _add_common(p, *, scales=False, out=False, seed=False, cap=False):
     p.add_argument("--format", choices=["structured", "text"], default="structured")
     if seed:
         p.add_argument("--seed", type=int, default=0)
     if cap:
-        p.add_argument("--cap", type=int, default=DEFAULT_EXACT_CAP)
+        p.add_argument("--cap", type=_cap, default=DEFAULT_EXACT_CAP)
     if scales:
         p.add_argument("--scales", required=True, help="comma-separated non-decreasing prefix")
         p.add_argument("--extend", default="repeat-last",

@@ -138,7 +138,12 @@ def triangle_le(a, b, c) -> bool:
     """Exact test a <= b + c for non-negative scalars, Roots allowed."""
     if not isinstance(a, Root) and not isinstance(b, Root) and not isinstance(c, Root):
         return a <= b + c
-    A, B, C = sq_value(a), sq_value(b), sq_value(c)
+    return triangle_le_sq(sq_value(a), sq_value(b), sq_value(c))
+
+
+def triangle_le_sq(A, B, C) -> bool:
+    """Exact test sqrt(A) <= sqrt(B) + sqrt(C) for non-negative rationals:
+    with t = A - B - C, it holds iff t <= 0 or t^2 <= 4BC."""
     t = A - B - C
     if t <= 0:
         return True

@@ -14,7 +14,8 @@ import operator
 import random
 from dataclasses import dataclass
 
-from .exact import Rational, Root, ceil_scalar, hyp, root_of, scalar, sq_value, triangle_le
+from .exact import (Rational, Root, ceil_scalar, hyp, root_of, scalar, sq_value, triangle_le,
+                    triangle_le_sq)
 
 POINT_CAP = 200_000
 
@@ -50,7 +51,9 @@ class FiniteMetricSpace:
     ``dist`` must be symmetric, zero exactly on the diagonal, and satisfy the
     triangle inequality; :func:`validate_metric` checks all of that and
     reports witnesses for any violation.  An optional basepoint marks pointed
-    spaces (the x0 of word constructions).
+    spaces (the x0 of word constructions).  An optional ``dist_sq`` gives the
+    exact square of ``dist`` directly; a space that has one promises
+    non-negative distances, and :func:`validate_metric` decides on its squares.
 
     An optional ``index`` answers two set-level questions exactly, faster
     than all pairs: ``index.diameter_sq(S)`` is the squared diameter of a
@@ -179,46 +182,86 @@ def _sample_pairs(pts, budget, seed):
         yield pts[i], pts[j]
 
 
+def _pair_violation(space, p, q):
+    """The axiom the pair (p, q) breaks, with its distances, or None."""
+    d1 = space.raw_dist(p, q)
+    d2 = space.raw_dist(q, p)
+    if d1 != d2:
+        return MetricViolation("symmetry", (p, q), (d1, d2))
+    if d1 < 0:
+        return MetricViolation("non-negativity", (p, q), (d1,))
+    if d1 == 0:
+        return MetricViolation("separation", (p, q), (d1,))
+    return None
+
+
 def validate_metric(space, *, pair_budget=2_000_000, triple_budget=2_000_000, seed=0):
     """Check all metric axioms, exhaustively within budgets, else on a seeded sample.
 
     Returns a report listing every violated axiom with a witnessing pair or
     triple.  Sampling never reports false violations; it can only miss some,
-    and the report records which mode ran.  A budget below 1 would check
-    nothing, so it is refused.
+    and the report records which mode ran.  A budget below 1, or a space
+    with no points, would check nothing, so it is refused.
+
+    A space with its own ``dist_sq`` (interval and grid windows, l2
+    products, and spaces built from them) has non-negative distances whose
+    exact squares it gives directly, so every axiom is decided on those
+    squares, the triangles by :func:`~apckit.exact.triangle_le_sq`, and no
+    square root is taken.  Every other space (matrix and callable spaces,
+    whose values may be signed) is checked on ``raw_dist`` and ``dist``.
+    Either way a violation reports the values of ``raw_dist`` and ``dist``,
+    and both draw the same pairs and triples for a seed.
     """
     if pair_budget < 1 or triple_budget < 1:
         raise InputError(f"budgets must be >= 1, not {pair_budget}, {triple_budget}")
     pts = space.points
     n = len(pts)
+    if not n:
+        raise InputError("the space has no points, so there is no metric to check")
     violations = []
     checked = {}
 
+    sq = space._dist_sq
+    if sq is None:
+        raw, dist = space.raw_dist, space.dist
+
+        def diagonal_ok(p):
+            return raw(p, p) == 0
+
+        def pair_ok(p, q):
+            return _pair_violation(space, p, q) is None
+
+        def triangle_ok(p, q, r):
+            return triangle_le(dist(p, q), dist(p, r), dist(r, q))
+    else:
+        dist_sq = space.dist_sq
+
+        def diagonal_ok(p):
+            return sq(p, p) == 0  # dist_sq would answer 0 here without asking
+
+        def pair_ok(p, q):
+            s = dist_sq(p, q)
+            return s != 0 and s == dist_sq(q, p)
+
+        def triangle_ok(p, q, r):
+            return triangle_le_sq(dist_sq(p, q), dist_sq(p, r), dist_sq(r, q))
+
     for p in pts:
-        d = space.raw_dist(p, p)
-        if d != 0:
-            violations.append(MetricViolation("identity", (p, p), (d,)))
+        if not diagonal_ok(p):
+            violations.append(MetricViolation("identity", (p, p), (space.raw_dist(p, p),)))
     checked["diagonal"] = n
 
     for p, q in _sample_pairs(pts, pair_budget, seed):
-        d1 = space.raw_dist(p, q)
-        d2 = space.raw_dist(q, p)
-        if d1 != d2:
-            violations.append(MetricViolation("symmetry", (p, q), (d1, d2)))
-        elif d1 < 0:
-            violations.append(MetricViolation("non-negativity", (p, q), (d1,)))
-        elif d1 == 0:
-            violations.append(MetricViolation("separation", (p, q), (d1,)))
+        if not pair_ok(p, q):
+            violations.append(_pair_violation(space, p, q))
     n_pairs = n * (n - 1) // 2
     checked["pairs"] = (("exhaustive", n_pairs) if n_pairs <= pair_budget
                         else ("sampled", pair_budget))
 
     def check_triple(p, q, r):
-        dpq = space.dist(p, q)
-        dpr = space.dist(p, r)
-        drq = space.dist(r, q)
-        if not triangle_le(dpq, dpr, drq):
-            violations.append(MetricViolation("triangle", (p, q, r), (dpq, dpr, drq)))
+        if not triangle_ok(p, q, r):
+            values = (space.dist(p, q), space.dist(p, r), space.dist(r, q))
+            violations.append(MetricViolation("triangle", (p, q, r), values))
 
     n_triples = n * (n - 1) * (n - 2) // 6
     if n_triples <= triple_budget:
@@ -363,19 +406,30 @@ class LatticeIndex:
     factors' blocks.  All arithmetic is on ints, and the squared distance
     only grows with each coordinate gap, which makes every bounding-box
     bound below exact.
+
+    The squared-norm kernel is chosen from the block shape: one block (l1
+    grids, Z^d Cayley windows) squares the sum of the gaps, blocks all one
+    coordinate wide (l2 products of intervals) sum the squared gaps, and
+    mixed blocks (a grid times an interval) sum the squared block sums.
     """
 
     def __init__(self, coord, blocks):
         self.coord = coord
         self.blocks = tuple(blocks)
         self.dim = self.blocks[-1].stop
-        self._slices = tuple(slice(b.start, b.stop) for b in self.blocks)
+        if len(self.blocks) == 1:
+            self._norm_sq, self._dist_sq = _l1_norm_sq, _l1_dist_sq
+        elif all(len(b) == 1 for b in self.blocks):
+            self._norm_sq, self._dist_sq = _l2_norm_sq, _l2_dist_sq
+        else:
+            self._slices = tuple(slice(b.start, b.stop) for b in self.blocks)
+            self._norm_sq, self._dist_sq = self._blocks_norm_sq, self._blocks_dist_sq
 
-    def _norm_sq(self, gaps):
+    def _blocks_norm_sq(self, gaps):
         return sum(sum(gaps[s]) ** 2 for s in self._slices)
 
-    def _dist_sq(self, a, b):
-        return self._norm_sq([abs(x - y) for x, y in zip(a, b)])
+    def _blocks_dist_sq(self, a, b):
+        return self._blocks_norm_sq([abs(x - y) for x, y in zip(a, b)])
 
     @staticmethod
     def _box(cs):
@@ -477,6 +531,23 @@ class LatticeIndex:
                         if dist(a, b) <= R2:
                             out.append((i, j) if i < j else (j, i))
         return out
+
+
+def _l1_norm_sq(gaps):
+    return sum(gaps) ** 2
+
+
+def _l1_dist_sq(a, b):
+    return sum(map(abs, map(operator.sub, a, b))) ** 2
+
+
+def _l2_norm_sq(gaps):
+    return sum(map(operator.mul, gaps, gaps))
+
+
+def _l2_dist_sq(a, b):
+    d = list(map(operator.sub, a, b))
+    return sum(map(operator.mul, d, d))
 
 
 def _lattice_product(X, Y):

@@ -5,7 +5,8 @@ free-product words, all-pairs scans for set distances, walks up the parent
 map for trees.  None of them is on a library path; the library answers the
 same questions through its windows, indexes and combinators, and the tests
 compare the two.  :func:`without_index` gives the index-free copy of a space
-that the index tests compare against.  :func:`check_witness` decides a cover
+that the index tests compare against, and :func:`without_squares` the copy
+that the metric validator checks without squared distances.  :func:`check_witness` decides a cover
 witness from an explicit distance table, with every pair and no index.
 """
 
@@ -75,6 +76,14 @@ def without_index(space):
     set-level question about it takes the generic all-pairs path."""
     return FiniteMetricSpace(space.points, space.raw_dist, dist_sq=space.dist_sq,
                              basepoint=space.basepoint, name="plain")
+
+
+def without_squares(space):
+    """The same points, distances and basepoint, with no ``dist_sq`` and no
+    index, so :func:`~apckit.metric.validate_metric` checks it on
+    ``raw_dist`` and ``dist`` instead of on exact squares."""
+    return FiniteMetricSpace(space.points, space.raw_dist, basepoint=space.basepoint,
+                             name="plain")
 
 
 def set_distance(space, S, T):

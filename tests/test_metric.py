@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apckit.exact import Root, hyp, root_of, scalar, sq_value, triangle_le
+from apckit.exact import Root, hyp, root_of, scalar, sq_value, triangle_le, triangle_le_sq
 from apckit.metric import (
     Family,
     FiniteMetricSpace,
@@ -28,7 +28,7 @@ from apckit.metric import (
 )
 from apckit.covers import ScaleSequence, verify_apc_witness, witness_from_families
 from conftest import brute_components, random_points_space
-from reference import is_R_disjoint, mesh, set_distance
+from reference import is_R_disjoint, mesh, set_distance, without_squares
 
 
 def line(lo, hi):
@@ -56,6 +56,11 @@ class TestExactScalars:
         assert triangle_le(root_of(2), 1, 1)
         assert not triangle_le(root_of(9), 1, 1)
         assert triangle_le(5, root_of(9), root_of(4))
+
+    def test_triangle_le_sq_at_the_collinear_boundary(self):
+        assert triangle_le_sq(8, 2, 2) and triangle_le_sq(4, 4, 0)
+        assert not triangle_le_sq(9, 2, 2) and not triangle_le_sq(5, 4, 0)
+        assert triangle_le_sq(Fraction(9, 2), Fraction(1, 2), 2)
 
     def test_scalar_normal_form(self):
         for x in (2, "2", "4/2", 2.0, Fraction(2)):
@@ -100,6 +105,72 @@ class TestValidateMetric:
         report = validate_metric(space, triple_budget=10_000, pair_budget=10_000, seed=3)
         assert report.valid
         assert report.checked["triples"][0] == "sampled"
+
+
+def _report(space, **kw):
+    report = validate_metric(space, **kw)
+    return report.valid, report.checked, [(v.axiom, v.points, v.values)
+                                          for v in report.violations]
+
+
+PLANTED = {
+    "asymmetric": [[0, 1, 2], [2, 0, 1], [2, 1, 0]],
+    "zero-off-diagonal": [[0, 0, 1], [0, 0, 1], [1, 1, 0]],
+    "triangle": [[0, 1, 5], [1, 0, 1], [5, 1, 0]],
+    "negative": [[0, -3, 1], [-3, 0, 1], [1, 1, 0]],
+}
+
+
+def _squares_spaces():
+    iv = interval_window(-2, 3)
+    yield "interval", iv
+    yield "interval-1", interval_window(4, 4)
+    yield "grid1", grid_window((6,))
+    yield "grid2", grid_window((3, 4))
+    yield "grid3", grid_window((2, 2, 3))
+    yield "interval^2", product_space(iv, interval_window(0, 2))
+    small_grid, pair = grid_window((2, 2)), interval_window(0, 1)
+    yield "(interval x grid) x interval", product_space(
+        product_space(interval_window(0, 2), small_grid), pair)
+    for name, rows in PLANTED.items():
+        m = matrix_space(["a", "b", "c"], rows)
+        yield f"{name} x interval", product_space(m, interval_window(0, 2))
+        yield f"interval x {name}", product_space(pair, m)
+        yield f"({name})^2", product_space(m, m)
+        yield f"({name} x interval) x grid", product_space(product_space(m, pair), small_grid)
+
+
+class TestValidateOnSquares:
+    """A space with its own dist_sq is checked on exact squares; its copy
+    without dist_sq takes the generic path, and the two reports agree."""
+
+    CASES = dict(_squares_spaces())
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_exhaustive_reports_agree(self, name):
+        space = self.CASES[name]
+        assert space._dist_sq is not None
+        assert _report(space) == _report(without_squares(space))
+
+    @pytest.mark.parametrize("name", CASES)
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    def test_sampled_reports_agree(self, name, seed):
+        space = self.CASES[name]
+        kw = {"pair_budget": 6, "triple_budget": 9, "seed": seed}
+        got = _report(space, **kw)
+        assert got == _report(without_squares(space), **kw)
+        if len(space) > 5:
+            assert got[1]["pairs"] == ("sampled", 6) and got[1]["triples"] == ("sampled", 9)
+
+    @pytest.mark.parametrize("name", PLANTED)
+    def test_planted_faults_are_reported(self, name):
+        for key in (f"{name} x interval", f"({name})^2"):
+            valid, _, violations = _report(self.CASES[key])
+            assert not valid and violations, key
+
+    def test_negative_entry_breaks_only_a_triangle_of_the_product(self):
+        axioms = {v[0] for v in _report(self.CASES["negative x interval"])[2]}
+        assert axioms == {"triangle"}
 
 
 class TestDistanceOps:

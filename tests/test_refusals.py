@@ -5,12 +5,15 @@ from fractions import Fraction
 
 import pytest
 
+from apckit import io as fio
 from apckit.cli import hypercube_demo_rows
+from apckit.cli import main as cli_main
 from apckit.combinators import (UniformlyExpansiveMap, check_uniformly_expansive,
                                 fibering_cover, identity_rho)
 from apckit.covers import (NegativeCertificate, ScaleSequence, greedy_families_at_scale,
                            interval_oracle, min_families_at_scale)
-from apckit.metric import InputError, interval_window, matrix_space, validate_metric
+from apckit.metric import (FiniteMetricSpace, InputError, interval_window, matrix_space,
+                           validate_metric)
 from reference import whole_fiber_scheme
 
 
@@ -71,3 +74,47 @@ def test_solvers_refuse_a_negative_mesh_bound(B):
 def test_hypercube_demo_refuses_no_dimensions(max_dim):
     with pytest.raises(InputError):
         hypercube_demo_rows(max_dim)
+
+
+def test_validate_metric_refuses_a_space_with_no_points():
+    assert validate_metric(matrix_space([0], [[0]])).valid
+    for space in (matrix_space([], []), FiniteMetricSpace([], lambda p, q: 0)):
+        with pytest.raises(InputError):
+            validate_metric(space)
+
+
+def test_space_validate_refuses_a_space_with_no_points(tmp_path, capsys):
+    path = str(tmp_path / "empty.json")
+    fio.write_file(path, {"points": [], "metric": {"kind": "matrix", "rows": []}})
+    assert cli_main(["space", "validate", "--in", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and len(err.splitlines()) == 1, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["cover", "solve", "--space", "{iv}", "--R", "1", "--B", "1"],
+    ["product", "--space-x", "{iv}", "--space-y", "{iv}", "--scales", "1"],
+    ["fibering", "--space-x", "{iv}", "--space-y", "{iv}", "--scales", "1"],
+    ["decompose", "--space", "{iv}", "--witness", "{w}", "--k", "1", "--subcover-mesh", "4",
+     "--scales", "1"],
+    ["freeprod", "cover", "--base", "{base}", "--window", "2,4", "--scales", "1"],
+    ["demo", "hypercubes", "--max-dim", "1"],
+], ids=["cover-solve", "product", "fibering", "decompose", "freeprod-cover", "demo-hypercubes"])
+def test_every_command_refuses_a_negative_cap(tmp_path, capsys, argv):
+    files = {"iv": str(tmp_path / "iv.json"), "w": str(tmp_path / "w.json"),
+             "base": str(tmp_path / "base.json")}
+    fio.save_space(files["iv"], interval_window(0, 4))
+    fio.write_file(files["w"], {"scales": [1], "families": [
+        {"R": 1, "mesh": 4, "sets": [[0, 1, 2, 3, 4]]}]})
+    fio.write_file(files["base"], {"points": ["x0", "a", "b"], "basepoint": "x0",
+                                   "metric": {"kind": "matrix", "rows": [
+                                       [0, 1, 2], [1, 0, 2], [2, 2, 0]]}})
+    out = tmp_path / "out.json"
+    argv = [a.format(**files) for a in argv] + ["--out", str(out)]
+    assert cli_main(argv) == 0
+    out.unlink()
+    with pytest.raises(SystemExit) as e:
+        cli_main(argv + ["--cap", "-1"])
+    assert e.value.code == 2
+    assert "argument --cap: cap -1 is below 0" in capsys.readouterr().err
+    assert not out.exists()
