@@ -27,7 +27,9 @@ from .metric import (
     validate_metric,
 )
 from .covers import (
+    EXTENSION_RULES,
     ScaleSequence,
+    SolverTable,
     exact_oracle,
     greedy_families_at_scale,
     greedy_oracle,
@@ -38,8 +40,6 @@ from .covers import (
     verify_apc_witness,
     witness_from_families,
     DEFAULT_EXACT_CAP,
-    _distances,
-    _search,
 )
 from .combinators import (UniformlyExpansiveMap, decompose, fibering_cover, identity_rho,
                           product_cover, projection_scheme_from_oracle)
@@ -64,8 +64,10 @@ def _parse_scales(args):
 
 
 def _window_params(args):
-    """Window bounds from --window m,L or the separate -m/-L flags."""
-    if getattr(args, "window", None):
+    """Window bounds from --window m,L or the separate -m/-L flags, not both."""
+    if args.window:
+        if args.max_order is not None or args.max_norm is not None:
+            raise InputError("give --window or -m/-L, not both")
         parts = args.window.split(",")
         if len(parts) != 2:
             raise InputError("--window expects 'max_order,max_norm'")
@@ -246,10 +248,7 @@ class _FileDecomposable:
 
     def subcover(self, i, U, R):
         B = self.bounds[i - 1]
-        pts = sorted_points(U)
-        if len(pts) > self.cap:
-            raise InputError(f"subcover member exceeds the {self.cap}-point solver cap")
-        fams, _ = _search(pts, _distances(self.space, pts), R, B, self.k)
+        fams, _ = SolverTable(self.space, U, self.cap).search(R, B, self.k)
         if fams is None:
             raise ConstructionError(
                 f"member of family {i} admits no {self.k}-family cover at mesh {B}"
@@ -352,6 +351,8 @@ def cmd_group_ball(args):
 def cmd_group_pipeline(args):
     scales = _parse_scales(args)
     if args.kind == "z2-extension":
+        if args.max_order is not None or args.max_norm is not None:
+            raise InputError("--kind z2-extension reads no -m or -L")
         window, witness = z2_extension_pipeline(args.radius, scales)
         return _finish(args, window.space, scales, witness, {"radius": args.radius})
     if args.kind == "free-product-zz":
@@ -359,9 +360,9 @@ def cmd_group_pipeline(args):
         gens = Z.standard_gens()
         winG = cayley_ball(Z, gens, args.radius)
         winH = cayley_ball(Z, gens, args.radius)
-        res = free_product_cover_groups(
-            winG, winH, scales, args.max_order, _scalar(args.max_norm, "--max-norm")
-        )
+        m = 2 if args.max_order is None else args.max_order
+        L = _scalar("4" if args.max_norm is None else args.max_norm, "--max-norm")
+        res = free_product_cover_groups(winG, winH, scales, m, L)
         return _finish_free_product(args, scales, res)
     raise InputError(f"unknown pipeline kind {args.kind!r}")
 
@@ -435,8 +436,7 @@ def _add_common(p, *, scales=False, out=False, seed=False, cap=False):
         p.add_argument("--cap", type=_cap, default=DEFAULT_EXACT_CAP)
     if scales:
         p.add_argument("--scales", required=True, help="comma-separated non-decreasing prefix")
-        p.add_argument("--extend", default="repeat-last",
-                       choices=["repeat-last", "arithmetic", "geometric"])
+        p.add_argument("--extend", default="repeat-last", choices=EXTENSION_RULES)
         p.add_argument("--extend-param", dest="extend_param", default=None)
     if out:
         p.add_argument("--out", default=None)
@@ -463,7 +463,6 @@ def build_parser():
     e.add_argument("--in", dest="infile", required=True)
     e.add_argument("--R", required=True)
     e.add_argument("--dot", required=True)
-    _add_common(e)
     e.set_defaults(func=cmd_space_export)
 
     cp = sub.add_parser("cover", help="verify and solve covers")
@@ -541,8 +540,8 @@ def build_parser():
     gl = gsub.add_parser("pipeline")
     gl.add_argument("--kind", choices=["z2-extension", "free-product-zz"], required=True)
     gl.add_argument("--radius", type=int, default=8)
-    gl.add_argument("-m", "--max-order", dest="max_order", type=int, default=2)
-    gl.add_argument("-L", "--max-norm", dest="max_norm", default="4")
+    gl.add_argument("-m", "--max-order", dest="max_order", type=int, default=None)
+    gl.add_argument("-L", "--max-norm", dest="max_norm", default=None)
     _add_common(gl, scales=True, out=True)
     gl.set_defaults(func=cmd_group_pipeline)
 

@@ -237,79 +237,87 @@ def verify_apc_witness(space, scales, witness, *, require_cover_of=None):
 DEFAULT_EXACT_CAP = 16
 
 
-def _join(comps, p, le_R, le_B):
+def _join(comps, p, near, within):
     """The R-components of a family after p joins it, or None when the
-    component p lands in would exceed the mesh bound."""
-    touching = []
+    component p lands in would exceed the mesh bound.  A component is a mask
+    pair ``(members, common)``, common being the AND of its members' ``within``."""
+    members, common = 1 << p, within[p]
     rest = []
     for comp in comps:
-        if any(le_R[p][q] for q in comp):
-            touching.append(comp)
+        if near[p] & comp[0]:
+            members |= comp[0]
+            common &= comp[1]
         else:
             rest.append(comp)
-    merged = [p]
-    for comp in touching:
-        merged.extend(comp)
-    for a, b in itertools.combinations(merged, 2):
-        if not le_B[a][b]:
-            return None
-    return rest + [merged]
+    if members & ~common:
+        return None
+    return rest + [(members, common)]
 
 
-def _distances(space, pts):
-    """Distance table of pts, computed once: row i holds d(pts[i], pts[j]) for j > i."""
-    return [[space.dist(p, q) for q in pts[i + 1:]] for i, p in enumerate(pts)]
+class SolverTable:
+    """The exact solver's input, prepared once and refused above the point cap: a
+    point set in canonical order and its distances, d(pts[i], pts[j]) at dist[i][j - i - 1]."""
 
+    def __init__(self, space, points, cap=None):
+        self.pts = sorted_points(points)
+        if cap is not None and len(self.pts) > cap:
+            raise InputError(f"{len(self.pts)} points exceed the exact solver cap of {cap}")
+        self.dist = [[space.dist(p, q) for q in self.pts[i + 1:]] for i, p in enumerate(self.pts)]
 
-def _search(pts, dist, R, B, k):
-    """Exhaustive branch-and-bound: split pts into at most k valid families.
+    def search(self, R, B, k):
+        """Exhaustive branch-and-bound: split the points into at most k valid families.
 
-    ``dist`` is the `_distances` table of pts.  Points are placed in order of
-    decreasing R-degree, each trying the families in turn; a point may open
-    at most the first unused family, which breaks the symmetry between
-    families.  The search is iterative, so its depth is not bounded by the
-    interpreter's recursion limit.  Returns ``(families, nodes)``: the
-    families are None when no split exists, and nodes counts the points
-    branched on.  No set has a negative diameter, so B < 0 is refused.
-    """
-    if B < 0:
-        raise InputError(f"mesh bound must be >= 0, not {B}")
-    n = len(pts)
-    if n == 0:
-        return [], 0
-    if k <= 0:
-        return None, 0
-    le_R = [[False] * n for _ in range(n)]
-    le_B = [[True] * n for _ in range(n)]
-    for i, row in enumerate(dist):
-        for j, d in enumerate(row, i + 1):
-            le_R[i][j] = le_R[j][i] = d <= R
-            le_B[i][j] = le_B[j][i] = d <= B
-    order = sorted(range(n), key=lambda i: -sum(le_R[i]))
-    comps = [[] for _ in range(k)]  # R-components of each family
-    tried = [-1] * n  # the family holding the point placed at each depth
-    saved = [None] * n  # that family's components before the point joined
-    used = [0] * (n + 1)  # families opened above each depth
-    depth, nodes = 0, 1
-    while 0 <= depth < n:
-        p = order[depth]
-        for f in range(tried[depth] + 1, min(used[depth] + 1, k)):
-            joined = _join(comps[f], p, le_R, le_B)
-            if joined is not None:
-                tried[depth], saved[depth], comps[f] = f, comps[f], joined
-                used[depth + 1] = max(used[depth], f + 1)
-                depth += 1
-                if depth < n:
-                    tried[depth] = -1
-                    nodes += 1
-                break
-        else:
-            depth -= 1
-            if depth >= 0:
-                comps[tried[depth]] = saved[depth]
-    if depth < 0:
-        return None, nodes
-    return [Family.of([[pts[i] for i in c] for c in fam]) for fam in comps if fam], nodes
+        Points are placed in order of decreasing R-degree, each trying the
+        families in turn; a point may open at most the first unused family,
+        which breaks the symmetry between families.  The search is iterative,
+        so its depth is not bounded by the interpreter's recursion limit.
+        Returns ``(families, nodes)``: the families are None when no split
+        exists, and nodes counts the points branched on.  No set has a
+        negative diameter, so B < 0 is refused.
+        """
+        if B < 0:
+            raise InputError(f"mesh bound must be >= 0, not {B}")
+        n = len(self.pts)
+        if n == 0:
+            return [], 0
+        if k <= 0:
+            return None, 0
+        near = [0] * n  # the other points within R of each point
+        within = [1 << i for i in range(n)]  # the points within B of each point, itself included
+        for i, row in enumerate(self.dist):
+            for j, d in enumerate(row, i + 1):
+                if d <= R:
+                    near[i] |= 1 << j
+                    near[j] |= 1 << i
+                if d <= B:
+                    within[i] |= 1 << j
+                    within[j] |= 1 << i
+        order = sorted(range(n), key=lambda i: -near[i].bit_count())
+        comps = [[] for _ in range(k)]  # R-components of each family
+        tried = [-1] * n  # the family holding the point placed at each depth
+        saved = [None] * n  # that family's components before the point joined
+        used = [0] * (n + 1)  # families opened above each depth
+        depth, nodes = 0, 1
+        while 0 <= depth < n:
+            p = order[depth]
+            for f in range(tried[depth] + 1, min(used[depth] + 1, k)):
+                joined = _join(comps[f], p, near, within)
+                if joined is not None:
+                    tried[depth], saved[depth], comps[f] = f, comps[f], joined
+                    used[depth + 1] = max(used[depth], f + 1)
+                    depth += 1
+                    if depth < n:
+                        tried[depth] = -1
+                        nodes += 1
+                    break
+            else:
+                depth -= 1
+                if depth >= 0:
+                    comps[tried[depth]] = saved[depth]
+        if depth < 0:
+            return None, nodes
+        return [Family.of([[p for i, p in enumerate(self.pts) if members >> i & 1]
+                           for members, _ in fam]) for fam in comps if fam], nodes
 
 
 @dataclass
@@ -322,8 +330,7 @@ class NegativeCertificate:
     nodes: int
 
     def replay(self, space):
-        pts = sorted_points(space.points)
-        return _search(pts, _distances(space, pts), self.R, self.B, self.n)[0] is None
+        return SolverTable(space, space.points).search(self.R, self.B, self.n)[0] is None
 
 
 @dataclass
@@ -348,17 +355,11 @@ def min_families_at_scale(space, R, B, *, cap=DEFAULT_EXACT_CAP):
     certificate's nodes are those of that failed pass.
     Refuses spaces above the point cap; use the greedy solver there.
     """
-    R = scalar(R)
-    pts = sorted_points(space.points)
-    if len(pts) > cap:
-        raise InputError(
-            f"exact solver cap is {cap} points (space has {len(pts)}); "
-            "use greedy_families_at_scale for larger spaces"
-        )
-    dist = _distances(space, pts)
+    R, B = scalar(R), scalar(B)
+    table = SolverTable(space, space.points, cap)
     total_nodes = failed_nodes = 0
     for k in itertools.count():
-        fams, nodes = _search(pts, dist, R, B, k)
+        fams, nodes = table.search(R, B, k)
         total_nodes += nodes
         if fams is not None:
             cert = NegativeCertificate(k - 1, R, B, failed_nodes) if k else None
@@ -372,9 +373,8 @@ def greedy_families_at_scale(space, R, B):
     A free family is then always open, so the search never backtracks and
     each point joins the first family it can (first fit).
     """
-    R = scalar(R)
-    pts = sorted_points(space.points)
-    fams, _ = _search(pts, _distances(space, pts), R, B, len(pts))
+    table = SolverTable(space, space.points)
+    fams, _ = table.search(scalar(R), scalar(B), len(table.pts))
     return _solved(space, fams, None, 0)
 
 
@@ -387,12 +387,9 @@ def minimal_feasible_mesh(space, k, R, *, cap=DEFAULT_EXACT_CAP):
     if k < 1:
         raise InputError(f"a cover needs at least one family, not k = {k}")
     R = scalar(R)
-    pts = sorted_points(space.points)
-    if len(pts) > cap:
-        raise InputError(f"exact solver cap is {cap} points (space has {len(pts)})")
-    dist = _distances(space, pts)
-    for B in sorted({0}.union(*dist), key=lambda b: (sq_value(b), str(b))):
-        fams, _ = _search(pts, dist, R, B, k)
+    table = SolverTable(space, space.points, cap)
+    for B in sorted({0}.union(*table.dist), key=lambda b: (sq_value(b), str(b))):
+        fams, _ = table.search(R, B, k)
         if fams is not None:
             return B, fams
     raise AssertionError("B = diameter is always feasible")  # pragma: no cover

@@ -8,6 +8,8 @@ compare the two.  :func:`without_index` gives the index-free copy of a space
 that the index tests compare against, and :func:`without_squares` the copy
 that the metric validator checks without squared distances.  :func:`check_witness` decides a cover
 witness from an explicit distance table, with every pair and no index.
+:func:`matrix_search` is the exact solver's search on boolean R and B matrices,
+re-checking every pair of a merged component.
 """
 
 import itertools
@@ -252,3 +254,78 @@ def check_witness(dist, scales, slots, require_cover_of=None):
                       for p in S for q in T if _at_most(dist[p, q], scales[i - 1])}
     found |= {("coverage", None, p) for p in target - covered}
     return found
+
+
+# ---------------------------------------------------------------------------
+# the exact solver's search on boolean matrices
+
+
+def matrix_join(comps, p, le_R, le_B):
+    """The R-components of a family after p joins it, or None when the
+    component p lands in would exceed the mesh bound."""
+    touching = []
+    rest = []
+    for comp in comps:
+        if any(le_R[p][q] for q in comp):
+            touching.append(comp)
+        else:
+            rest.append(comp)
+    merged = [p]
+    for comp in touching:
+        merged.extend(comp)
+    for a, b in itertools.combinations(merged, 2):
+        if not le_B[a][b]:
+            return None
+    return rest + [merged]
+
+
+def matrix_search(pts, dist, R, B, k):
+    """Exhaustive branch-and-bound: split pts into at most k valid families.
+
+    ``dist`` is the distance table of pts, row i holding d(pts[i], pts[j])
+    for j > i.  Points are placed in order of
+    decreasing R-degree, each trying the families in turn; a point may open
+    at most the first unused family, which breaks the symmetry between
+    families.  The search is iterative, so its depth is not bounded by the
+    interpreter's recursion limit.  Returns ``(families, nodes)``: the
+    families are None when no split exists, and nodes counts the points
+    branched on.  No set has a negative diameter, so B < 0 is refused.
+    """
+    if B < 0:
+        raise InputError(f"mesh bound must be >= 0, not {B}")
+    n = len(pts)
+    if n == 0:
+        return [], 0
+    if k <= 0:
+        return None, 0
+    le_R = [[False] * n for _ in range(n)]
+    le_B = [[True] * n for _ in range(n)]
+    for i, row in enumerate(dist):
+        for j, d in enumerate(row, i + 1):
+            le_R[i][j] = le_R[j][i] = d <= R
+            le_B[i][j] = le_B[j][i] = d <= B
+    order = sorted(range(n), key=lambda i: -sum(le_R[i]))
+    comps = [[] for _ in range(k)]  # R-components of each family
+    tried = [-1] * n  # the family holding the point placed at each depth
+    saved = [None] * n  # that family's components before the point joined
+    used = [0] * (n + 1)  # families opened above each depth
+    depth, nodes = 0, 1
+    while 0 <= depth < n:
+        p = order[depth]
+        for f in range(tried[depth] + 1, min(used[depth] + 1, k)):
+            joined = matrix_join(comps[f], p, le_R, le_B)
+            if joined is not None:
+                tried[depth], saved[depth], comps[f] = f, comps[f], joined
+                used[depth + 1] = max(used[depth], f + 1)
+                depth += 1
+                if depth < n:
+                    tried[depth] = -1
+                    nodes += 1
+                break
+        else:
+            depth -= 1
+            if depth >= 0:
+                comps[tried[depth]] = saved[depth]
+    if depth < 0:
+        return None, nodes
+    return [Family.of([[pts[i] for i in c] for c in fam]) for fam in comps if fam], nodes

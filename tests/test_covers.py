@@ -27,6 +27,7 @@ from apckit.metric import (
     interval_window,
     matrix_space,
     path_space,
+    product_space,
     r_components,
     set_diameter,
     sorted_points,
@@ -153,6 +154,15 @@ class TestExactSolver:
             res.families, scales(2), [res.mesh] * res.n
         )
         assert verify_apc_witness(space, scales(2), w).ok
+
+    def test_mesh_bound_in_any_scalar_form(self):
+        # on an l2 product the distances are Roots, which a float or a string
+        # bound could not be compared with
+        P = product_space(interval_window(0, 2), interval_window(0, 2))
+        results = [(min_families_at_scale(P, 1, B), greedy_families_at_scale(P, 1, B))
+                   for B in (1.5, "3/2", Fraction(3, 2))]
+        assert results[0] == results[1] == results[2]
+        assert results[0][0].certificate.B == Fraction(3, 2)
 
     def test_cap_enforced(self):
         with pytest.raises(InputError):

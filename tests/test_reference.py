@@ -6,6 +6,10 @@ whose distances are Roots.  Every distance lies in [1, 2] on a matrix space,
 so every table is a metric.  Witnesses carry planted faults at the exact
 boundaries of the definition: an uncovered point, a scale equal to a cross
 distance, and a mesh bound equal to a member's diameter or just below it.
+
+The exact solver's bitmask search is also checked against
+reference.matrix_search, the same search on boolean R and B matrices, on
+matrix spaces, shortest-path metrics of weighted graphs and l2 products.
 """
 
 import itertools
@@ -13,13 +17,13 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from apckit.covers import ScaleSequence, verify_apc_witness, witness_from_families
+from apckit.covers import ScaleSequence, SolverTable, verify_apc_witness, witness_from_families
 from apckit.exact import Root, root_of
 from apckit.metric import Family, InputError, matrix_space, product_space
-from reference import check_witness
+from reference import check_witness, matrix_search
 
 DISTANCES = [Fraction(n, 4) for n in range(4, 9)]
 EPS = Fraction(1, 1000)
@@ -150,3 +154,54 @@ def test_points_outside_the_space_are_refused():
         verify_apc_witness(space, scales,
                            witness_from_families([Family.of([{0}, {1}])], scales, [0]),
                            require_cover_of={2})
+
+
+GRAPH_WEIGHTS = [1, Fraction(3, 2), 2]
+
+
+def graph_space(n, edges):
+    """The shortest-path metric on points 0..n-1 of a connected graph whose
+    edges map (i, j) to a weight."""
+    d = [[0 if i == j else math.inf for j in range(n)] for i in range(n)]
+    for (i, j), w in edges.items():
+        d[i][j] = d[j][i] = w
+    for m, i, j in itertools.product(range(n), repeat=3):
+        d[i][j] = min(d[i][j], d[i][m] + d[m][j])
+    return matrix_space(range(n), d)
+
+
+# Points 1 and 3 have three unit neighbours each and are placed first, in one
+# family as two R-components at R = 1; point 2, next, touches both, so its join
+# must reject the merge for the pair 1, 3 at distance 2 > B = 1.
+BRIDGE = graph_space(7, {(0, 1): 1, (1, 2): 1, (2, 3): 1, (3, 4): 1, (1, 5): 1, (3, 6): 1})
+
+
+@st.composite
+def solver_cases(draw):
+    """(space, R, B, k): a matrix space of up to 10 points, the shortest-path
+    metric of a connected graph of up to 10 points with edge weights 1, 3/2
+    and 2, or the l2 product of two matrix spaces of up to 3 points each."""
+    kind = draw(st.sampled_from(["matrix", "graph", "product"]))
+    if kind == "matrix":
+        space = matrix(*table(draw, 10))
+    elif kind == "product":
+        space = product_space(matrix(*table(draw, 3)), matrix(*table(draw, 3)))
+    else:
+        n = draw(st.integers(1, 10))
+        pairs = [(i, draw(st.integers(0, i - 1))) for i in range(1, n)]  # a spanning tree
+        pairs += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                               max_size=12))
+        space = graph_space(n, {(i, j): draw(st.sampled_from(GRAPH_WEIGHTS))
+                                for i, j in pairs if i != j})
+    R = draw(st.sampled_from([-1, 0, 1, Fraction(3, 2), 2, 5]))
+    B = draw(st.sampled_from([0, 1, 2, Fraction(7, 2)]))
+    return space, R, B, draw(st.integers(0, len(space)))
+
+
+@given(solver_cases())
+@example((BRIDGE, 1, 1, 2))
+@settings(max_examples=400, deadline=None)
+def test_solver_search_matches_the_matrix_search(case):
+    space, R, B, k = case
+    solver = SolverTable(space, space.points)
+    assert solver.search(R, B, k) == matrix_search(solver.pts, solver.dist, R, B, k)

@@ -118,3 +118,38 @@ def test_every_command_refuses_a_negative_cap(tmp_path, capsys, argv):
     assert e.value.code == 2
     assert "argument --cap: cap -1 is below 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["group", "pipeline", "--kind", "z2-extension", "--radius", "2", "--scales", "1", "-m", "2",
+     "--out", "{out}"],
+    ["group", "pipeline", "--kind", "z2-extension", "--radius", "2", "--scales", "1", "-L", "4",
+     "--out", "{out}"],
+    ["freeprod", "window", "--base", "{base}", "--window", "2,4", "-m", "2", "--out", "{out}"],
+    ["freeprod", "cover", "--base", "{base}", "--window", "2,4", "-L", "4", "--scales", "1",
+     "--out", "{out}"],
+    ["freeprod", "qi-check", "--base", "{base}", "--window", "2,4", "-m", "2", "-L", "4",
+     "-M", "1"],
+], ids=["z2-pipeline-m", "z2-pipeline-L", "window-m", "cover-L", "qi-check-m-L"])
+def test_window_flags_a_command_would_not_read_are_refused(tmp_path, capsys, argv):
+    files = {"base": str(tmp_path / "base.json"), "out": str(tmp_path / "out.json")}
+    fio.write_file(files["base"], {"points": ["x0", "a", "b"], "basepoint": "x0",
+                                   "metric": {"kind": "matrix", "rows": [
+                                       [0, 1, 2], [1, 0, 2], [2, 2, 0]]}})
+    assert cli_main([a.format(**files) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and len(err.splitlines()) == 1, err
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_space_export_refuses_format(tmp_path, capsys):
+    iv, dot = str(tmp_path / "iv.json"), tmp_path / "iv.dot"
+    fio.save_space(iv, interval_window(0, 4))
+    argv = ["space", "export", "--in", iv, "--R", "1", "--dot", str(dot)]
+    assert cli_main(argv) == 0
+    dot.unlink()
+    with pytest.raises(SystemExit) as e:
+        cli_main(argv + ["--format", "text"])
+    assert e.value.code == 2
+    assert "unrecognized arguments: --format text" in capsys.readouterr().err
+    assert not dot.exists()
