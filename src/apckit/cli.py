@@ -399,8 +399,7 @@ def hypercube_demo_rows(max_dim=4, k=2, R=2, cap=DEFAULT_EXACT_CAP):
 def cmd_demo_hypercubes(args):
     R = _scalar(args.R, "--R")
     rows = hypercube_demo_rows(args.max_dim, args.k, R, args.cap)
-    obj = {"demo": "hypercubes", "k": args.k, "R": fio.encode_scalar(R),
-           "seed": args.seed, "rows": rows}
+    obj = {"demo": "hypercubes", "k": args.k, "R": fio.encode_scalar(R), "rows": rows}
     if args.out:
         fio.write_file(args.out, obj)
     lines = [f"n-cube minimal mesh bound at k={args.k}, R={args.R}:"]
@@ -428,10 +427,8 @@ def _cap(text):
     return cap
 
 
-def _add_common(p, *, scales=False, out=False, seed=False, cap=False):
+def _add_common(p, *, scales=False, out=False, cap=False):
     p.add_argument("--format", choices=["structured", "text"], default="structured")
-    if seed:
-        p.add_argument("--seed", type=int, default=0)
     if cap:
         p.add_argument("--cap", type=_cap, default=DEFAULT_EXACT_CAP)
     if scales:
@@ -457,7 +454,8 @@ def build_parser():
     v = ssub.add_parser("validate")
     v.add_argument("--in", dest="infile", required=True)
     v.add_argument("--budget", type=int, default=2_000_000)
-    _add_common(v, seed=True)
+    v.add_argument("--seed", type=int, default=0)
+    _add_common(v)
     v.set_defaults(func=cmd_space_validate)
     e = ssub.add_parser("export")
     e.add_argument("--in", dest="infile", required=True)
@@ -551,7 +549,7 @@ def build_parser():
     dh.add_argument("--max-dim", dest="max_dim", type=int, default=4)
     dh.add_argument("--k", type=int, default=2)
     dh.add_argument("--R", default="2")
-    _add_common(dh, out=True, seed=True, cap=True)
+    _add_common(dh, out=True, cap=True)
     dh.set_defaults(func=cmd_demo_hypercubes)
 
     return ap

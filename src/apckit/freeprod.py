@@ -395,8 +395,8 @@ class CoreReport:
 def component_core(window, C, M, R, D, *, margin=0):
     """Minimal-order slice of an R-component of a cone window, with checks.
 
-    Verifies the core is flat and that C lies in the (M + R + D)-cone of the
-    core.  Failures at words whose norm exceeds max_norm - margin are window
+    Verifies the core is flat and that C lies in the (max(M + R, 0) + D)-cone
+    of the core.  Failures at words whose norm exceeds max_norm - margin are window
     artifacts; failures at inner words are hard.
     """
     C = frozenset(C)
@@ -407,7 +407,7 @@ def component_core(window, C, M, R, D, *, margin=0):
     k0 = min(len(w) for w in C)
     core = frozenset(w for w in C if len(w) == k0)
     flat = is_flat(core)
-    radius = M + R + D
+    radius = max(M + R, 0) + D
     inner_bound = window.max_norm - margin
 
     artifacts = []
@@ -531,7 +531,9 @@ class _FreeProductDecomposable:
     base families; each component is re-covered through its core's cone tree.
     The margin is fixed by the caller (free_product_cover states its
     default): a failed core check at a word of norm above max_norm - margin
-    is a window artifact, elsewhere an error.
+    is a window artifact, elsewhere an error.  Cone scale, cone radius, core
+    cap and tree-cover scale are clamped at 0: a 0-disjoint family is
+    R-disjoint for every R < 0.
     """
 
     def __init__(self, oracle_for_x, window, margin):
@@ -548,7 +550,7 @@ class _FreeProductDecomposable:
             raise ConstructionError(
                 f"coverage certificate failed: {self.vf.certificate.problems[:3]}"
             )
-        self.M = self.vf.R_star + 1
+        self.M = max(self.vf.R_star + 1, 0)
         out = []
         for i, fam in enumerate(self.vf.families, start=1):
             support = fam.support()
@@ -566,8 +568,8 @@ class _FreeProductDecomposable:
                 f"component core failed inside the margin-reduced window: "
                 f"{report.hard_failures[:3]}"
             )
-        core_cap = 2 * self.M + 2 * R + 2 * D_i
-        B = cone_cover_bound(self.window.E, core_cap, report.radius, R)
+        core_cap = 2 * max(self.M + R, 0) + 2 * D_i
+        B = cone_cover_bound(self.window.E, core_cap, report.radius, max(R, 0))
         if not report.flat:
             # whole component is a boundary artifact; emit nothing for it
             return B, [Family.of([]), Family.of([])]
@@ -581,7 +583,7 @@ class _FreeProductDecomposable:
                 )
             self.artifacts.extend(sorted_points(U))
             return B, [Family.of([]), Family.of([])]
-        fams, _ = cone_cover(self.window, report.core, report.radius, R)
+        fams, _ = cone_cover(self.window, report.core, report.radius, max(R, 0))
         clipped = [Family.of([s & U for s in fam.sets]) for fam in fams]
         return B, clipped
 
@@ -599,17 +601,18 @@ class FreeProductResult:
 def free_product_cover(oracle_for_x, scales, window):
     """End-to-end free-product cover on a window, via decompose with k = 2.
 
-    The margin is the window's, or else R* + M with cone scale M = R* + 1:
-    one cone layer per step, where R* is the scale of the 2-subsampled stream
-    just after the base witness's last slot.  The returned witness passes
-    verify_apc_witness with coverage required on the margin-reduced window;
-    boundary words whose components were clipped are reported as artifacts.
+    The margin is the window's, or else max(R* + M, 0) with cone scale
+    M = R* + 1: one cone layer per step, where R* is the scale of the
+    2-subsampled stream just after the base witness's last slot.  The
+    returned witness passes verify_apc_witness with coverage required on the
+    margin-reduced window; boundary words whose components were clipped are
+    reported as artifacts.
     """
     margin = window.margin
     if margin is None:
         sub = MappedStream(scales, lambda i: i * 2)
         R_star = sub.at(len(oracle_for_x.checked(sub).entries) + 1)
-        margin = 2 * R_star + 1
+        margin = max(2 * R_star + 1, 0)
     hyp = _FreeProductDecomposable(oracle_for_x, window, margin)
     reduced = window.inner_words(margin)
     allow = window.word_set - reduced

@@ -616,11 +616,10 @@ def product_cover_groups(oracle_G, oracle_H, scales):
     return witness
 
 
-def free_product_cover_groups(window_G, window_H, scales, max_order, max_norm,
-                              *, margin=None):
+def free_product_cover_groups(window_G, window_H, scales, max_order, max_norm):
     """Free-product witness through the word-space pipeline over the wedge of
     the two group windows."""
     wedge = wedge_space(window_G.space, window_H.space)
     oracle = greedy_oracle(wedge)
-    win = fp_window(wedge, max_order, max_norm, margin=margin)
+    win = fp_window(wedge, max_order, max_norm)
     return free_product_cover(oracle, scales, win)

@@ -124,7 +124,7 @@ class Family:
     @staticmethod
     def of(sets):
         cleaned = [frozenset(s) for s in sets if s]
-        cleaned.sort(key=lambda s: point_key(min(s, key=point_key)))
+        cleaned.sort(key=lambda s: min(map(point_key, s)))
         return Family(tuple(cleaned))
 
     def __len__(self):

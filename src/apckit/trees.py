@@ -9,6 +9,7 @@ its annulus, which pins its diameter below 3r - 2 for integer r.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -19,7 +20,12 @@ from .covers import ApcOracle, witness_from_families
 
 
 class RootedTree:
-    """Vertices with a parent map; exactly one root (parent None)."""
+    """Vertices with a parent map; exactly one root (parent None).
+
+    One walk down from the root gives each vertex's ``depth``, the
+    ``preorder`` (each vertex after its parent, every subtree contiguous) and
+    the undirected adjacency ``adj`` it walked.
+    """
 
     def __init__(self, parent):
         self.parent = dict(parent)
@@ -29,27 +35,32 @@ class RootedTree:
         if len(roots) != 1:
             raise InputError(f"tree must have exactly one root, found {len(roots)}")
         self.root = roots[0]
+        self.adj = {v: [] for v in self.parent}
         for v, p in self.parent.items():
-            if p is not None and p not in self.parent:
-                raise InputError(f"parent {p!r} of {v!r} is not a vertex")
-        self.depth = {}
-        self._compute_depths()
-        self.vertices = tuple(sorted_points(self.parent))
+            if p is not None:
+                if p not in self.adj:
+                    raise InputError(f"parent {p!r} of {v!r} is not a vertex")
+                self.adj[v].append(p)
+                self.adj[p].append(v)
+        # A vertex the walk misses has an ancestor chain that never reaches
+        # the root, so it lies on or below a cycle.
+        self.depth = {self.root: 0}
+        self.preorder = []
+        stack = [self.root]
+        while stack:
+            v = stack.pop()
+            self.preorder.append(v)
+            for w in self.adj[v]:
+                if w not in self.depth:
+                    self.depth[w] = self.depth[v] + 1
+                    stack.append(w)
+        if len(self.preorder) != len(self.parent):
+            raise InputError("parent map has a cycle")
         self._tables = None
 
-    def _compute_depths(self):
-        for v in self.parent:
-            chain = []
-            u = v
-            while u is not None and u not in self.depth:
-                chain.append(u)
-                u = self.parent[u]
-                if len(chain) > len(self.parent):
-                    raise InputError("parent map has a cycle")
-            base = -1 if u is None else self.depth[u]
-            for w in reversed(chain):
-                base += 1
-                self.depth[w] = base
+    @functools.cached_property
+    def vertices(self):
+        return tuple(sorted_points(self.parent))
 
     def __len__(self):
         return len(self.parent)
@@ -69,7 +80,7 @@ class RootedTree:
         return u
 
     def _lookup_tables(self):
-        """(adjacency, preorder position, sparse table of depths), built once.
+        """(preorder position, sparse table of depths), built once.
 
         The preorder is the first-visit subsequence of the Euler tour.  For
         u != v at positions i < j, the shallowest vertex at positions
@@ -80,31 +91,19 @@ class RootedTree:
         never measured do not pay for it.
         """
         if self._tables is None:
-            adj = {v: [] for v in self.parent}
-            for v, p in self.parent.items():
-                if p is not None:
-                    adj[v].append(p)
-                    adj[p].append(v)
-            depth = self.depth
-            order = []
-            stack = [self.root]
-            while stack:
-                v = stack.pop()
-                order.append(v)
-                stack.extend(w for w in adj[v] if depth[w] > depth[v])
-            row = [depth[v] for v in order]
+            row = [self.depth[v] for v in self.preorder]
             table = [row]
             span = 1
-            while 2 * span <= len(order):
+            while 2 * span <= len(self.preorder):
                 row = list(map(min, row, row[span:]))
                 table.append(row)
                 span *= 2
-            self._tables = (adj, {v: i for i, v in enumerate(order)}, table)
+            self._tables = ({v: i for i, v in enumerate(self.preorder)}, table)
         return self._tables
 
     def distance(self, u, v):
         """depth(u) + depth(v) - 2 depth(meet(u, v)), in O(1) per query."""
-        _, pos, table = self._tables or self._lookup_tables()
+        pos, table = self._tables or self._lookup_tables()
         i, j = pos[u], pos[v]
         if i > j:
             i, j = j, i
@@ -146,7 +145,7 @@ class TreeIndex:
         if R < 0:
             return True
         reach = math.isqrt(math.floor(sq_value(R)))
-        adj = self.tree._lookup_tables()[0]
+        adj = self.tree.adj
         nearest = {}  # vertex -> (label, distance) of its nearest set
         second = set()  # vertices that also hold their nearest other label
         frontier = []
@@ -214,17 +213,17 @@ class TreeCover:
 def tree_cover(tree, r):
     """Two r-disjoint families covering the tree, mesh < 3r.
 
-    One pass over the vertices in depth order.  Vertex v lies in annulus
-    i = depth(v) // r, the depths d with i*r <= d < (i+1)*r.  Within an
-    annulus every vertex connects up its branch to the annulus top, and two
-    top vertices are within r iff they share the ancestor at depth
-    ceil(i*r) - floor(floor(r)/2), the anchor; the components are the
-    vertices of an annulus that share an anchor.  v takes its parent's
-    anchor when the parent lies in the same annulus.  Otherwise v is at the
-    annulus top and its anchor is v itself (r < 2) or its parent's entry in
-    ``up``, which each vertex inherits from its parent the same way, so no
-    vertex walks up the tree and the pass is linear.  For integer r the mesh
-    bound is the stronger 3r - 2.
+    One pass over the tree's preorder, which lists each vertex after its
+    parent.  Vertex v lies in annulus i = depth(v) // r, the depths d with
+    i*r <= d < (i+1)*r.  Within an annulus every vertex connects up its
+    branch to the annulus top, and two top vertices are within r iff they
+    share the ancestor at depth ceil(i*r) - floor(floor(r)/2), the anchor;
+    the components are the vertices of an annulus that share an anchor.  v
+    takes its parent's anchor when the parent lies in the same annulus.
+    Otherwise v is at the annulus top and its anchor is v itself (r < 2) or
+    its parent's entry in ``up``, which each vertex inherits from its parent
+    the same way, so no vertex walks up the tree and the pass is linear.  For
+    integer r the mesh bound is the stronger 3r - 2.
     """
     r = scalar(r)
     if r < 1:
@@ -233,7 +232,7 @@ def tree_cover(tree, r):
     # key: vertex -> (annulus, anchor); up: vertex -> its ancestor at the
     # anchor depth of the next annulus, for vertices at least that deep
     key, up, comps, anchors = {}, {}, {}, {}
-    for v in sorted(tree.vertices, key=tree.depth.__getitem__):
+    for v in tree.preorder:
         d, p = tree.depth[v], tree.parent[v]
         i = d // r
         if p is not None and key[p][0] == i:

@@ -210,6 +210,34 @@ def height(tree):
     return max(tree.depth.values())
 
 
+def tree_depths(parent):
+    """Each vertex's depth in a parent map, by walking its ancestor chain up
+    to a vertex of known depth, with RootedTree's refusals in their order."""
+    parent = dict(parent)
+    if None in parent:
+        raise InputError("None is not a tree vertex: it marks the root's parent")
+    roots = [v for v, p in parent.items() if p is None]
+    if len(roots) != 1:
+        raise InputError(f"tree must have exactly one root, found {len(roots)}")
+    for v, p in parent.items():
+        if p is not None and p not in parent:
+            raise InputError(f"parent {p!r} of {v!r} is not a vertex")
+    depth = {}
+    for v in parent:
+        chain = []
+        u = v
+        while u is not None and u not in depth:
+            chain.append(u)
+            u = parent[u]
+            if len(chain) > len(parent):
+                raise InputError("parent map has a cycle")
+        base = -1 if u is None else depth[u]
+        for w in reversed(chain):
+            base += 1
+            depth[w] = base
+    return depth
+
+
 # ---------------------------------------------------------------------------
 # cover witnesses
 

@@ -81,7 +81,7 @@ GOLDEN = {
     'cover-solve': (0, '8ebce8283c48889f01f2b49d50db523104f7ab553aac8021845a8c9922524d52', {'out': 'c588fe29f8d7925866a58af6760f30e31c59d7c0c78c8a1feafccdfade957e8f'}),
     'cover-verify': (0, 'feb83334cb21fa2fe775e104ee956304473749635579b1eadb677ebfc3fdb44b', {}),
     'decompose': (0, 'fa7a365e206151ac2f9559700a92b9531e3aae4b5aaad3bf0ce56bdb37ab7700', {'out': 'e4252402eeab252d2affeb3557f2d0faf5f4805bdc4b79ed76fbe05cdcfbafad'}),
-    'demo-hypercubes': (0, '35b1d7da3c80739be475782abc98a87a9b3376581dd8d5c7fe0deada071f77ff', {'out': '35b1d7da3c80739be475782abc98a87a9b3376581dd8d5c7fe0deada071f77ff'}),
+    'demo-hypercubes': (0, 'e647bcb360cd748d0c0074b756542e28a7fca3edc41531353f44f3639168a421', {'out': 'e647bcb360cd748d0c0074b756542e28a7fca3edc41531353f44f3639168a421'}),
     'fibering': (0, '812c0bd456c77f5ec57504018421c7747710da7a4fc20ec3da4920c612a3dace', {'out': '3149798f0d7d8da7aefbb65d4444210e5c7e14bca02926736b1807763f623394'}),
     'freeprod-cover': (0, 'c1b173b3c39c8905c2b48dd1fe08bffb0f9621bd04a44b98c0c15e5aeec73b2a', {'out': 'd73a0097fca39230afe17ba5702808e6457fd31cb3b5948e0ee413e99b32aa8e'}),
     'freeprod-qi-check': (0, 'bdbd3c5ec6f68a79cc9dc7ed76ad439d7169903ac5fb1d3bc4364748d7039492', {}),

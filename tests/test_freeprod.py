@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from apckit import io as fio
+from apckit.cli import main as cli_main
 from apckit.covers import ApcOracle, ScaleSequence, verify_apc_witness, witness_from_families
 from apckit.metric import (
     Family,
@@ -27,7 +29,8 @@ from apckit.freeprod import (
     wedge_embed_check,
     wedge_space,
 )
-from reference import fp_distance, words_adjacent
+from apckit.groups import ZdModel, cayley_ball
+from reference import check_witness, fp_distance, words_adjacent
 
 
 def base_xab():
@@ -761,3 +764,24 @@ class TestConeScale:
         win = fp_window(base_xab(), 2, 4)
         with pytest.raises(InputError):
             qi_check(cone_tree(win, {w(A), w(B)}, M))
+
+    @pytest.mark.parametrize("scale", ["-1", "-5"])
+    @pytest.mark.parametrize("kind", ["freeprod-cover", "free-product-zz"])
+    def test_cli_covers_at_negative_scales(self, tmp_path, kind, scale):
+        # below zero the default margin is 0, so the witness must cover the
+        # whole window; the reference checks it on every pair
+        out = str(tmp_path / "w.json")
+        if kind == "freeprod-cover":
+            base = base_xab()
+            fio.save_space(str(tmp_path / "xab.json"), base)
+            argv = ["freeprod", "cover", "--base", str(tmp_path / "xab.json"), "--window", "2,4"]
+        else:  # the pipeline's default radius 8 and window 2,4
+            ball = cayley_ball(ZdModel(1), ZdModel(1).standard_gens(), 8)
+            base = wedge_space(ball.space, ball.space)
+            argv = ["group", "pipeline", "--kind", "free-product-zz"]
+        assert cli_main(argv + ["--scales", scale, "--out", out]) == 0
+        space = fp_window(base, 2, 4).space
+        s, witness = fio.load_witness(out)
+        dist = {(p, q): space.dist(p, q) for p in space.points for q in space.points}
+        slots = [(e.mesh_bound, e.family.sets) for e in witness.entries]
+        assert check_witness(dist, [s.at(i) for i in range(1, len(slots) + 1)], slots) == set()

@@ -445,6 +445,7 @@ class TestCli:
     @pytest.mark.parametrize("argv, flag", [
         (["cover", "verify", "--space", "{iv}", "--witness", "{w}"], ["--seed", "5"]),
         (["tree-cover", "--tree", "{tree}", "--r", "1"], ["--cap", "3"]),
+        (["demo", "hypercubes", "--max-dim", "1"], ["--seed", "1"]),
     ])
     def test_flags_a_command_does_not_read_exit_2(self, tmp_path, capsys, argv, flag):
         files = {"iv": self._space_file(tmp_path, {"kind": "interval", "lo": 0, "hi": 4}),
