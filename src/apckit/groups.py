@@ -3,10 +3,10 @@ they feed into the fibering combinator.
 
 Concrete element models: integer lattices, free groups on reduced words,
 finite multiplication tables, and direct/free products of those.  A Cayley
-window materializes the ball of a chosen radius with exact norms computed by
-shortest-weighted-path search; pairwise distances inside the window read the
-norm table at twice the radius, so they never silently truncate -- leaving
-the table raises WindowExhausted instead.
+window materializes the ball of a chosen radius with exact norms, in closed
+form for axis-generated Z^d and by shortest-weighted-path search otherwise;
+pairwise distances inside the window read the norm table at twice the radius,
+so they never silently truncate -- leaving the table raises WindowExhausted.
 """
 
 from __future__ import annotations
@@ -275,10 +275,10 @@ class CayleyWindow:
 
     Distances inside the ball are d(g, h) = ||inv(g) h||, read from the norm
     table; with the default norm_radius of 2L every in-window pair resolves.
-    A window of Z^d generated by {+-e_i} with an int weight w_i per axis,
-    whose norm_radius is at least 2L, has the word metric
-    sum_i w_i |g_i - h_i| on all its pairs, and its space carries the lattice
-    index of g -> (w_1 g_1, ..., w_d g_d); every other window has none.
+    Z^d generated by {+-e_i} at weight w_i reads its norms in closed form,
+    every other window by Dijkstra.  With int weights and norm_radius >= 2L
+    its metric is sum_i w_i |g_i - h_i| on all pairs, and its space carries
+    the lattice index g -> (w_1 g_1, ..., w_d g_d); other windows have none.
     """
 
     def __init__(self, model, genset, radius, *, norm_radius=None):
@@ -292,28 +292,45 @@ class CayleyWindow:
         )
         if self.norm_radius < self.radius:
             raise InputError("norm_radius must be at least the ball radius")
-        self.norms = self._dijkstra()
+        weights = self._axis_weights()
+        self.norms = self._dijkstra() if weights is None else self._axis_norms(weights)
         self.points = tuple(
             sorted((g for g, n in self.norms.items() if n <= self.radius), key=point_key)
         )
         self.space = FiniteMetricSpace(
             self.points, self._dist, basepoint=model.identity(),
-            name=f"ball({model.name},{radius})", index=self._axis_index(),
+            name=f"ball({model.name},{radius})", index=self._axis_index(weights),
         )
 
-    def _axis_index(self):
+    def _axis_weights(self):
+        """[w_1, ..., w_d] if the generators are exactly Z^d's +-e_i at w_i, else None."""
+        if not isinstance(self.model, ZdModel):
+            return None
+        units = [tuple(int(j == i) for j in range(self.model.d)) for i in range(self.model.d)]
+        gens = dict(self.genset)  # symmetric, so it holds -e_i with each e_i
+        if len(gens) != 2 * len(units) or not all(e in gens for e in units):
+            return None
+        return [gens[e] for e in units]
+
+    def _axis_index(self, weights):
         """The window's LatticeIndex when the class docstring grants one, else None."""
-        if not isinstance(self.model, ZdModel) or self.norm_radius < 2 * self.radius:
-            return None
-        d = self.model.d
-        axis = {tuple(c * (j == i) for j in range(d)): i for i in range(d) for c in (1, -1)}
-        if len(self.genset) != 2 * d or any(s not in axis or not _is_int(w)
-                                            for s, w in self.genset):
-            return None
-        weights = [0] * d
-        for s, w in self.genset:
-            weights[axis[s]] = w
-        return LatticeIndex(lambda g: tuple(map(operator.mul, weights, g)), (range(d),))
+        if weights and all(map(_is_int, weights)) and self.norm_radius >= 2 * self.radius:
+            return LatticeIndex(lambda g: tuple(map(operator.mul, weights, g)),
+                                (range(len(weights)),))
+
+    def _axis_norms(self, weights):
+        """||g|| = sum_i w_i |g_i| over the ball: a word reaching g uses at least
+        |g_i| letters +-e_i, each of weight w_i, as no other letter moves
+        coordinate i, and |g_i| steps of sign(g_i) e_i per axis attain it.  The
+        ball is built one axis at a time, each level counted from the last
+        before it is built, so a level over the cap is refused unbuilt."""
+        N, level = self.norm_radius, [((), 0)]
+        for w in weights:
+            if sum(2 * ((N - n) // w) + 1 for _, n in level) > BALL_CAP:
+                raise InputError(f"ball exceeds the {BALL_CAP}-element cap")
+            level = [(g + (k,), n + w * abs(k)) for g, n in level
+                     for k in range(-((N - n) // w), (N - n) // w + 1)]
+        return dict(level)
 
     def _dijkstra(self):
         e = self.model.identity()

@@ -22,9 +22,9 @@ from .covers import ApcOracle, witness_from_families
 class RootedTree:
     """Vertices with a parent map; exactly one root (parent None).
 
-    One walk down from the root gives each vertex's ``depth``, the
-    ``preorder`` (each vertex after its parent, every subtree contiguous) and
-    the undirected adjacency ``adj`` it walked.
+    One walk down the children lists from the root gives each vertex's
+    ``depth`` and the ``preorder`` (each vertex after its parent, every
+    subtree contiguous); the undirected ``adj`` is built on first read.
     """
 
     def __init__(self, parent):
@@ -35,13 +35,12 @@ class RootedTree:
         if len(roots) != 1:
             raise InputError(f"tree must have exactly one root, found {len(roots)}")
         self.root = roots[0]
-        self.adj = {v: [] for v in self.parent}
+        children = {v: [] for v in self.parent}
         for v, p in self.parent.items():
             if p is not None:
-                if p not in self.adj:
+                if p not in children:
                     raise InputError(f"parent {p!r} of {v!r} is not a vertex")
-                self.adj[v].append(p)
-                self.adj[p].append(v)
+                children[p].append(v)
         # A vertex the walk misses has an ancestor chain that never reaches
         # the root, so it lies on or below a cycle.
         self.depth = {self.root: 0}
@@ -50,13 +49,21 @@ class RootedTree:
         while stack:
             v = stack.pop()
             self.preorder.append(v)
-            for w in self.adj[v]:
-                if w not in self.depth:
-                    self.depth[w] = self.depth[v] + 1
-                    stack.append(w)
+            for w in children[v]:
+                self.depth[w] = self.depth[v] + 1
+                stack.append(w)
         if len(self.preorder) != len(self.parent):
             raise InputError("parent map has a cycle")
         self._tables = None
+
+    @functools.cached_property
+    def adj(self):
+        """vertex -> its parent, if any, and its children."""
+        adj = {v: [] if p is None else [p] for v, p in self.parent.items()}
+        for v, p in self.parent.items():
+            if p is not None:
+                adj[p].append(v)
+        return adj
 
     @functools.cached_property
     def vertices(self):

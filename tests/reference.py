@@ -9,13 +9,17 @@ that the index tests compare against, and :func:`without_squares` the copy
 that the metric validator checks without squared distances.  :func:`check_witness` decides a cover
 witness from an explicit distance table, with every pair and no index.
 :func:`matrix_search` is the exact solver's search on boolean R and B matrices,
-re-checking every pair of a merged component.
+re-checking every pair of a merged component.  :func:`dijkstra_norms` is the
+Cayley norm table by shortest-path search, which axis-generated Z^d windows
+replace with a closed form.
 """
 
+import heapq
 import itertools
 import math
 from fractions import Fraction
 
+from apckit import groups
 from apckit.combinators import FiberCoverScheme
 from apckit.exact import Root, root_of, sq_value
 from apckit.metric import ConstructionError, Family, FiniteMetricSpace, InputError, set_diameter
@@ -177,6 +181,30 @@ def singleton_fiber_scheme():
 
 # ---------------------------------------------------------------------------
 # group models
+
+
+def dijkstra_norms(model, genset, norm_radius):
+    """The norm table out to norm_radius by shortest-weighted-path search from
+    the identity, for any model and generating set, with the window's cap."""
+    e = model.identity()
+    norms = {}
+    heap = [(0, 0, e)]
+    counter = 0
+    while heap:
+        n, _, g = heapq.heappop(heap)
+        if g in norms:
+            continue
+        norms[g] = n
+        if len(norms) > groups.BALL_CAP:
+            raise InputError(f"ball exceeds the {groups.BALL_CAP}-element cap")
+        for s, w in genset:
+            nn = n + w
+            if nn <= norm_radius:
+                h = model.mul(g, s)
+                if h not in norms:
+                    counter += 1
+                    heapq.heappush(heap, (nn, counter, h))
+    return norms
 
 
 def embedded_gens(model, factor_gens):

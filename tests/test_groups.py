@@ -4,7 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from apckit import groups as groups_module
 from apckit.covers import ScaleSequence, interval_oracle, verify_apc_witness
 from apckit.combinators import product_cover, UniformlyExpansiveMap, identity_rho, fibering_cover
 from apckit.exact import root_of
@@ -40,7 +43,7 @@ from apckit.groups import (
     rho_from_weights,
     z2_extension_pipeline,
 )
-from reference import embedded_gens
+from reference import dijkstra_norms, embedded_gens
 
 
 def scales(*prefix, **kw):
@@ -206,6 +209,78 @@ class TestCayleyIndex:
         for win in cases:
             assert win.space.index is None
         assert cayley_ball(Z2, Z2.standard_gens(), 3, norm_radius=6).space.index is not None
+
+
+AXIS_WEIGHTS = [1, 2, 3, Fraction(1, 2), Fraction(3, 2)]
+
+
+@st.composite
+def axis_windows(draw):
+    """(d, per-axis weights, radius, norm_radius) for a small Z^d axis window."""
+    d = draw(st.integers(1, 3))
+    weights = draw(st.lists(st.sampled_from(AXIS_WEIGHTS), min_size=d, max_size=d))
+    radius = draw(st.one_of(st.just(0), st.integers(1, 3),
+                            st.fractions(0, 3, max_denominator=3)))
+    extra = draw(st.sampled_from([None, 0, Fraction(1, 2), 1, radius + 1]))
+    return d, weights, radius, None if extra is None else radius + extra
+
+
+class TestAxisNorms:
+    """Axis-generated Z^d windows read their norm table in closed form; it
+    must equal the shortest-path table of ``reference.dijkstra_norms``."""
+
+    @given(axis_windows())
+    @example((2, [1, 3], 2, None))
+    @example((3, [Fraction(1, 2), 2, Fraction(3, 2)], Fraction(3, 2), 4))
+    @example((2, [2, Fraction(1, 2)], Fraction(5, 2), Fraction(5, 2)))
+    @settings(max_examples=150, deadline=None)
+    def test_closed_form_matches_dijkstra(self, case):
+        d, weights, radius, norm_radius = case
+        model = ZdModel(d)
+        win = cayley_ball(model, model.standard_gens(weights), radius,
+                          norm_radius=norm_radius)
+        ref = dijkstra_norms(model, win.genset, win.norm_radius)
+        assert win.norms == ref
+        assert win.points == tuple(sorted_points(g for g, n in ref.items() if n <= radius))
+        if len(win.points) > 60:
+            return
+        for g, h in itertools.combinations_with_replacement(win.points, 2):
+            diff = model.mul(model.inv(g), h)
+            if diff in ref:
+                assert win.space.dist(g, h) == ref[diff]
+            else:
+                with pytest.raises(WindowExhausted):
+                    win.space.dist(g, h)
+
+    def test_other_z2_gensets_take_dijkstra(self, monkeypatch):
+        calls = []
+        search = CayleyWindow._dijkstra
+        monkeypatch.setattr(CayleyWindow, "_dijkstra",
+                            lambda self: calls.append(self) or search(self))
+        Z2 = ZdModel(2)
+        win = cayley_ball(Z2, Z2.standard_gens() + [((1, 1), 1)], 3)
+        assert calls == [win]
+        assert win.norms == dijkstra_norms(Z2, win.genset, 6)
+        assert win.norm_of((2, 2)) == 2  # the axis closed form would give 4
+        cayley_ball(Z2, Z2.standard_gens([1, 3]), 3)
+        assert calls == [win]
+
+    @pytest.mark.parametrize("model, gens", [
+        (ZdModel(3), ZdModel(3).standard_gens([1, Fraction(1, 2), 2])),
+        (ZdModel(2), ZdModel(2).standard_gens() + [((1, 1), 1)]),
+        (FreeGroupModel(2), FreeGroupModel(2).standard_gens()),
+    ], ids=["closed-form", "dijkstra-z2", "dijkstra-f2"])
+    def test_the_cap_refuses_one_element_over(self, monkeypatch, model, gens):
+        size = len(cayley_ball(model, gens, 2).norms)
+        monkeypatch.setattr(groups_module, "BALL_CAP", size)
+        win = cayley_ball(model, gens, 2)
+        assert len(win.norms) == size
+        monkeypatch.setattr(groups_module, "BALL_CAP", size - 1)
+        message = f"^ball exceeds the {size - 1}-element cap$"
+        with pytest.raises(InputError, match=message):
+            cayley_ball(model, gens, 2)
+        with pytest.raises(InputError, match=message):
+            dijkstra_norms(model, win.genset, win.norm_radius)
 
 
 class TestStabilizers:

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -560,6 +561,17 @@ class TestCli:
         assert cli_main(["group", "ball", "--group", str(p)]) == 0
         assert json.loads(capsys.readouterr().out)["spheres"] == [
             [0, 1], ["1/2", 2], [1, 2], ["3/2", 2], [2, 2]]
+
+    def test_group_ball_refuses_an_oversized_z3_ball_before_building_it(self, tmp_path,
+                                                                         capsys):
+        p = tmp_path / "g.json"
+        fio.write_file(str(p), {"model": "Z^3", "radius": 50, "generators": [
+            {"elem": [1, 0, 0], "weight": 1}, {"elem": [0, 1, 0], "weight": 1},
+            {"elem": [0, 0, 1], "weight": 1}]})
+        start = time.perf_counter()
+        assert cli_main(["group", "ball", "--group", str(p)]) == 2
+        assert time.perf_counter() - start < 1
+        assert "ball exceeds the 1000000-element cap" in capsys.readouterr().err
 
     def test_freeprod_window_out_writes_the_words(self, tmp_path, capsys):
         p, out = tmp_path / "base.json", tmp_path / "words.json"
