@@ -66,42 +66,33 @@ class Root:
             return False  # non-perfect square is irrational
         return NotImplemented
 
-    def _cmp_rational(self, other):
-        # returns -1/0/1 for self vs other (other rational)
-        if other < 0:
-            return 1
-        o = other * other
-        if self.sq == o:
-            return 0
-        return -1 if self.sq < o else 1
+    def _cmp(self, other):
+        # -1/0/1 for self vs other by squares; NotImplemented for a non-scalar
+        if isinstance(other, Root):
+            o = other.sq
+        elif isinstance(other, Rational):
+            if other < 0:
+                return 1
+            o = other * other
+        else:
+            return NotImplemented
+        return (self.sq > o) - (self.sq < o)
 
     def __lt__(self, other):
-        if isinstance(other, Root):
-            return self.sq < other.sq
-        if isinstance(other, Rational):
-            return self._cmp_rational(other) < 0
-        return NotImplemented
+        c = self._cmp(other)
+        return c if c is NotImplemented else c < 0
 
     def __le__(self, other):
-        if isinstance(other, Root):
-            return self.sq <= other.sq
-        if isinstance(other, Rational):
-            return self._cmp_rational(other) <= 0
-        return NotImplemented
+        c = self._cmp(other)
+        return c if c is NotImplemented else c <= 0
 
     def __gt__(self, other):
-        if isinstance(other, Root):
-            return self.sq > other.sq
-        if isinstance(other, Rational):
-            return self._cmp_rational(other) > 0
-        return NotImplemented
+        c = self._cmp(other)
+        return c if c is NotImplemented else c > 0
 
     def __ge__(self, other):
-        if isinstance(other, Root):
-            return self.sq >= other.sq
-        if isinstance(other, Rational):
-            return self._cmp_rational(other) >= 0
-        return NotImplemented
+        c = self._cmp(other)
+        return c if c is NotImplemented else c >= 0
 
 
 def root_of(sq):

@@ -306,6 +306,18 @@ class ConeTree:
     M: object  # the cone scale
     window: FreeProductWindow
 
+    def cover(self, r):
+        """Two r-disjoint families covering the cone, pulled back from the tree cover.
+
+        Tree sets more than r/E + 3 apart give word sets more than r apart; a
+        tree set of diameter below 3*ceil(r/E + 3) gives a word set of diameter
+        at most M * (3 * ceil(r/E + 3)) + D, the recorded bound.
+        """
+        r = scalar(r)
+        tc = tree_cover(self.tree, -(-r // self.E) + 3)  # ceil(r/E + 3), exactly
+        families = [Family.of([s - {ROOT} for s in fam.sets]) for fam in (tc.even, tc.odd)]
+        return families, cone_cover_bound(self.E, self.D, self.M, r)
+
 
 def cone_tree(window, A, M):
     """The simplicial tree over con_M(A): root joined to the flat base, one
@@ -315,9 +327,13 @@ def cone_tree(window, A, M):
         raise InputError("cone_tree needs a nonempty base")
     if not is_flat(A):
         raise InputError("cone_tree base must be flat")
-    window.require(A)
-    M = scalar(M)
+    return _cone_tree(window, A, M)
+
+
+def _cone_tree(window, A, M):
+    # A is a nonempty flat base; cone_window checks that it lies in the window
     cone = cone_window(window, A, M)
+    M = scalar(M)
     parent = {w: ROOT if w in A else w[:-1] for w in cone}
     parent[ROOT] = None
     tree = RootedTree(parent)
@@ -353,20 +369,12 @@ def qi_check(ct):
 
 
 def cone_cover(window, A, M, r):
-    """Two r-disjoint families covering con_M(A), pulled back from the tree cover.
-
-    Tree sets more than r/E + 3 apart give word sets more than r apart; a
-    tree set of diameter below 3*ceil(r/E + 3) gives a word set of diameter
-    at most M * (3 * ceil(r/E + 3)) + D, the recorded bound.
-    """
+    """Two r-disjoint families covering con_M(A) and their mesh bound; see
+    :meth:`ConeTree.cover`.  An empty base gives two empty families."""
     A = frozenset(A)
     if not A:
         return [Family.of([]), Family.of([])], 0
-    r = scalar(r)
-    ct = cone_tree(window, A, M)
-    tc = tree_cover(ct.tree, -(-r // ct.E) + 3)  # ceil(r/E + 3), exactly
-    families = [Family.of([s - {ROOT} for s in fam.sets]) for fam in (tc.even, tc.odd)]
-    return families, cone_cover_bound(ct.E, ct.D, ct.M, r)
+    return cone_tree(window, A, M).cover(r)
 
 
 def cone_cover_bound(E, D_bound, M, r):
@@ -386,6 +394,7 @@ class CoreReport:
     radius: object  # exact scalar
     artifacts: list  # boundary words where a check failed, norm beyond margin
     hard_failures: list  # failures among margin-reduced words
+    cone_tree: ConeTree | None  # the core's radius cone tree; None when the core is not flat
 
     @property
     def ok(self):
@@ -396,8 +405,9 @@ def component_core(window, C, M, R, D, *, margin=0):
     """Minimal-order slice of an R-component of a cone window, with checks.
 
     Verifies the core is flat and that C lies in the (max(M + R, 0) + D)-cone
-    of the core.  Failures at words whose norm exceeds max_norm - margin are window
-    artifacts; failures at inner words are hard.
+    of the core, whose cone tree the report keeps.  Failures at words whose norm
+    exceeds max_norm - margin are window artifacts; failures at inner words are
+    hard.
     """
     C = frozenset(C)
     if not C:
@@ -412,11 +422,9 @@ def component_core(window, C, M, R, D, *, margin=0):
 
     artifacts = []
     hard = []
+    tree = _cone_tree(window, core, radius) if flat else None
     if flat:
-        reach = cone_window(window, core, radius)
-        for w in sorted_points(C):
-            if w in reach:
-                continue
+        for w in sorted_points(C - tree.cone):
             if window.norm(w) > inner_bound:
                 artifacts.append(w)
             else:
@@ -427,7 +435,7 @@ def component_core(window, C, M, R, D, *, margin=0):
             artifacts = sorted_points(boundary)
         else:
             hard = sorted_points(C)
-    return CoreReport(core, flat, radius, artifacts, hard)
+    return CoreReport(core, flat, radius, artifacts, hard, tree)
 
 
 # ---------------------------------------------------------------------------
@@ -570,10 +578,11 @@ class _FreeProductDecomposable:
             )
         core_cap = 2 * max(self.M + R, 0) + 2 * D_i
         B = cone_cover_bound(self.window.E, core_cap, report.radius, max(R, 0))
-        if not report.flat:
+        tree = report.cone_tree
+        if tree is None:
             # whole component is a boundary artifact; emit nothing for it
             return B, [Family.of([]), Family.of([])]
-        if set_diameter(self.window.space, report.core) > core_cap:
+        if tree.D > core_cap:
             boundary = [w for w in U
                         if self.window.norm(w) > self.window.max_norm - self.margin]
             if len(boundary) == 0:
@@ -581,9 +590,9 @@ class _FreeProductDecomposable:
                     f"core of an inner component exceeds its uniform diameter cap "
                     f"({core_cap})"
                 )
-            self.artifacts.extend(sorted_points(U))
+            self.artifacts.extend(U)  # free_product_cover sorts all artifacts once
             return B, [Family.of([]), Family.of([])]
-        fams, _ = cone_cover(self.window, report.core, report.radius, max(R, 0))
+        fams, _ = tree.cover(max(R, 0))
         clipped = [Family.of([s & U for s in fam.sets]) for fam in fams]
         return B, clipped
 

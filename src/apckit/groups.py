@@ -367,9 +367,6 @@ class CayleyWindow:
     def dist(self, g, h):
         return self.space.dist(g, h)
 
-    def extended_elements(self):
-        return self.norms.keys()
-
 
 def cayley_ball(model, genset_items, L, **kw):
     genset = (
@@ -464,7 +461,7 @@ def hom_fiber_scheme(window, phi, sigma, windowH, kernel_source):
 
     def provider(M, R):
         by_kernel = {}  # kernel element -> the stabilizer elements splitting to it
-        for g in window.extended_elements():
+        for g in window.norms:
             h = phi(g)
             if windowH.norm_of(h) <= M:
                 by_kernel.setdefault(model.mul(g, model.inv(sigma(h))), []).append(g)

@@ -11,7 +11,9 @@ witness from an explicit distance table, with every pair and no index.
 :func:`matrix_search` is the exact solver's search on boolean R and B matrices,
 re-checking every pair of a merged component.  :func:`dijkstra_norms` is the
 Cayley norm table by shortest-path search, which axis-generated Z^d windows
-replace with a closed form.
+replace with a closed form.  :func:`core_reach_failures` is a component core's
+reach check by a full cone walk and a sorted scan of every word, which the
+library reads from the core's cone tree.
 """
 
 import heapq
@@ -21,8 +23,10 @@ from fractions import Fraction
 
 from apckit import groups
 from apckit.combinators import FiberCoverScheme
-from apckit.exact import Root, root_of, sq_value
-from apckit.metric import ConstructionError, Family, FiniteMetricSpace, InputError, set_diameter
+from apckit.exact import Root, root_of, scalar, sq_value
+from apckit.freeprod import cone_window
+from apckit.metric import (ConstructionError, Family, FiniteMetricSpace, InputError, set_diameter,
+                           sorted_points)
 
 INF = math.inf
 
@@ -71,6 +75,26 @@ def words_adjacent(u, v) -> bool:
         return False
     longer, shorter = (u, v) if len(u) > len(v) else (v, u)
     return longer[:-1] == shorter
+
+
+def core_reach_failures(window, C, M, R, D, margin=0):
+    """(artifacts, hard failures) of a component whose core is flat: the words
+    of C outside the (max(M + R, 0) + D)-cone of its minimal-order slice, in
+    sorted order, split by whether their norm exceeds max_norm - margin."""
+    k0 = min(len(w) for w in C)
+    core = frozenset(w for w in C if len(w) == k0)
+    radius = max(scalar(M) + scalar(R), 0) + scalar(D)
+    inner_bound = window.max_norm - scalar(margin)
+    reach = cone_window(window, core, radius)
+    artifacts, hard = [], []
+    for w in sorted_points(C):
+        if w in reach:
+            continue
+        if window.norm(w) > inner_bound:
+            artifacts.append(w)
+        else:
+            hard.append(w)
+    return artifacts, hard
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
+import collections
+import functools
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apckit import io as fio
 from apckit.cli import main as cli_main
@@ -13,6 +17,7 @@ from apckit.metric import (
     interval_window,
     matrix_space,
     set_diameter,
+    sorted_points,
     validate_metric,
 )
 from apckit.freeprod import (
@@ -30,7 +35,7 @@ from apckit.freeprod import (
     wedge_space,
 )
 from apckit.groups import ZdModel, cayley_ball
-from reference import check_witness, fp_distance, words_adjacent
+from reference import check_witness, core_reach_failures, fp_distance, words_adjacent
 
 
 def base_xab():
@@ -785,3 +790,120 @@ class TestConeScale:
         dist = {(p, q): space.dist(p, q) for p in space.points for q in space.points}
         slots = [(e.mesh_bound, e.family.sets) for e in witness.entries]
         assert check_witness(dist, [s.at(i) for i in range(1, len(slots) + 1)], slots) == set()
+
+
+CORE_BASES = ["xab", "interval", "z-wedge"]
+
+
+@functools.lru_cache(maxsize=None)
+def core_window(base_name, m, L):
+    return fp_window(PIN_BASES[base_name](), m, L)
+
+
+@st.composite
+def flat_components(draw):
+    """A window of order <= 3, a flat core (a set of one-letter extensions of
+    a prefix, or the trivial word alone) and deeper words that complete it to
+    a component, some under the core and some anywhere, with the scales."""
+    base_name = draw(st.sampled_from(CORE_BASES))
+    m = draw(st.integers(1, 3))
+    L = draw(st.sampled_from([2, 3, Fraction(7, 2), 5]))
+    win = core_window(base_name, m, L)
+    if draw(st.booleans()):
+        core = {EPSILON}
+    else:
+        prefix = draw(st.sampled_from(sorted_points({v[:-1] for v in win.words if v})))
+        ext = [v for v in win.words if v and v[:-1] == prefix]
+        core = draw(st.sets(st.sampled_from(ext), min_size=1))
+    k = len(next(iter(core)))
+    deeper = [v for v in win.words if len(v) > k]
+    under = [v for v in deeper if v[:k] in core]
+    C = set(core)
+    for pool in (deeper, under):
+        if pool:
+            C |= draw(st.sets(st.sampled_from(pool), max_size=6))
+    M = draw(st.sampled_from([0, Fraction(1, 2), 1, 2]))
+    R = draw(st.sampled_from([-1, 0, Fraction(1, 2), 1]))
+    D = draw(st.sampled_from([0, 1, Fraction(3, 2)]))
+    margin = draw(st.sampled_from([0, 1, 2, L]))
+    return win, frozenset(core), frozenset(C), M, R, D, margin
+
+
+class TestCoreConeTree:
+    """component_core keeps the core's cone tree, and the free-product
+    pipeline reads the core check, the diameter cap and the tree cover from it."""
+
+    @given(flat_components())
+    @settings(max_examples=150, deadline=None)
+    def test_report_matches_the_full_cone_walk(self, case):
+        win, core, C, M, R, D, margin = case
+        rep = component_core(win, C, M, R, D, margin=margin)
+        assert rep.flat and rep.core == core
+        assert (rep.artifacts, rep.hard_failures) == core_reach_failures(win, C, M, R, D, margin)
+        tree = rep.cone_tree
+        assert tree.cone == cone_window(win, core, rep.radius)
+        assert tree.D == set_diameter(win.space, core)
+        for r in (0, Fraction(1, 2), 1, 2):
+            assert tree.cover(r) == cone_cover(win, core, rep.radius, r)
+
+    def test_a_non_flat_core_has_no_cone_tree(self):
+        win = fp_window(base_xab(), 3, 6)
+        assert component_core(win, {w(A, B), w(B, A)}, 1, 0, 0).cone_tree is None
+
+    @pytest.mark.parametrize("base_name, m, L, prefix", [
+        ("xab", 3, 9, (1,)), ("xab", 3, 9, (1, 1, 2)), ("interval", 3, 6, (1, 2)),
+        ("z-wedge", 2, 5, (2, 2, 3)),
+    ])
+    def test_each_flat_component_walks_its_cone_once(self, monkeypatch, base_name, m, L, prefix):
+        # cone_window runs once per V-family and once per flat component, the
+        # core's diameter is taken once, and subcover covers no second cone
+        from apckit import freeprod
+        from apckit.covers import exact_oracle
+
+        X = PIN_BASES[base_name]()
+        counts = collections.Counter()
+        reports = []
+
+        def counted(name, record=None):
+            real = getattr(freeprod, name)
+
+            def wrapper(*a, **kw):
+                counts[name] += 1
+                out = real(*a, **kw)
+                if record is not None:
+                    record.append(out)
+                return out
+
+            monkeypatch.setattr(freeprod, name, wrapper)
+
+        counted("cone_window")
+        counted("set_diameter")
+        counted("component_core", reports)
+        monkeypatch.setattr(freeprod, "cone_cover",
+                            lambda *a: pytest.fail("subcover walked a second cone"))
+        res = free_product_cover(exact_oracle(X), ScaleSequence(prefix), fp_window(X, m, L))
+        monkeypatch.undo()
+        flat = sum(rep.flat for rep in reports)
+        assert flat > 0
+        vf = res.v_families.families
+        assert counts["cone_window"] == len(vf) + flat
+        assert counts["set_diameter"] == sum(len(fam.sets) for fam in vf) + flat
+
+    @pytest.mark.parametrize("margin", [0, 9])
+    def test_an_oversized_core_is_an_artifact_only_at_the_boundary(self, margin):
+        # V-family bound 0 and cone scale 0 cap the core's diameter at 0 for
+        # R = 0, and the flat core {(a,), (b,)} has diameter 2
+        from apckit import freeprod
+        from apckit.metric import ConstructionError
+
+        hyp = freeprod._FreeProductDecomposable(None, fp_window(base_xab(), 2, 9), margin)
+        hyp.vf = freeprod.VFamilies([], [0], 0, None)
+        hyp.M = 0
+        U = {w(B), w(A)}
+        if margin == 0:
+            with pytest.raises(ConstructionError, match="uniform diameter cap"):
+                hyp.subcover(1, U, 0)
+            return
+        bound, fams = hyp.subcover(1, U, 0)
+        assert bound == 0 and all(len(f) == 0 for f in fams)
+        assert sorted(hyp.artifacts) == [w(A), w(B)]
