@@ -246,14 +246,18 @@ class _FileDecomposable:
     def families(self, sub):
         return [(sub.at(i), fam) for i, fam in enumerate(self.fams, start=1)]
 
-    def subcover(self, i, U, R):
+    def subcover(self, i, R):
         B = self.bounds[i - 1]
-        fams, _ = SolverTable(self.space, U, self.cap).search(R, B, self.k)
-        if fams is None:
-            raise ConstructionError(
-                f"member of family {i} admits no {self.k}-family cover at mesh {B}"
-            )
-        return B, fams + [Family.of([])] * (self.k - len(fams))
+
+        def cover(U):
+            fams, _ = SolverTable(self.space, U, self.cap).search(R, B, self.k)
+            if fams is None:
+                raise ConstructionError(
+                    f"member of family {i} admits no {self.k}-family cover at mesh {B}"
+                )
+            return fams + [Family.of([])] * (self.k - len(fams))
+
+        return B, cover
 
 
 def cmd_decompose(args):

@@ -257,41 +257,29 @@ def product_cover(oracleX, oracleY, scales):
 class FiberCoverScheme:
     """Per-fiber cover provider implementing the uniform-fiber contract.
 
-    family_count is fixed once the scale stream is fixed; bound_for_scale
-    maps the fiber scale M to a mesh bound that must not depend on the fiber
-    itself; cover(A, M) returns family_count families of subsets of A, the
-    j-th disjoint at the j-th scale of the stream the scheme was built for.
+    family_count is fixed once the scale stream is fixed.  at(M) returns
+    (B, cover) for the fiber scale M: cover(A) gives family_count families of
+    subsets of A, the j-th disjoint at the j-th scale of the stream the scheme
+    was built for, with mesh at most B; B is fixed before any fiber is seen,
+    so it cannot depend on the fiber.
     """
 
     family_count: int
-    bound_for_scale: object  # M -> bound
-    cover: object  # (A, M) -> list[Family]
+    at: object  # M -> (B, A -> list[Family])
 
 
 def fiber_scheme_from_asdim(n, provider):
     """Scheme factory with k = n + 1 from a uniform per-fiber cover provider.
 
     provider(M, R) must return (B, cover_fn) where cover_fn(A) yields n + 1
-    R-disjoint B-bounded families covering any A with diam f(A) < M, and B
-    depends on (M, R) only.  The factory reads the (n+1)-st scale of its
-    stream; families disjoint there are disjoint at every earlier scale.
+    R-disjoint B-bounded families covering any A with diam f(A) < M.  The
+    factory reads the (n+1)-st scale of its stream; families disjoint there
+    are disjoint at every earlier scale.
     """
 
     def factory(stream):
-        k = n + 1
-        r_star = stream.at(k)
-        memo = {}
-
-        def entry(M):
-            if M not in memo:
-                memo[M] = provider(M, r_star)
-            return memo[M]
-
-        return FiberCoverScheme(
-            family_count=k,
-            bound_for_scale=lambda M: entry(M)[0],
-            cover=lambda A, M: entry(M)[1](A),
-        )
+        r_star = stream.at(n + 1)
+        return FiberCoverScheme(n + 1, lambda M: provider(M, r_star))
 
     return factory
 
@@ -309,12 +297,12 @@ def _projection_scheme(oracle, coord, combine):
         k = max(1, len(w.entries))
         max_mesh = max((e.mesh_bound for e in w.entries), default=0)
 
-        def cover(A, M):
+        def cover(A):
             fams = [Family.of([{p for p in A if p[coord] in U} for U in e.family.sets])
                     for e in w.entries]
             return fams + [Family.of([])] * (k - len(fams))
 
-        return FiberCoverScheme(k, lambda M: combine(max_mesh, M), cover)
+        return FiberCoverScheme(k, lambda M: (combine(max_mesh, M), cover))
 
     return factory
 
@@ -337,8 +325,9 @@ def fibering_cover(umap, oracleY, scheme_factory, scales, *, rho_budget=200_000)
     monotonized stream of rho(R_{i, n_i}); each target set's preimage is a
     coarse fiber at one more than its recorded mesh, covered by the scheme;
     unions over a target family are placed at slot triangular_index(i, j).
-    Scheme output is validated per fiber and the mesh bound per (column, M)
-    is recorded and audited to be fiber-independent.
+    Each column's scheme is asked for (B, cover) once, at its fiber scale M;
+    scheme output is validated per fiber against that B, and (column, M, B)
+    is recorded in the audit.
     """
     X = umap.source
     if rho_budget < 1:
@@ -364,7 +353,7 @@ def fibering_cover(umap, oracleY, scheme_factory, scales, *, rho_budget=200_000)
             continue
         k = scheme.family_count
         M_i = ceil_scalar(entryY.mesh_bound) + 1
-        B_i = scheme.bound_for_scale(M_i)
+        B_i, cover = scheme.at(M_i)
         col = column_stream(counting, i)
         merged = [[] for _ in range(k)]
         n_fibers = 0
@@ -373,7 +362,7 @@ def fibering_cover(umap, oracleY, scheme_factory, scales, *, rho_budget=200_000)
             if not A:
                 continue
             n_fibers += 1
-            _check_and_merge(X, scheme.cover(A, M_i), k, A, B_i, col.at,
+            _check_and_merge(X, cover(A), k, A, B_i, col.at,
                              f"fiber scheme (column {i})", merged)
         audit.append({"column": i, "M": M_i, "B": B_i, "fibers": n_fibers})
         for j, sets in enumerate(merged, start=1):
@@ -394,11 +383,13 @@ def decompose(space, k, hyp_oracle, scales, *, allow_uncovered=frozenset()):
 
     hyp_oracle.families(stream) returns the list of (scale, family) pairs, the
     i-th disjoint at the i-th scale of the k-subsampled stream (R_k, R_2k, ...);
-    hyp_oracle.subcover(i, U, R) returns (B, k families of subsets of U
-    covering U, each R-disjoint with mesh <= B) where B may depend on (i, R)
-    but never on U -- violations abort.  The j-th subfamily of the i-th input
-    family lands at slot (i-1)k + j, which is disjoint at its own slot scale
-    because (i-1)k + j <= ik.
+    hyp_oracle.subcover(i, R) returns (B, cover), asked once per nonempty
+    family i at its scale R, where cover(U) gives k families of subsets of the
+    member U covering U, each R-disjoint with mesh <= B; B is fixed before any
+    member is seen, so it cannot depend on U, and an empty family records
+    bound 0.  The j-th subfamily of the i-th input family lands at slot
+    (i-1)k + j, which is disjoint at its own slot scale because
+    (i-1)k + j <= ik.
 
     Points in allow_uncovered are exempt from the coverage checks; windowed
     constructions use this for their margin region.
@@ -430,22 +421,14 @@ def decompose(space, k, hyp_oracle, scales, *, allow_uncovered=frozenset()):
     slots = {}
     for i, (_, fam) in enumerate(fam_list, start=1):
         R_i = sub.at(i)
-        B_i = None
+        B_i = 0
         merged = [[] for _ in range(k)]
-        for U in fam.sets:
-            B_u, subfams = hyp_oracle.subcover(i, U, R_i)
-            if B_i is None:
-                B_i = B_u
-            elif B_u != B_i:
-                raise ConstructionError(
-                    f"subcover bound varies with the member set in family {i}: "
-                    f"{B_u} != {B_i}"
-                )
-            _check_and_merge(space, subfams, k, U, B_u, lambda j: R_i,
-                             f"subcover of a member of family {i}", merged,
-                             allow_uncovered)
-        if B_i is None:
-            B_i = 0
+        if fam.sets:
+            B_i, cover = hyp_oracle.subcover(i, R_i)
+            for U in fam.sets:
+                _check_and_merge(space, cover(U), k, U, B_i, lambda j: R_i,
+                                 f"subcover of a member of family {i}", merged,
+                                 allow_uncovered)
         b_values.append(B_i)
         for j, sets in enumerate(merged, start=1):
             t = (i - 1) * k + j

@@ -182,9 +182,7 @@ def verify_apc_witness(space, scales, witness, *, require_cover_of=None):
     for slot, entry in enumerate(witness.entries, start=1):
         entry_ok = True
         fam = entry.family
-        for s in fam.sets:
-            space.require(s)
-            covered |= s
+        covered.update(*fam.sets)
         diam_sqs = [set_diameter_sq(space, s) for s in fam.sets]
         bound = entry.mesh_bound
         bound_sq = sq_value(bound) if bound >= 0 else None
@@ -282,6 +280,7 @@ class SolverTable:
             return [], 0
         if k <= 0:
             return None, 0
+        k = min(k, n)  # each point opens at most one family
         near = [0] * n  # the other points within R of each point
         within = [1 << i for i in range(n)]  # the points within B of each point, itself included
         for i, row in enumerate(self.dist):

@@ -401,10 +401,16 @@ class CoreReport:
         return self.flat and not self.hard_failures
 
 
+def cone_radius(M, R, D):
+    """max(M + R, 0) + D: the radius of the cone over a component's core that
+    must hold the R-component of an M-cone over a family of mesh D."""
+    return max(scalar(M) + scalar(R), 0) + scalar(D)
+
+
 def component_core(window, C, M, R, D, *, margin=0):
     """Minimal-order slice of an R-component of a cone window, with checks.
 
-    Verifies the core is flat and that C lies in the (max(M + R, 0) + D)-cone
+    Verifies the core is flat and that C lies in the cone_radius(M, R, D)-cone
     of the core, whose cone tree the report keeps.  Failures at words whose norm
     exceeds max_norm - margin are window artifacts; failures at inner words are
     hard.
@@ -413,12 +419,11 @@ def component_core(window, C, M, R, D, *, margin=0):
     if not C:
         raise InputError("component_core needs a nonempty component")
     window.require(C)
-    M, R, D, margin = scalar(M), scalar(R), scalar(D), scalar(margin)
     k0 = min(len(w) for w in C)
     core = frozenset(w for w in C if len(w) == k0)
     flat = is_flat(core)
-    radius = max(M + R, 0) + D
-    inner_bound = window.max_norm - margin
+    radius = cone_radius(M, R, D)
+    inner_bound = window.max_norm - scalar(margin)
 
     artifacts = []
     hard = []
@@ -567,34 +572,37 @@ class _FreeProductDecomposable:
             out.append((sub.at(i), Family.of(comps)))
         return out
 
-    def subcover(self, i, U, R):
-        D_i = scalar(self.vf.bounds[i - 1])
-        report = component_core(self.window, U, self.M, R, D_i, margin=self.margin)
-        self.artifacts.extend(report.artifacts)
-        if report.hard_failures:
-            raise ConstructionError(
-                f"component core failed inside the margin-reduced window: "
-                f"{report.hard_failures[:3]}"
-            )
-        core_cap = 2 * max(self.M + R, 0) + 2 * D_i
-        B = cone_cover_bound(self.window.E, core_cap, report.radius, max(R, 0))
-        tree = report.cone_tree
-        if tree is None:
-            # whole component is a boundary artifact; emit nothing for it
-            return B, [Family.of([]), Family.of([])]
-        if tree.D > core_cap:
-            boundary = [w for w in U
-                        if self.window.norm(w) > self.window.max_norm - self.margin]
-            if len(boundary) == 0:
+    def subcover(self, i, R):
+        D_i = self.vf.bounds[i - 1]
+        radius = cone_radius(self.M, R, D_i)
+        core_cap = 2 * radius
+        B = cone_cover_bound(self.window.E, core_cap, radius, max(R, 0))
+
+        def cover(U):
+            report = component_core(self.window, U, self.M, R, D_i, margin=self.margin)
+            self.artifacts.extend(report.artifacts)
+            if report.hard_failures:
                 raise ConstructionError(
-                    f"core of an inner component exceeds its uniform diameter cap "
-                    f"({core_cap})"
+                    f"component core failed inside the margin-reduced window: "
+                    f"{report.hard_failures[:3]}"
                 )
-            self.artifacts.extend(U)  # free_product_cover sorts all artifacts once
-            return B, [Family.of([]), Family.of([])]
-        fams, _ = tree.cover(max(R, 0))
-        clipped = [Family.of([s & U for s in fam.sets]) for fam in fams]
-        return B, clipped
+            tree = report.cone_tree
+            if tree is None:
+                # whole component is a boundary artifact; emit nothing for it
+                return [Family.of([]), Family.of([])]
+            if tree.D > core_cap:
+                inner_bound = self.window.max_norm - self.margin
+                if not any(self.window.norm(w) > inner_bound for w in U):
+                    raise ConstructionError(
+                        f"core of an inner component exceeds its uniform diameter cap "
+                        f"({core_cap})"
+                    )
+                self.artifacts.extend(U)  # free_product_cover sorts all artifacts once
+                return [Family.of([]), Family.of([])]
+            fams, _ = tree.cover(max(R, 0))
+            return [Family.of([s & U for s in fam.sets]) for fam in fams]
+
+        return B, cover
 
 
 @dataclass

@@ -465,30 +465,34 @@ def hom_fiber_scheme(window, phi, sigma, windowH, kernel_source):
             h = phi(g)
             if windowH.norm_of(h) <= M:
                 by_kernel.setdefault(model.mul(g, model.inv(sigma(h))), []).append(g)
-        stab = {g for gs in by_kernel.values() for g in gs}
         # M can exceed the H ball radius, so the section norms range over the
         # extended (norm-table) region of H too
         sigma_max = max((window.norm_of(sigma(h)) for h, nh in windowH.norms.items()
                          if nh <= M), default=0)
         B_k, kernel_fams = kernel_source.cover(set(by_kernel), R + 2 * sigma_max)
-        fams = [[{g for k in S for g in by_kernel.get(k, ())} for S in fam.sets]
-                for fam in kernel_fams]
+        # stabilizer element -> the (family, set) slots of its kernel part,
+        # one list per kernel element; a kernel element the cover misses has none
+        slots = {}
+        for j, fam in enumerate(kernel_fams):
+            for si, S in enumerate(fam.sets):
+                for kk in S:
+                    slots.setdefault(kk, []).append((j, si))
+        table = {g: slots.get(kk, ()) for kk, gs in by_kernel.items() for g in gs}
 
         def cover_fn(A):
-            A = frozenset(A)
             if not A:
                 return [Family.of([]) for _ in range(n + 1)]
             ginv = model.inv(min(A, key=point_key))
-            back = {}
+            parts = [{} for _ in kernel_fams]
             for a in A:
                 t = model.mul(ginv, a)
-                if t not in stab:
+                if t not in table:
                     raise ConstructionError(
                         f"translated fiber element {t!r} escapes the {M}-stabilizer"
                     )
-                back[t] = a
-            return [Family.of([{back[t] for t in S & back.keys()} for S in sets])
-                    for sets in fams]
+                for j, si in table[t]:
+                    parts[j].setdefault(si, set()).add(a)
+            return [Family.of([part[si] for si in sorted(part)]) for part in parts]
 
         return B_k + 2 * sigma_max, cover_fn
 

@@ -11,9 +11,11 @@ witness from an explicit distance table, with every pair and no index.
 :func:`matrix_search` is the exact solver's search on boolean R and B matrices,
 re-checking every pair of a merged component.  :func:`dijkstra_norms` is the
 Cayley norm table by shortest-path search, which axis-generated Z^d windows
-replace with a closed form.  :func:`core_reach_failures` is a component core's
-reach check by a full cone walk and a sorted scan of every word, which the
-library reads from the core's cone tree.
+replace with a closed form.  :func:`hom_fiber_provider` is the homomorphism
+fiber scheme with a per-fiber intersection of every stabilizer set, which the
+library replaces with one slot table per scale.  :func:`core_reach_failures`
+is a component core's reach check by a full cone walk and a sorted scan of
+every word, which the library reads from the core's cone tree.
 """
 
 import heapq
@@ -25,8 +27,8 @@ from apckit import groups
 from apckit.combinators import FiberCoverScheme
 from apckit.exact import Root, root_of, scalar, sq_value
 from apckit.freeprod import cone_window
-from apckit.metric import (ConstructionError, Family, FiniteMetricSpace, InputError, set_diameter,
-                           sorted_points)
+from apckit.metric import (ConstructionError, Family, FiniteMetricSpace, InputError, point_key,
+                           set_diameter, sorted_points)
 
 INF = math.inf
 
@@ -180,11 +182,7 @@ def whole_fiber_scheme():
     """
 
     def factory(stream):
-        return FiberCoverScheme(
-            family_count=1,
-            bound_for_scale=lambda M: M,
-            cover=lambda A, M: [Family.of([A])],
-        )
+        return FiberCoverScheme(1, lambda M: (M, lambda A: [Family.of([A])]))
 
     return factory
 
@@ -193,12 +191,12 @@ def singleton_fiber_scheme():
     """k = 1, mesh 0 scheme; valid only when every coarse fiber is a single point."""
 
     def factory(stream):
-        def cover(A, M):
+        def cover(A):
             if len(A) > 1:
                 raise ConstructionError("singleton fiber scheme got a multi-point fiber")
             return [Family.of([A])]
 
-        return FiberCoverScheme(1, lambda M: 0, cover)
+        return FiberCoverScheme(1, lambda M: (0, cover))
 
     return factory
 
@@ -229,6 +227,48 @@ def dijkstra_norms(model, genset, norm_radius):
                     counter += 1
                     heapq.heappush(heap, (nn, counter, h))
     return norms
+
+
+def hom_fiber_provider(window, phi, sigma, windowH, kernel_source):
+    """The homomorphism fiber scheme's provider(M, R) -> (B, cover_fn) with a
+    per-fiber pullback: cover_fn translates the fiber into the M-stabilizer
+    and intersects every pulled-back stabilizer set with it, where the
+    library looks each element's kernel slots up in one table."""
+    model = window.model
+    n = kernel_source.n
+
+    def provider(M, R):
+        by_kernel = {}
+        for g in window.norms:
+            h = phi(g)
+            if windowH.norm_of(h) <= M:
+                by_kernel.setdefault(model.mul(g, model.inv(sigma(h))), []).append(g)
+        stab = {g for gs in by_kernel.values() for g in gs}
+        sigma_max = max((window.norm_of(sigma(h)) for h, nh in windowH.norms.items()
+                         if nh <= M), default=0)
+        B_k, kernel_fams = kernel_source.cover(set(by_kernel), R + 2 * sigma_max)
+        fams = [[{g for k in S for g in by_kernel.get(k, ())} for S in fam.sets]
+                for fam in kernel_fams]
+
+        def cover_fn(A):
+            A = frozenset(A)
+            if not A:
+                return [Family.of([]) for _ in range(n + 1)]
+            ginv = model.inv(min(A, key=point_key))
+            back = {}
+            for a in A:
+                t = model.mul(ginv, a)
+                if t not in stab:
+                    raise ConstructionError(
+                        f"translated fiber element {t!r} escapes the {M}-stabilizer"
+                    )
+                back[t] = a
+            return [Family.of([{back[t] for t in S & back.keys()} for S in sets])
+                    for sets in fams]
+
+        return B_k + 2 * sigma_max, cover_fn
+
+    return provider
 
 
 def embedded_gens(model, factor_gens):

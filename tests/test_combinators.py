@@ -193,13 +193,37 @@ class TestFiberingCover:
         assert verify_apc_witness(P, s, w_fib).ok
         assert w_fib.meta["bounds"]  # audit recorded per column
 
+    def test_each_column_asks_its_scheme_once(self):
+        # identity on a path: a column's scheme is asked for (B, cover) once,
+        # at the M its audit row records, and covers each fiber with that cover
+        Y = path_space(12)
+        m = UniformlyExpansiveMap(Y, Y, lambda p: p, identity_rho)
+        asked = []
+
+        def factory(stream):
+            calls = []
+            asked.append(calls)
+
+            def at(M):
+                calls.append(M)
+                return M, lambda A: [Family.of([A])]
+
+            return FiberCoverScheme(1, at)
+
+        w = fibering_cover(m, interval_oracle(Y), factory, scales(1, 2))
+        assert verify_apc_witness(Y, scales(1, 2), w).ok
+        audit = w.meta["bounds"]
+        assert audit and all(len(calls) <= 1 for calls in asked)
+        assert [M for calls in asked for M in calls] == [row["M"] for row in audit]
+        assert all(row["B"] == row["M"] for row in audit)
+
     def test_scheme_bound_violation_aborts(self):
         Y = path_space(8)
         m = UniformlyExpansiveMap(Y, Y, lambda p: p, identity_rho)
 
         def cheating(stream):
             # claims mesh 0 but returns whole (multi-point) fibers
-            return FiberCoverScheme(1, lambda M: 0, lambda A, M: [Family.of([A])])
+            return FiberCoverScheme(1, lambda M: (0, lambda A: [Family.of([A])]))
 
         with pytest.raises(ConstructionError):
             fibering_cover(m, interval_oracle(Y), cheating, scales(2))
@@ -249,16 +273,20 @@ class _IntervalDecomposable:
             out.append((sub.at(2), fam2))
         return out
 
-    def subcover(self, i, U, R):
+    def subcover(self, i, R):
         import math
 
         length = max(1, math.ceil(R))
-        pts = sorted(U)
-        blocks = {}
-        for p in pts:
-            blocks.setdefault((p - pts[0]) // length, []).append(p)
-        ordered = [blocks[k] for k in sorted(blocks)]
-        return length - 1, [Family.of(ordered[0::2]), Family.of(ordered[1::2])]
+
+        def cover(U):
+            pts = sorted(U)
+            blocks = {}
+            for p in pts:
+                blocks.setdefault((p - pts[0]) // length, []).append(p)
+            ordered = [blocks[k] for k in sorted(blocks)]
+            return [Family.of(ordered[0::2]), Family.of(ordered[1::2])]
+
+        return length - 1, cover
 
     def is_valid_input(self, sub):
         # parity blocks of width `block` are separated by `block`; they must
@@ -274,8 +302,8 @@ class TestDecompose:
             def families(self, sub):
                 return [(sub.at(1), Family.of([set(space.points)]))]
 
-            def subcover(self, i, U, R):
-                return 5, [Family.of([U])]
+            def subcover(self, i, R):
+                return 5, lambda U: [Family.of([U])]
 
         w = decompose(space, 1, Simple(), scales(0))
         assert len(w.entries) == 1
@@ -289,18 +317,34 @@ class TestDecompose:
         assert len(w.entries) == 4
         assert verify_apc_witness(space, s, w).ok
 
-    def test_nonuniform_bound_aborts(self):
-        space = path_space(8)
+    @pytest.mark.parametrize("members", [1, 2, 5])
+    def test_each_nonempty_family_is_asked_once(self, members):
+        # family 1 holds `members` points 2 apart, family 2 is empty; each
+        # nonempty family is asked for (bound, cover) once, however many
+        # members it has, and an empty family records bound 0 unasked
+        space = path_space(2 * members)
+        asked, covered = [], []
 
-        class Varies:
+        class Counted:
             def families(self, sub):
-                return [(sub.at(1), Family.of([{0, 1, 2, 3}, {6, 7}]))]
+                return [(sub.at(1), Family.of([{2 * m} for m in range(members)])),
+                        (sub.at(2), Family.of([]))]
 
-            def subcover(self, i, U, R):
-                return len(U), [Family.of([U])]
+            def subcover(self, i, R):
+                asked.append((i, R))
 
-        with pytest.raises(ConstructionError):
-            decompose(space, 1, Varies(), scales(1))
+                def cover(U):
+                    covered.append(U)
+                    return [Family.of([U])]
+
+                return 3, cover
+
+        s = scales(1)
+        w = decompose(space, 1, Counted(), s, allow_uncovered=range(1, 2 * members, 2))
+        assert asked == [(1, 1)]
+        assert len(covered) == members
+        assert w.meta["bounds"] == [3, 0]
+        assert [e.mesh_bound for e in w.entries] == [3, 0]
 
     def test_undisjoint_hypothesis_aborts(self):
         space = path_space(6)
@@ -309,8 +353,8 @@ class TestDecompose:
             def families(self, sub):
                 return [(sub.at(1), Family.of([{0, 1}, {2, 3}, {4, 5}]))]
 
-            def subcover(self, i, U, R):
-                return 1, [Family.of([U])]
+            def subcover(self, i, R):
+                return 1, lambda U: [Family.of([U])]
 
         with pytest.raises(ConstructionError):
             decompose(space, 1, Bad(), scales(3))
@@ -351,7 +395,7 @@ def _fibering_with(fault):
     m = UniformlyExpansiveMap(Y, Y, lambda p: p, identity_rho)
 
     def scheme(stream):
-        return FiberCoverScheme(2, lambda M: 0, lambda A, M: _two_point_cover(A, Y, fault))
+        return FiberCoverScheme(2, lambda M: (0, lambda A: _two_point_cover(A, Y, fault)))
 
     return Y, fibering_cover(m, interval_oracle(Y), scheme, scales(2))
 
@@ -368,8 +412,8 @@ class _PairMembers:
         return [(sub.at(1), Family.of([{0, 1}, {4, 5}])),
                 (sub.at(2), Family.of([{2, 3}, {6, 7}]))]
 
-    def subcover(self, i, U, R):
-        return 0, _two_point_cover(U, self.space, self.fault)
+    def subcover(self, i, R):
+        return 0, lambda U: _two_point_cover(U, self.space, self.fault)
 
 
 class TestProviderCheck:

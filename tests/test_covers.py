@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from apckit.covers import (
     ApcOracle,
     CoverWitness,
     ScaleSequence,
+    SolverTable,
     WitnessEntry,
     exact_oracle,
     greedy_families_at_scale,
@@ -146,6 +148,24 @@ class TestExactSolver:
             res = min_families_at_scale(space, R, B)
             expected = brute_min_families(space, R, B, limit=6)
             assert res.n == expected
+
+    def test_a_family_count_above_n_searches_as_n(self):
+        # a point opens at most one family, so k > n finds the same families
+        # with the same node count as k = n, and needs no room for k families
+        rng = random.Random(5)
+        for _ in range(10):
+            space = random_points_space(rng, rng.randint(1, 6), dim=2, span=4)
+            R, B = rng.randint(0, 4), rng.randint(0, 4)
+            table = SolverTable(space, space.points)
+            expected = table.search(R, B, len(space.points))
+            tracemalloc.start()
+            try:
+                got = table.search(R, B, 10**6)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert got == expected
+            assert peak < 10**6
 
     def test_witness_verifies(self):
         space = path_space(7)

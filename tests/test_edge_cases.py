@@ -154,9 +154,7 @@ class TestProviderMisbehavior:
         def lying(stream):
             from apckit.combinators import FiberCoverScheme
 
-            return FiberCoverScheme(
-                3, lambda M: M, lambda A, M: [Family.of([A])]
-            )
+            return FiberCoverScheme(3, lambda M: (M, lambda A: [Family.of([A])]))
 
         with pytest.raises(ConstructionError):
             fibering_cover(m, interval_oracle(Y), lying, scales(1))
@@ -168,10 +166,7 @@ class TestProviderMisbehavior:
         def escaping(stream):
             from apckit.combinators import FiberCoverScheme
 
-            return FiberCoverScheme(
-                1, lambda M: M,
-                lambda A, M: [Family.of([set(Y.points)])],
-            )
+            return FiberCoverScheme(1, lambda M: (M, lambda A: [Family.of([set(Y.points)])]))
 
         with pytest.raises(ConstructionError):
             fibering_cover(m, interval_oracle(Y), escaping, scales(2))

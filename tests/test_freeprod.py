@@ -889,6 +889,34 @@ class TestCoreConeTree:
         assert counts["cone_window"] == len(vf) + flat
         assert counts["set_diameter"] == sum(len(fam.sets) for fam in vf) + flat
 
+    @pytest.mark.parametrize("hi, prefix", [(3, (2,)), (5, (2,)), (5, (3,))])
+    def test_a_family_bound_holds_each_components_own_bound(self, monkeypatch, hi, prefix):
+        # interval_oracle's blocks give the V-families a positive mesh D_i,
+        # which the cone radius must add: the bound subcover gives a family
+        # is at least the cone-tree bound of each of its flat components
+        from apckit import freeprod
+        from apckit.covers import CountingStream, MappedStream, interval_oracle
+
+        X = interval_window(0, hi)
+        hyp = freeprod._FreeProductDecomposable(interval_oracle(X), fp_window(X, 2, 9), 9)
+        reports = []
+        real = freeprod.component_core
+        monkeypatch.setattr(freeprod, "component_core",
+                            lambda *a, **kw: reports.append(real(*a, **kw)) or reports[-1])
+        sub = MappedStream(CountingStream(ScaleSequence(prefix)), lambda i: 2 * i)
+        positive = 0
+        for i, (R, fam) in enumerate(hyp.families(sub), start=1):
+            if not fam.sets:
+                continue
+            bound, cover = hyp.subcover(i, R)
+            reports.clear()
+            for U in fam.sets:
+                cover(U)
+            trees = [rep.cone_tree for rep in reports if rep.cone_tree is not None]
+            assert all(tree.cover(max(R, 0))[1] <= bound for tree in trees)
+            positive += bool(trees) and hyp.vf.bounds[i - 1] > 0
+        assert positive
+
     @pytest.mark.parametrize("margin", [0, 9])
     def test_an_oversized_core_is_an_artifact_only_at_the_boundary(self, margin):
         # V-family bound 0 and cone scale 0 cap the core's diameter at 0 for
@@ -900,10 +928,11 @@ class TestCoreConeTree:
         hyp.vf = freeprod.VFamilies([], [0], 0, None)
         hyp.M = 0
         U = {w(B), w(A)}
+        bound, cover = hyp.subcover(1, 0)
         if margin == 0:
             with pytest.raises(ConstructionError, match="uniform diameter cap"):
-                hyp.subcover(1, U, 0)
+                cover(U)
             return
-        bound, fams = hyp.subcover(1, U, 0)
+        fams = cover(U)
         assert bound == 0 and all(len(f) == 0 for f in fams)
         assert sorted(hyp.artifacts) == [w(A), w(B)]

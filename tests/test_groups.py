@@ -13,6 +13,8 @@ from apckit.combinators import product_cover, UniformlyExpansiveMap, identity_rh
 from apckit.exact import root_of
 from apckit.io import canonical_dumps, witness_to_obj
 from apckit.metric import (
+    ConstructionError,
+    Family,
     InputError,
     LatticeIndex,
     interval_window,
@@ -43,7 +45,7 @@ from apckit.groups import (
     rho_from_weights,
     z2_extension_pipeline,
 )
-from reference import dijkstra_norms, embedded_gens
+from reference import dijkstra_norms, embedded_gens, hom_fiber_provider
 
 
 def scales(*prefix, **kw):
@@ -393,7 +395,7 @@ class TestProjectionScheme:
         factory = projection_fiber_scheme(oh)
         scheme = factory(scales(1))
         assert scheme.family_count == 1
-        assert scheme.bound_for_scale(5) == 5
+        assert scheme.at(5)[0] == 5
 
     def test_projection_pipeline_verifies(self):
         winG, winH, box = self._window_box(8, 8)
@@ -462,7 +464,8 @@ class TestExtension:
         factory = hom_fiber_scheme(win, phi, sigma, win, TrivialKernelSource())
         scheme = factory(scales(1))
         assert scheme.family_count == 1
-        fams = scheme.cover(frozenset({(1,)}), 2)
+        _, cover = scheme.at(2)
+        fams = cover(frozenset({(1,)}))
         assert [s for f in fams for s in f.sets] == [frozenset({(1,)})]
 
     def test_trivial_quotient_scheme_reshapes_kernel_cover(self):
@@ -492,7 +495,8 @@ class TestExtension:
         scheme = factory(scales(2))
         assert scheme.family_count == 2
         A = frozenset(win.points)
-        fams = scheme.cover(A, 1)
+        _, cover = scheme.at(1)
+        fams = cover(A)
         covered = set()
         from apckit.metric import family_is_R_disjoint
 
@@ -502,6 +506,138 @@ class TestExtension:
             for s in fam.sets:
                 covered |= s
         assert covered == A
+
+
+class OverlappingKernelSource:
+    """Planted asdim-1 source whose two families share the kernel elements at
+    coordinates cut - 1 and cut: blocks of two positions up to cut, one set
+    from cut - 1 on."""
+
+    n = 1
+
+    def __init__(self, cut):
+        self.cut = cut
+
+    def cover(self, elems, R):
+        blocks = {}
+        for g in elems:
+            if g[0] <= self.cut:
+                blocks.setdefault(g[0] // 2, set()).add(g)
+        high = {g for g in elems if g[0] >= self.cut - 1}
+        return 1, [Family.of(blocks.values()), Family.of([high])]
+
+
+class DroppingKernelSource:
+    """Planted source: the interval cover less one kernel element, pick places
+    after the middle one in point order, so the stabilizer elements over it
+    are in no family."""
+
+    n = 1
+
+    def __init__(self, pick):
+        self.pick = pick
+
+    def cover(self, elems, R):
+        B, fams = IntervalKernelSource(coordinate=lambda g: g[0]).cover(elems, R)
+        ordered = sorted_points(elems)
+        drop = ordered[(len(ordered) // 2 + self.pick) % len(ordered)]
+        return B, [Family.of([S - {drop} for S in fam.sets]) for fam in fams]
+
+
+# (G, H, phi, sigma): a Z^2 window onto Z (kernel Z), and identities on Z^2
+# and Z (trivial kernel)
+PULLBACK_MAPS = {
+    "z2-onto-z": (ZdModel(2), ZdModel(1), lambda g: (g[1],), lambda h: (0, h[0])),
+    "z2-identity": (ZdModel(2), ZdModel(2), lambda g: g, lambda h: h),
+    "z-identity": (ZdModel(1), ZdModel(1), lambda g: g, lambda h: h),
+}
+
+
+@st.composite
+def pullback_cases(draw):
+    """A map, a kernel source, (M, R), and fibers: boxes around a window
+    element (coarse fibers when small, escaping the M-stabilizer when not),
+    the part of such a box over the element's image, and arbitrary window
+    subsets."""
+    G, H, phi, sigma = PULLBACK_MAPS[draw(st.sampled_from(list(PULLBACK_MAPS)))]
+    L = draw(st.integers(1, 4))
+    win = cayley_ball(G, G.standard_gens(), L)
+    winH = cayley_ball(H, H.standard_gens(), L)
+    source = draw(st.sampled_from([
+        IntervalKernelSource(coordinate=lambda g: g[0]),
+        TrivialKernelSource(),
+        OverlappingKernelSource(draw(st.integers(-3, 3))),
+        DroppingKernelSource(draw(st.integers(0, 20))),
+    ]))
+    M = draw(st.sampled_from([0, 1, Fraction(3, 2), 2, 3, 5]))
+    R = draw(st.sampled_from([0, Fraction(1, 2), 1, 2, 3]))
+    pts = win.points
+    fibers = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["box", "over-image", "subset"]))
+        if kind == "subset":
+            fibers.append(frozenset(draw(st.sets(st.sampled_from(pts), max_size=6))))
+            continue
+        g0 = draw(st.sampled_from(pts))
+        e = draw(st.integers(kind == "over-image", 3))
+        fibers.append(frozenset(
+            g for g in pts if all(abs(a - b) <= e for a, b in zip(g, g0))
+            and (kind == "box" or phi(g) == phi(g0))))
+    return win, phi, sigma, winH, source, M, R, fibers
+
+
+def _outcome(cover, A):
+    try:
+        return cover(A)
+    except ConstructionError as e:
+        return str(e)
+
+
+class TestPullbackAgainstReference:
+    """hom_fiber_scheme looks each translated fiber element's kernel slots up
+    in one table per (M, R); ``reference.hom_fiber_provider`` intersects the
+    fiber with every pulled-back stabilizer set.  Both must give the same
+    bound and, per fiber, the same families or the same error, with kernel
+    families that overlap and with kernel elements the cover misses."""
+
+    @given(pullback_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_table_matches_the_per_fiber_scan(self, case):
+        win, phi, sigma, winH, source, M, R, fibers = case
+        stream = scales(R)
+        B, cover = hom_fiber_scheme(win, phi, sigma, winH, source)(stream).at(M)
+        B_ref, cover_ref = hom_fiber_provider(win, phi, sigma, winH, source)(
+            M, stream.at(source.n + 1))
+        assert B == B_ref
+        for A in fibers:
+            assert _outcome(cover, A) == _outcome(cover_ref, A)
+
+    def test_overlapping_families_share_an_element(self):
+        # the kernel element at cut is in both families, so each fiber
+        # element over it is too
+        win, winH = cayley_ball(ZdModel(2), ZdModel(2).standard_gens(), 2), z_window(2)
+        phi, sigma = PULLBACK_MAPS["z2-onto-z"][2:]
+        _, cover = hom_fiber_scheme(win, phi, sigma, winH, OverlappingKernelSource(1))(
+            scales(1)).at(1)
+        low, high = cover(frozenset({(0, 0), (1, 0), (2, 0)}))
+        assert low.support() == {(0, 0), (1, 0)} and high.support() == {(0, 0), (1, 0), (2, 0)}
+
+    def test_a_missed_kernel_element_drops_its_fiber_elements(self):
+        win, winH = cayley_ball(ZdModel(2), ZdModel(2).standard_gens(), 2), z_window(2)
+        phi, sigma = PULLBACK_MAPS["z2-onto-z"][2:]
+        scheme = hom_fiber_scheme(win, phi, sigma, winH, DroppingKernelSource(0))(scales(1))
+        _, cover = scheme.at(1)
+        # the middle kernel element of the symmetric window is the identity,
+        # the kernel part of (0, 0) and (0, 1)
+        A = frozenset({(0, 0), (1, 0), (0, 1)})
+        assert set().union(*(f.support() for f in cover(A))) == {(1, 0)}
+        # every fiber is translated by its least element onto the identity,
+        # so fibering reports the dropped points
+        with pytest.raises(ConstructionError, match="misses"):
+            fibering_cover(UniformlyExpansiveMap(win.space, winH.space, phi, identity_rho),
+                           interval_oracle(winH.space),
+                           hom_fiber_scheme(win, phi, sigma, winH, DroppingKernelSource(0)),
+                           scales(1))
 
 
 def witness_digest(scales, witness):
@@ -539,11 +675,11 @@ class TestExtensionPins:
             factory = hom_fiber_scheme(win, phi, sigma, target, TrivialKernelSource())
             scheme = factory(scales(1, 2))
             for M in (2, Fraction(5, 2), 3):
+                B, cover = scheme.at(M)
                 for x, y in ((0, 0), (-2, 1), (1, -3)):
                     A = frozenset(g for g in win.points
                                   if x <= g[0] <= x + 1 and y <= g[1] <= y + 1)
-                    rows.append((M, scheme.bound_for_scale(M),
-                                 [[sorted_points(s) for s in f.sets] for f in scheme.cover(A, M)]))
+                    rows.append((M, B, [[sorted_points(s) for s in f.sets] for f in cover(A)]))
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
             "31fb6b36d378909fb1072edc81e7d0b3d6f7ccbf5a3b961d48a89a30a7f6e762")
 
