@@ -515,9 +515,6 @@ def build_v_families(oracle_for_x, scales, window):
             assignments.append(CoverageAssignment(w, n + 1, frozenset({EPSILON}), None))
             continue
         mpos = heavy_pos[-1]
-        if w[mpos] not in holders:
-            problems.append((w, "letter not covered by the base witness"))
-            continue
         i, si = holders[w[mpos]][0]
         assignments.append(CoverageAssignment(w, i + 1, members[i][(w[:mpos], si)], mpos))
 

@@ -403,16 +403,17 @@ def tree_dot(tree, families):
                 color[v] = _PALETTE[set_index % len(_PALETTE)]
             set_index += 1
     lines = ["graph tree {"]
-    for v in sorted_points(tree.parent):
+    vertices = sorted_points(tree.parent)
+    for v in vertices:
         if v in color:
             lines.append(
                 f"  {_dot_id(v)} [style=filled, fillcolor={color[v]}];"
             )
         else:
             lines.append(f"  {_dot_id(v)};")
-    for v, p in sorted(tree.parent.items(), key=lambda kv: point_key(kv[0])):
-        if p is not None:
-            lines.append(f"  {_dot_id(p)} -- {_dot_id(v)};")
+    for v in vertices:
+        if tree.parent[v] is not None:
+            lines.append(f"  {_dot_id(tree.parent[v])} -- {_dot_id(v)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

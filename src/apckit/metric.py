@@ -29,15 +29,13 @@ class ConstructionError(RuntimeError):
 
 
 def point_key(p):
-    """Total order over the mixed point-id types we use (ints, strings, tuples)."""
-    if isinstance(p, bool):
-        return (0, int(p))
-    if isinstance(p, Rational):
-        return (0, p)
+    """Total order over point ids: rationals < strings < tuples < other ids (by repr)."""
+    if isinstance(p, tuple):  # tested first: words and lattice points are the commonest ids
+        return (2, tuple(map(point_key, p)))
     if isinstance(p, str):
         return (1, p)
-    if isinstance(p, tuple):
-        return (2, tuple(point_key(x) for x in p))
+    if isinstance(p, Rational):  # a bool orders as the int it equals
+        return (0, p)
     return (3, repr(p))
 
 

@@ -16,6 +16,8 @@ fiber scheme with a per-fiber intersection of every stabilizer set, which the
 library replaces with one slot table per scale.  :func:`core_reach_failures`
 is a component core's reach check by a full cone walk and a sorted scan of
 every word, which the library reads from the core's cone tree.
+:func:`point_key_reference` is the canonical point order with a separate
+bool case and the tuple case tested last, which the library's key must match.
 """
 
 import heapq
@@ -25,12 +27,29 @@ from fractions import Fraction
 
 from apckit import groups
 from apckit.combinators import FiberCoverScheme
-from apckit.exact import Root, root_of, scalar, sq_value
+from apckit.exact import Rational, Root, root_of, scalar, sq_value
 from apckit.freeprod import cone_window
 from apckit.metric import (ConstructionError, Family, FiniteMetricSpace, InputError, point_key,
                            set_diameter, sorted_points)
 
 INF = math.inf
+
+
+# ---------------------------------------------------------------------------
+# point ids
+
+
+def point_key_reference(p):
+    """Total order over the mixed point-id types we use (ints, strings, tuples)."""
+    if isinstance(p, bool):
+        return (0, int(p))
+    if isinstance(p, Rational):
+        return (0, p)
+    if isinstance(p, str):
+        return (1, p)
+    if isinstance(p, tuple):
+        return (2, tuple(point_key_reference(x) for x in p))
+    return (3, repr(p))
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from apckit.metric import (
     ConstructionError,
     Family,
     FiniteMetricSpace,
+    InputError,
     family_is_R_disjoint,
     grid_window,
     interval_window,
@@ -83,6 +84,11 @@ class TestPredicates:
         m = UniformlyExpansiveMap(X, Y, lambda p: p, identity_rho)
         ok, w = check_uniformly_expansive(m)
         assert not ok and w is not None
+
+    def test_image_outside_the_target_reported(self):
+        m = UniformlyExpansiveMap(interval_window(0, 3), interval_window(0, 1), lambda p: p,
+                                  identity_rho)
+        assert check_uniformly_expansive(m) == (False, (2, 2))
 
     def test_coarse_surjectivity(self):
         X = path_space(3)
@@ -228,6 +234,12 @@ class TestFiberingCover:
         with pytest.raises(ConstructionError):
             fibering_cover(m, interval_oracle(Y), cheating, scales(2))
 
+    def test_image_outside_the_target_is_refused(self):
+        X, Y = interval_window(0, 3), interval_window(0, 1)
+        m = UniformlyExpansiveMap(X, Y, lambda p: p, identity_rho)
+        with pytest.raises(InputError, match=r"expansion modulus violated at \(2, 2\)"):
+            fibering_cover(m, interval_oracle(Y), whole_fiber_scheme(), scales(1))
+
 
 class TestFiberSchemeFromAsdim:
     def test_k_counts_scales(self):
@@ -358,6 +370,32 @@ class TestDecompose:
 
         with pytest.raises(ConstructionError):
             decompose(space, 1, Bad(), scales(3))
+
+    def test_a_wrongly_declared_scale_aborts(self):
+        space = path_space(4)
+
+        class Misdeclared:
+            def families(self, sub):
+                return [(sub.at(1) + 1, Family.of([set(space.points)]))]
+
+            def subcover(self, i, R):
+                return 3, lambda U: [Family.of([U])]
+
+        with pytest.raises(ConstructionError, match="declared scale 2, stream says 1"):
+            decompose(space, 1, Misdeclared(), scales(1))
+
+    def test_families_that_miss_points_abort(self):
+        space = path_space(4)
+
+        class Partial:
+            def families(self, sub):
+                return [(sub.at(1), Family.of([{0, 1}]))]
+
+            def subcover(self, i, R):
+                return 1, lambda U: [Family.of([U])]
+
+        with pytest.raises(ConstructionError, match=r"do not cover the space: \[2, 3\]"):
+            decompose(space, 1, Partial(), scales(1))
 
 
 def _two_point_cover(A, space, fault=None):

@@ -18,6 +18,7 @@ from apckit.metric import (
     interval_window,
     family_is_R_disjoint,
     matrix_space,
+    point_key,
     generate_space,
     product_space,
     r_components,
@@ -28,7 +29,7 @@ from apckit.metric import (
 )
 from apckit.covers import ScaleSequence, verify_apc_witness, witness_from_families
 from conftest import brute_components, random_points_space
-from reference import is_R_disjoint, mesh, set_distance, without_squares
+from reference import is_R_disjoint, mesh, point_key_reference, set_distance, without_squares
 
 
 def line(lo, hi):
@@ -76,6 +77,28 @@ class TestExactScalars:
             scalar(x)
 
 
+def nested_ids(depth):
+    """Point ids of every kind, in tuples nested up to depth."""
+    leaves = st.one_of(st.integers(-2, 2), st.booleans(),
+                       st.fractions(-2, 2, max_denominator=3), st.sampled_from(["", "a", "b"]),
+                       st.floats(-2, 2), st.sampled_from([math.nan, None]))
+    if depth == 0:
+        return leaves
+    return st.one_of(leaves, st.lists(nested_ids(depth - 1), max_size=3).map(tuple))
+
+
+class TestPointKey:
+    @given(st.lists(nested_ids(3), max_size=6))
+    @settings(max_examples=500, deadline=None)
+    def test_orders_as_the_reference(self, pts):
+        keys = [(point_key(p), point_key_reference(p)) for p in pts]
+        for (a, ref_a), (b, ref_b) in itertools.product(keys, repeat=2):
+            assert (a < b, a == b) == (ref_a < ref_b, ref_a == ref_b), (a, b)
+        order = range(len(pts))
+        assert (sorted(order, key=lambda i: point_key(pts[i]))
+                == sorted(order, key=lambda i: point_key_reference(pts[i])))
+
+
 class TestValidateMetric:
     def test_triangle_violation_named(self):
         space = matrix_space(
@@ -94,6 +117,16 @@ class TestValidateMetric:
         space = matrix_space(["a", "b"], [[0, 1], [2, 0]])
         report = validate_metric(space)
         assert any(v.axiom == "symmetry" for v in report.violations)
+
+    def test_identity_violation(self):
+        report = validate_metric(matrix_space(["a", "b"], [[1, 2], [2, 0]]))
+        assert [(v.axiom, v.points, v.values) for v in report.violations] == [
+            ("identity", ("a", "a"), (1,))]
+
+    def test_negative_entry_of_a_plain_matrix(self):
+        report = validate_metric(matrix_space(["a", "b", "c"], PLANTED["negative"]))
+        assert ("non-negativity", ("a", "b"), (-3,)) in [
+            (v.axiom, v.points, v.values) for v in report.violations]
 
     def test_separation_violation(self):
         space = matrix_space(["a", "b"], [[0, 0], [0, 0]])
