@@ -40,7 +40,7 @@ from .combinators import (
     product_cover,
     triangular_index,
 )
-from .trees import RootedTree, random_tree, tree_cover, tree_from_edges, tree_oracle
+from .trees import RootedTree, tree_cover, tree_from_edges, tree_oracle
 from .freeprod import (
     FreeProductWindow,
     build_v_families,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .exact import Root, scalar, sq_value
 from .metric import (
@@ -25,7 +26,7 @@ from .metric import (
     set_diameter,
     sorted_points,
 )
-from .covers import CoverWitness, MappedStream
+from .covers import CountingStream, CoverWitness, MappedStream
 from .combinators import decompose
 from .trees import RootedTree, tree_cover
 
@@ -534,72 +535,45 @@ def build_v_families(oracle_for_x, scales, window):
     return VFamilies(families, bounds, R_star, cert)
 
 
-class _FreeProductDecomposable:
-    """Decomposition hypothesis realizing the free-product construction.
+def family_subcover(window, margin, M, D, R, artifacts):
+    """(B, cover) for the R-components of the M-cone over a V-family whose
+    members have diameter at most D.
 
-    Families are the R_i-components of the (R* + 1)-cones over the translated
-    base families; each component is re-covered through its core's cone tree.
-    The margin is fixed by the caller (free_product_cover states its
-    default): a failed core check at a word of norm above max_norm - margin
-    is a window artifact, elsewhere an error.  Cone scale, cone radius, core
-    cap and tree-cover scale are clamped at 0: a 0-disjoint family is
-    R-disjoint for every R < 0.
+    cover(U) re-covers a component U through its core's cone tree, cut back
+    to U.  A failed core check at a word of norm above max_norm - margin is a
+    window artifact, appended to artifacts with the component then covered by
+    nothing; elsewhere it is an error.  Cone radius, core cap and tree-cover
+    scale are clamped at 0: a 0-disjoint family is R-disjoint for every R < 0.
     """
+    radius = cone_radius(M, R, D)
+    core_cap = 2 * radius
+    B = cone_cover_bound(window.E, core_cap, radius, max(R, 0))
 
-    def __init__(self, oracle_for_x, window, margin):
-        self.oracle = oracle_for_x
-        self.window = window
-        self.margin = margin
-        self.vf = None
-        self.M = None
-        self.artifacts = []
-
-    def families(self, sub):
-        self.vf = build_v_families(self.oracle, sub, self.window)
-        if not self.vf.certificate.ok:
+    def cover(U):
+        report = component_core(window, U, M, R, D, margin=margin)
+        artifacts.extend(report.artifacts)
+        if report.hard_failures:
             raise ConstructionError(
-                f"coverage certificate failed: {self.vf.certificate.problems[:3]}"
+                f"component core failed inside the margin-reduced window: "
+                f"{report.hard_failures[:3]}"
             )
-        self.M = max(self.vf.R_star + 1, 0)
-        out = []
-        for i, fam in enumerate(self.vf.families, start=1):
-            support = fam.support()
-            cone = cone_window(self.window, support, self.M)
-            comps = r_components(self.window.space, cone, sub.at(i))
-            out.append((sub.at(i), Family.of(comps)))
-        return out
-
-    def subcover(self, i, R):
-        D_i = self.vf.bounds[i - 1]
-        radius = cone_radius(self.M, R, D_i)
-        core_cap = 2 * radius
-        B = cone_cover_bound(self.window.E, core_cap, radius, max(R, 0))
-
-        def cover(U):
-            report = component_core(self.window, U, self.M, R, D_i, margin=self.margin)
-            self.artifacts.extend(report.artifacts)
-            if report.hard_failures:
+        tree = report.cone_tree
+        if tree is None:
+            # whole component is a boundary artifact; emit nothing for it
+            return [Family.of([]), Family.of([])]
+        if tree.D > core_cap:
+            inner_bound = window.max_norm - margin
+            if not any(window.norm(w) > inner_bound for w in U):
                 raise ConstructionError(
-                    f"component core failed inside the margin-reduced window: "
-                    f"{report.hard_failures[:3]}"
+                    f"core of an inner component exceeds its uniform diameter cap "
+                    f"({core_cap})"
                 )
-            tree = report.cone_tree
-            if tree is None:
-                # whole component is a boundary artifact; emit nothing for it
-                return [Family.of([]), Family.of([])]
-            if tree.D > core_cap:
-                inner_bound = self.window.max_norm - self.margin
-                if not any(self.window.norm(w) > inner_bound for w in U):
-                    raise ConstructionError(
-                        f"core of an inner component exceeds its uniform diameter cap "
-                        f"({core_cap})"
-                    )
-                self.artifacts.extend(U)  # free_product_cover sorts all artifacts once
-                return [Family.of([]), Family.of([])]
-            fams, _ = tree.cover(max(R, 0))
-            return [Family.of([s & U for s in fam.sets]) for fam in fams]
+            artifacts.extend(U)  # free_product_cover sorts all artifacts once
+            return [Family.of([]), Family.of([])]
+        fams, _ = tree.cover(max(R, 0))
+        return [Family.of([s & U for s in fam.sets]) for fam in fams]
 
-        return B, cover
+    return B, cover
 
 
 @dataclass
@@ -615,28 +589,41 @@ class FreeProductResult:
 def free_product_cover(oracle_for_x, scales, window):
     """End-to-end free-product cover on a window, via decompose with k = 2.
 
-    The margin is the window's, or else max(R* + M, 0) with cone scale
-    M = R* + 1: one cone layer per step, where R* is the scale of the
-    2-subsampled stream just after the base witness's last slot.  The
-    returned witness passes verify_apc_witness with coverage required on the
-    margin-reduced window; boundary words whose components were clipped are
-    reported as artifacts.
+    The base oracle answers once: the V-families are built on the
+    2-subsampled stream, and R*, its scale just after the base witness's last
+    slot, fixes the cone scale M = max(R* + 1, 0) and, unless the window has
+    one, the margin max(2R* + 1, 0): one cone layer per step.  decompose's
+    i-th family is the R_i-components of the i-th V-family's M-cone, each
+    re-covered by :func:`family_subcover`.  The returned witness passes
+    verify_apc_witness with coverage required on the margin-reduced window;
+    boundary words whose components were clipped are reported as artifacts,
+    and meta["scales_consumed"] counts every scale read, the base oracle's
+    included.
     """
-    margin = window.margin
-    if margin is None:
-        sub = MappedStream(scales, lambda i: i * 2)
-        R_star = sub.at(len(oracle_for_x.checked(sub).entries) + 1)
-        margin = max(2 * R_star + 1, 0)
-    hyp = _FreeProductDecomposable(oracle_for_x, window, margin)
-    reduced = window.inner_words(margin)
-    allow = window.word_set - reduced
-
-    witness = decompose(window.space, 2, hyp, scales, allow_uncovered=allow)
-    witness.meta["margin"] = margin
-    witness.meta["artifacts"] = len(hyp.artifacts)
-    return FreeProductResult(
-        witness, window, margin, reduced, hyp.vf, sorted_points(set(hyp.artifacts))
+    counting = CountingStream(scales)
+    sub = MappedStream(counting, lambda i: i * 2)
+    vf = build_v_families(oracle_for_x, sub, window)
+    if not vf.certificate.ok:
+        raise ConstructionError(f"coverage certificate failed: {vf.certificate.problems[:3]}")
+    M = max(vf.R_star + 1, 0)
+    margin = max(2 * vf.R_star + 1, 0) if window.margin is None else window.margin
+    pairs = []
+    for i, fam in enumerate(vf.families, start=1):
+        R_i = sub.at(i)
+        cone = cone_window(window, fam.support(), M)
+        pairs.append((R_i, Family.of(r_components(window.space, cone, R_i))))
+    artifacts = []
+    hyp = SimpleNamespace(
+        families=lambda _: pairs,
+        subcover=lambda i, R: family_subcover(window, margin, M, vf.bounds[i - 1], R, artifacts),
     )
+    reduced = window.inner_words(margin)
+
+    witness = decompose(window.space, 2, hyp, counting, allow_uncovered=window.word_set - reduced)
+    witness.meta["scales_consumed"] = counting.max_index
+    witness.meta["margin"] = margin
+    witness.meta["artifacts"] = len(artifacts)
+    return FreeProductResult(witness, window, margin, reduced, vf, sorted_points(set(artifacts)))
 
 
 # ---------------------------------------------------------------------------

@@ -333,6 +333,19 @@ class CayleyWindow:
         return dict(level)
 
     def _dijkstra(self):
+        """The norm table by shortest-path search.  A free group on
+        single-letter generators is refused first if too many words must be
+        in it: each reduced word over the k letters present with
+        n <= norm_radius // w_max letters has norm at most norm_radius, and
+        there are 2k(2k - 1)^(n - 1) of them for each n >= 1."""
+        if isinstance(self.model, FreeGroupModel) and all(len(s) == 1 for s, _ in self.genset):
+            k = len({abs(s[0]) for s, _ in self.genset})
+            count, words = 1, 2 * k
+            for _ in range(min(self.norm_radius // max(w for _, w in self.genset), BALL_CAP)):
+                count += words
+                if count > BALL_CAP:
+                    raise InputError(f"ball exceeds the {BALL_CAP}-element cap")
+                words *= 2 * k - 1
         e = self.model.identity()
         norms = {}
         heap = [(0, 0, e)]

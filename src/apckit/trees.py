@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-import random
 from dataclasses import dataclass
 
 from .exact import scalar, sq_value
@@ -187,22 +186,6 @@ def tree_from_edges(root, edges):
         if c in parent:
             raise InputError(f"vertex {c!r} has two parents")
         parent[c] = p
-    return RootedTree(parent)
-
-
-def random_tree(n, rng=None, *, shape="attach"):
-    """Random rooted tree on vertices 0..n-1 (0 is the root)."""
-    rng = rng or random.Random(0)
-    parent = {0: None}
-    for v in range(1, n):
-        if shape == "path":
-            parent[v] = v - 1
-        elif shape == "star":
-            parent[v] = 0
-        elif shape == "caterpillar":
-            parent[v] = v - 1 if v % 2 else max(0, v - 2)
-        else:
-            parent[v] = rng.randrange(v)
     return RootedTree(parent)
 
 

@@ -18,19 +18,27 @@ is a component core's reach check by a full cone walk and a sorted scan of
 every word, which the library reads from the core's cone tree.
 :func:`point_key_reference` is the canonical point order with a separate
 bool case and the tuple case tested last, which the library's key must match.
+:func:`random_tree` is the seeded tree generator the tree tests and the
+pinned CLI tree file draw from.
+:class:`FreeProductHypothesis` is the free-product decomposition hypothesis
+as a stateful class that builds the V-families inside decompose, which the
+library replaces with V-families built once before decompose.
 """
 
 import heapq
 import itertools
 import math
+import random
 from fractions import Fraction
 
 from apckit import groups
 from apckit.combinators import FiberCoverScheme
 from apckit.exact import Rational, Root, root_of, scalar, sq_value
-from apckit.freeprod import cone_window
+from apckit.freeprod import (build_v_families, component_core, cone_cover_bound, cone_radius,
+                             cone_window)
 from apckit.metric import (ConstructionError, Family, FiniteMetricSpace, InputError, point_key,
-                           set_diameter, sorted_points)
+                           r_components, set_diameter, sorted_points)
+from apckit.trees import RootedTree
 
 INF = math.inf
 
@@ -116,6 +124,74 @@ def core_reach_failures(window, C, M, R, D, margin=0):
         else:
             hard.append(w)
     return artifacts, hard
+
+
+class FreeProductHypothesis:
+    """Decomposition hypothesis realizing the free-product construction.
+
+    Families are the R_i-components of the (R* + 1)-cones over the translated
+    base families; each component is re-covered through its core's cone tree.
+    The margin is fixed by the caller (free_product_cover states its
+    default): a failed core check at a word of norm above max_norm - margin
+    is a window artifact, elsewhere an error.  Cone scale, cone radius, core
+    cap and tree-cover scale are clamped at 0: a 0-disjoint family is
+    R-disjoint for every R < 0.
+    """
+
+    def __init__(self, oracle_for_x, window, margin):
+        self.oracle = oracle_for_x
+        self.window = window
+        self.margin = margin
+        self.vf = None
+        self.M = None
+        self.artifacts = []
+
+    def families(self, sub):
+        self.vf = build_v_families(self.oracle, sub, self.window)
+        if not self.vf.certificate.ok:
+            raise ConstructionError(
+                f"coverage certificate failed: {self.vf.certificate.problems[:3]}"
+            )
+        self.M = max(self.vf.R_star + 1, 0)
+        out = []
+        for i, fam in enumerate(self.vf.families, start=1):
+            support = fam.support()
+            cone = cone_window(self.window, support, self.M)
+            comps = r_components(self.window.space, cone, sub.at(i))
+            out.append((sub.at(i), Family.of(comps)))
+        return out
+
+    def subcover(self, i, R):
+        D_i = self.vf.bounds[i - 1]
+        radius = cone_radius(self.M, R, D_i)
+        core_cap = 2 * radius
+        B = cone_cover_bound(self.window.E, core_cap, radius, max(R, 0))
+
+        def cover(U):
+            report = component_core(self.window, U, self.M, R, D_i, margin=self.margin)
+            self.artifacts.extend(report.artifacts)
+            if report.hard_failures:
+                raise ConstructionError(
+                    f"component core failed inside the margin-reduced window: "
+                    f"{report.hard_failures[:3]}"
+                )
+            tree = report.cone_tree
+            if tree is None:
+                # whole component is a boundary artifact; emit nothing for it
+                return [Family.of([]), Family.of([])]
+            if tree.D > core_cap:
+                inner_bound = self.window.max_norm - self.margin
+                if not any(self.window.norm(w) > inner_bound for w in U):
+                    raise ConstructionError(
+                        f"core of an inner component exceeds its uniform diameter cap "
+                        f"({core_cap})"
+                    )
+                self.artifacts.extend(U)  # free_product_cover sorts all artifacts once
+                return [Family.of([]), Family.of([])]
+            fams, _ = tree.cover(max(R, 0))
+            return [Family.of([s & U for s in fam.sets]) for fam in fams]
+
+        return B, cover
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +381,22 @@ def embedded_gens(model, factor_gens):
 
 # ---------------------------------------------------------------------------
 # rooted trees
+
+
+def random_tree(n, rng=None, *, shape="attach"):
+    """Random rooted tree on vertices 0..n-1 (0 is the root)."""
+    rng = rng or random.Random(0)
+    parent = {0: None}
+    for v in range(1, n):
+        if shape == "path":
+            parent[v] = v - 1
+        elif shape == "star":
+            parent[v] = 0
+        elif shape == "caterpillar":
+            parent[v] = v - 1 if v % 2 else max(0, v - 2)
+        else:
+            parent[v] = rng.randrange(v)
+    return RootedTree(parent)
 
 
 def ancestor_at_depth(tree, v, h):

@@ -30,10 +30,10 @@ from apckit.metric import (
     set_diameter,
     validate_metric,
 )
-from apckit.trees import RootedTree, random_tree, set_tree_diameter, tree_cover
+from apckit.trees import RootedTree, set_tree_diameter, tree_cover
 from apckit import io as fio
 from conftest import random_points_space
-from reference import ancestor_at_depth
+from reference import ancestor_at_depth, random_tree
 
 
 class Stopwatch:

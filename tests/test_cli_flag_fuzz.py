@@ -21,7 +21,7 @@ from apckit import io as fio
 from apckit.cli import main as cli_main
 from apckit.covers import EXTENSION_RULES
 from apckit.metric import interval_window
-from apckit.trees import random_tree
+from reference import random_tree
 
 POOL = ["-1", "-2", "-1/2", "0", "1/2", "2.5", "1e3", "abc", "1/0", "nan", "inf",
         "12345678901234567890"]

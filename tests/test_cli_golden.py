@@ -14,7 +14,7 @@ import pytest
 
 from apckit import cli
 from apckit import io as fio
-from apckit.trees import random_tree
+from reference import random_tree
 
 XAB = {
     "points": ["x0", "a", "b"],

@@ -35,7 +35,8 @@ from apckit.freeprod import (
     wedge_space,
 )
 from apckit.groups import ZdModel, cayley_ball
-from reference import check_witness, core_reach_failures, fp_distance, words_adjacent
+from reference import (FreeProductHypothesis, check_witness, core_reach_failures, fp_distance,
+                       words_adjacent)
 
 
 def base_xab():
@@ -368,9 +369,10 @@ class TestFreeProductCover:
             assert report.ok, report.describe()
 
     def test_hypothesis_built_once_with_the_same_witness(self, monkeypatch):
-        # the default margin is fixed before decompose runs, so the V-families
-        # are built once, inside decompose, and the witness is the one a fresh
-        # hypothesis with that margin gives, down to meta["scales_consumed"]
+        # the V-families are built once, before decompose, and fix the default
+        # margin, so the base oracle answers once per cover; the witness is the
+        # one the reference hypothesis class with that margin gives inside
+        # decompose, down to meta["scales_consumed"]
         from apckit import freeprod
         from apckit.combinators import decompose
         from apckit.covers import exact_oracle
@@ -382,17 +384,23 @@ class TestFreeProductCover:
             inner = exact_oracle(space)
             return ApcOracle(space, lambda sc: (sc.at(5), inner(sc))[1], name="ahead")
 
-        for prefix, oracle in itertools.product([(1,), (1, 2), (1, 1, 2)],
-                                                [exact_oracle, lookahead_oracle]):
-            win, s = fp_window(X, 3, 9), ScaleSequence(prefix)
+        for prefix, oracle, margin in itertools.product([(1,), (1, 2), (1, 1, 2)],
+                                                        [exact_oracle, lookahead_oracle],
+                                                        [None, 3]):
+            win, s = fp_window(X, 3, 9, margin=margin), ScaleSequence(prefix)
             calls = []
             real = freeprod.build_v_families
             monkeypatch.setattr(freeprod, "build_v_families",
                                 lambda *a: calls.append(1) or real(*a))
-            res = free_product_cover(oracle(X), s, win)
+            base = oracle(X)
+            provided = []
+            provide = base.provide
+            base.provide = lambda sc: provided.append(1) or provide(sc)
+            res = free_product_cover(base, s, win)
             monkeypatch.undo()
             assert len(calls) == 1
-            fresh = freeprod._FreeProductDecomposable(oracle(X), win, res.margin)
+            assert len(provided) == 1
+            fresh = FreeProductHypothesis(oracle(X), win, res.margin)
             ref = decompose(win.space, 2, fresh, s,
                             allow_uncovered=win.word_set - res.reduced_points)
             assert res.witness.entries == ref.entries
@@ -401,8 +409,8 @@ class TestFreeProductCover:
             assert res.v_families.families == fresh.vf.families
 
     def test_oracle_over_another_base_refused(self):
-        # with the default margin the oracle runs once on its own base before
-        # decompose; the base check in build_v_families still refuses it
+        # build_v_families checks the base before the oracle runs, with the
+        # default margin and with an explicit one
         X = base_xab()
         other = matrix_space(["x0", "a"], [[0, 1], [1, 0]], basepoint="x0")
         for margin in (None, 2):
@@ -898,7 +906,8 @@ class TestCoreConeTree:
         from apckit.covers import CountingStream, MappedStream, interval_oracle
 
         X = interval_window(0, hi)
-        hyp = freeprod._FreeProductDecomposable(interval_oracle(X), fp_window(X, 2, 9), 9)
+        win = fp_window(X, 2, 9)
+        hyp = FreeProductHypothesis(interval_oracle(X), win, 9)
         reports = []
         real = freeprod.component_core
         monkeypatch.setattr(freeprod, "component_core",
@@ -908,7 +917,7 @@ class TestCoreConeTree:
         for i, (R, fam) in enumerate(hyp.families(sub), start=1):
             if not fam.sets:
                 continue
-            bound, cover = hyp.subcover(i, R)
+            bound, cover = freeprod.family_subcover(win, 9, hyp.M, hyp.vf.bounds[i - 1], R, [])
             reports.clear()
             for U in fam.sets:
                 cover(U)
@@ -924,15 +933,14 @@ class TestCoreConeTree:
         from apckit import freeprod
         from apckit.metric import ConstructionError
 
-        hyp = freeprod._FreeProductDecomposable(None, fp_window(base_xab(), 2, 9), margin)
-        hyp.vf = freeprod.VFamilies([], [0], 0, None)
-        hyp.M = 0
+        artifacts = []
         U = {w(B), w(A)}
-        bound, cover = hyp.subcover(1, 0)
+        bound, cover = freeprod.family_subcover(fp_window(base_xab(), 2, 9), margin, 0, 0, 0,
+                                                artifacts)
         if margin == 0:
             with pytest.raises(ConstructionError, match="uniform diameter cap"):
                 cover(U)
             return
         fams = cover(U)
         assert bound == 0 and all(len(f) == 0 for f in fams)
-        assert sorted(hyp.artifacts) == [w(A), w(B)]
+        assert sorted(artifacts) == [w(A), w(B)]

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -283,6 +284,20 @@ class TestAxisNorms:
             cayley_ball(model, gens, 2)
         with pytest.raises(InputError, match=message):
             dijkstra_norms(model, win.genset, win.norm_radius)
+
+    def test_an_oversized_free_group_ball_is_refused_before_dijkstra(self):
+        # radius 6 needs the 1 + 2(3^12 - 1) = 1 062 881 reduced words of F_2
+        # up to length 12; radius 5 needs 1 + 2(3^10 - 1) = 118 097 and builds
+        F = FreeGroupModel(2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match="^ball exceeds the 1000000-element cap$"):
+                cayley_ball(F, F.standard_gens(), 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+        assert len(cayley_ball(F, F.standard_gens(), 5).norms) == 118_097
 
 
 class TestStabilizers:

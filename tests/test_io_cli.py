@@ -14,7 +14,7 @@ from apckit.covers import ScaleSequence, interval_oracle, verify_apc_witness
 from apckit.exact import root_of
 from apckit.metric import (InputError, LatticeIndex, grid_window, interval_window, matrix_space,
                            product_space)
-from apckit.trees import random_tree
+from reference import random_tree
 
 
 def run_cli(*argv, cwd=None):
@@ -568,6 +568,15 @@ class TestCli:
         fio.write_file(str(p), {"model": "Z^3", "radius": 50, "generators": [
             {"elem": [1, 0, 0], "weight": 1}, {"elem": [0, 1, 0], "weight": 1},
             {"elem": [0, 0, 1], "weight": 1}]})
+        start = time.perf_counter()
+        assert cli_main(["group", "ball", "--group", str(p)]) == 2
+        assert time.perf_counter() - start < 1
+        assert "ball exceeds the 1000000-element cap" in capsys.readouterr().err
+
+    def test_group_ball_refuses_an_oversized_free_group_ball(self, tmp_path, capsys):
+        p = tmp_path / "g.json"
+        fio.write_file(str(p), {"model": "free-2", "radius": 6, "generators": [
+            {"elem": [1], "weight": 1}, {"elem": [2], "weight": 1}]})
         start = time.perf_counter()
         assert cli_main(["group", "ball", "--group", str(p)]) == 2
         assert time.perf_counter() - start < 1

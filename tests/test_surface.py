@@ -7,9 +7,10 @@ count, and neither do the tests, so a function that only the tests call
 shows up here and belongs in ``tests/reference.py``.  A reference is a name,
 an attribute or a string naming it (``apcbench/tracer.py`` patches methods by
 name).  The allowlist holds the paper's constructions that the tests
-exercise and no workload runs yet, and the seeded tree generator, which
-``tests/test_cli_golden.py`` imports from the package to build its pinned
-tree file.
+exercise and no workload runs yet.
+
+Every name a module imports, ``from __future__`` aside, must be read in
+that module, so an import left behind by a removed function shows up too.
 """
 
 import ast
@@ -32,7 +33,6 @@ CONSTRUCTIONS = {
     "metric.hypercube_collapse",
     "trees.tree_oracle",
 }
-GENERATORS = {"trees.random_tree"}
 
 
 def referenced_names(node):
@@ -73,4 +73,22 @@ def unreferenced():
 
 
 def test_every_definition_outside_the_allowlist_is_referenced():
-    assert unreferenced() == CONSTRUCTIONS | GENERATORS
+    assert unreferenced() == CONSTRUCTIONS
+
+
+def unread_imports(tree):
+    """Names the module's imports bind, ``from __future__`` aside, that it never reads."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return imported - read
+
+
+def test_every_import_is_read():
+    unread = {p.name: sorted(unread_imports(ast.parse(p.read_text())))
+              for p in sorted((ROOT / "src/apckit").glob("*.py")) if p.name != "__init__.py"}
+    assert {name: names for name, names in unread.items() if names} == {}

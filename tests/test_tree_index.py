@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 
 from apckit.covers import ScaleSequence, WitnessEntry, CoverWitness, verify_apc_witness
 from apckit.metric import Family, InputError, family_is_R_disjoint, set_diameter_sq
-from apckit.trees import RootedTree, random_tree, tree_cover
-from reference import tree_depths, without_index
+from apckit.trees import RootedTree, tree_cover
+from reference import random_tree, tree_depths, without_index
 
 SHAPES = ("attach", "path", "star", "caterpillar")
 RADII = [-1, Fraction(-1, 2), 0, Fraction(1, 2), 1, Fraction(3, 2), 2, 3, Fraction(7, 2), 5, 100]

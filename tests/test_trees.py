@@ -17,13 +17,12 @@ from apckit.metric import (
 )
 from apckit.trees import (
     RootedTree,
-    random_tree,
     set_tree_diameter,
     tree_cover,
     tree_from_edges,
     tree_oracle,
 )
-from reference import ancestor_at_depth, height
+from reference import ancestor_at_depth, height, random_tree
 
 
 def path_tree(n):
