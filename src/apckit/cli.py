@@ -231,35 +231,6 @@ def cmd_fibering(args):
     return _finish(args, P, scales, witness, {"slots": len(witness.entries), "bounds": audit})
 
 
-class _FileDecomposable:
-    """Decomposition hypothesis from a witness file: its families feed the
-    k-subsampled scales, and members are re-covered by the exact solver at
-    the declared per-family mesh bounds."""
-
-    def __init__(self, space, families, bounds, k, cap):
-        self.space = space
-        self.fams = families
-        self.bounds = bounds
-        self.k = k
-        self.cap = cap
-
-    def families(self, sub):
-        return [(sub.at(i), fam) for i, fam in enumerate(self.fams, start=1)]
-
-    def subcover(self, i, R):
-        B = self.bounds[i - 1]
-
-        def cover(U):
-            fams, _ = SolverTable(self.space, U, self.cap).search(R, B, self.k)
-            if fams is None:
-                raise ConstructionError(
-                    f"member of family {i} admits no {self.k}-family cover at mesh {B}"
-                )
-            return fams + [Family.of([])] * (self.k - len(fams))
-
-        return B, cover
-
-
 def cmd_decompose(args):
     space = fio.load_space(args.space)
     _, hyp_witness = fio.load_witness(args.witness)
@@ -268,8 +239,23 @@ def cmd_decompose(args):
     if len(bounds) != len(families):
         raise InputError("need one --subcover-mesh value per hypothesis family")
     scales = _parse_scales(args)
-    hyp = _FileDecomposable(space, families, bounds, args.k, args.cap)
-    witness = decompose(space, args.k, hyp, scales)
+    k = args.k
+
+    def subcover(i, R):
+        # members are re-covered by the exact solver at the family's declared mesh
+        B = bounds[i - 1]
+
+        def cover(U):
+            fams, _ = SolverTable(space, U, args.cap).search(R, B, k)
+            if fams is None:
+                raise ConstructionError(
+                    f"member of family {i} admits no {k}-family cover at mesh {B}"
+                )
+            return fams + [Family.of([])] * (k - len(fams))
+
+        return B, cover
+
+    witness = decompose(space, k, families, subcover, scales)
     return _finish(args, space, scales, witness, {"slots": len(witness.entries)})
 
 

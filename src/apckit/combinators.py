@@ -9,7 +9,6 @@ built for.  Empty slots are kept, never compacted.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -168,48 +167,56 @@ def _assemble(counting, slots, n_slots, meta):
     return CoverWitness(entries, {**meta, "scales_consumed": counting.max_index})
 
 
-def _check_and_merge(space, fams, k, container, bound, scale_of, where, merged,
-                     exempt=frozenset()):
-    """Reject provider output unless it is k families of subsets of container,
-    the j-th scale_of(j)-disjoint, every set of diameter at most bound, jointly
-    covering container minus exempt; then append the j-th family's sets to
-    merged[j - 1].  Used per fiber by fibering and per member by decompose."""
-    if len(fams) != k:
-        raise ConstructionError(f"{where} returned {len(fams)} families, need {k}")
-    covered = set()
-    for j, fam in enumerate(fams, start=1):
-        for s in fam.sets:
-            if not s <= container:
-                raise ConstructionError(f"{where}: a set of subfamily {j} leaves its container")
-            covered |= s
-            if set_diameter(space, s) > bound:
-                raise ConstructionError(f"{where}: subfamily {j} exceeds the mesh bound {bound}")
-        R = scale_of(j)
-        ok, bad = family_is_R_disjoint(space, fam, R)
-        if not ok:
-            raise ConstructionError(f"{where}: subfamily {j} is not {R}-disjoint: {bad}")
-    if not covered >= container - exempt:
-        raise ConstructionError(
-            f"{where} misses {len(container - exempt - covered)} points of its container"
-        )
-    for bucket, fam in zip(merged, fams):
-        bucket.extend(fam.sets)
+def _cover_parts(space, parts, cover, k, bound, scale_of, where, exempt=frozenset()):
+    """The k merged set lists of cover(P) over the parts P, each checked first.
+
+    cover(P) must give k families of subsets of P, the j-th
+    scale_of(j)-disjoint, every set of diameter at most bound, jointly
+    covering P minus exempt.  fibering_cover's parts are a column's fibers,
+    decompose's the members of a family.
+    """
+    merged = [[] for _ in range(k)]
+    for P in parts:
+        fams = cover(P)
+        if len(fams) != k:
+            raise ConstructionError(f"{where} returned {len(fams)} families, need {k}")
+        covered = set()
+        for j, fam in enumerate(fams, start=1):
+            for s in fam.sets:
+                if not s <= P:
+                    raise ConstructionError(f"{where}: a set of subfamily {j} leaves its container")
+                covered |= s
+                if set_diameter(space, s) > bound:
+                    raise ConstructionError(
+                        f"{where}: subfamily {j} exceeds the mesh bound {bound}")
+            R = scale_of(j)
+            ok, bad = family_is_R_disjoint(space, fam, R)
+            if not ok:
+                raise ConstructionError(f"{where}: subfamily {j} is not {R}-disjoint: {bad}")
+        if not covered >= P - exempt:
+            raise ConstructionError(
+                f"{where} misses {len(P - exempt - covered)} points of its container"
+            )
+        for bucket, fam in zip(merged, fams):
+            bucket.extend(fam.sets)
+    return merged
 
 
 # ---------------------------------------------------------------------------
 # the product combinator
 
 
-def product_engine(oracleX, oracleY, scales, *, mesh_combine="l2", pair_point=None):
+def product_engine(oracleX, oracleY, scales, *, combine=hyp, pair_point=None):
     """Shared engine behind product covers (l2 spaces, l1 grids, group products).
 
     Queries oracleX once per column, feeds the monotonized diagonal of
     end-of-column scales to oracleY, and places the product family built
-    from column i position j at output slot triangular_index(i, j).
+    from column i position j at output slot triangular_index(i, j), with
+    mesh bound combine(factor mesh of X, factor mesh of Y): hyp for l2,
+    operator.add for l1.
     """
     if pair_point is None:
         pair_point = lambda x, y: (x, y)
-    combine = hyp if mesh_combine == "l2" else operator.add
 
     if not oracleX.space.points or not oracleY.space.points:
         return CoverWitness([], {"columns": 0, "per_column": []})
@@ -244,7 +251,7 @@ def product_cover(oracleX, oracleY, scales):
     scale, and each member's squared diameter is bounded by the sum of the
     squared factor meshes.
     """
-    witness = product_engine(oracleX, oracleY, scales, mesh_combine="l2")
+    witness = product_engine(oracleX, oracleY, scales)
     witness.meta["space"] = "product"
     return witness
 
@@ -326,8 +333,9 @@ def fibering_cover(umap, oracleY, scheme_factory, scales, *, rho_budget=200_000)
     coarse fiber at one more than its recorded mesh, covered by the scheme;
     unions over a target family are placed at slot triangular_index(i, j).
     Each column's scheme is asked for (B, cover) once, at its fiber scale M;
-    scheme output is validated per fiber against that B, and (column, M, B)
-    is recorded in the audit.
+    its fibers, taken one at a time, pass through the part check that
+    decompose gives its members, against that B, and (column, M, B) and the
+    fiber count are recorded in the audit.
     """
     X = umap.source
     if rho_budget < 1:
@@ -351,19 +359,13 @@ def fibering_cover(umap, oracleY, scheme_factory, scales, *, rho_budget=200_000)
     for i, (scheme, entryY) in enumerate(zip(schemes, witnessY.entries), start=1):
         if entryY.is_empty():
             continue
-        k = scheme.family_count
         M_i = ceil_scalar(entryY.mesh_bound) + 1
         B_i, cover = scheme.at(M_i)
-        col = column_stream(counting, i)
-        merged = [[] for _ in range(k)]
-        n_fibers = 0
-        for V in entryY.family.sets:
-            A = frozenset(p for y in V for p in preimage.get(y, ()))
-            if not A:
-                continue
-            n_fibers += 1
-            _check_and_merge(X, cover(A), k, A, B_i, col.at,
-                             f"fiber scheme (column {i})", merged)
+        targets = entryY.family.sets
+        fibers = (frozenset(p for y in V for p in preimage.get(y, ())) for V in targets)
+        merged = _cover_parts(X, (A for A in fibers if A), cover, scheme.family_count, B_i,
+                              column_stream(counting, i).at, f"fiber scheme (column {i})")
+        n_fibers = sum(not preimage.keys().isdisjoint(V) for V in targets)
         audit.append({"column": i, "M": M_i, "B": B_i, "fibers": n_fibers})
         for j, sets in enumerate(merged, start=1):
             if sets:
@@ -378,18 +380,18 @@ def fibering_cover(umap, oracleY, scheme_factory, scales, *, rho_budget=200_000)
 # the decomposition combinator
 
 
-def decompose(space, k, hyp_oracle, scales, *, allow_uncovered=frozenset()):
+def decompose(space, k, families, subcover, scales, *, allow_uncovered=frozenset()):
     """Cover from families whose members each split into k bounded disjoint families.
 
-    hyp_oracle.families(stream) returns the list of (scale, family) pairs, the
-    i-th disjoint at the i-th scale of the k-subsampled stream (R_k, R_2k, ...);
-    hyp_oracle.subcover(i, R) returns (B, cover), asked once per nonempty
-    family i at its scale R, where cover(U) gives k families of subsets of the
-    member U covering U, each R-disjoint with mesh <= B; B is fixed before any
-    member is seen, so it cannot depend on U, and an empty family records
-    bound 0.  The j-th subfamily of the i-th input family lands at slot
-    (i-1)k + j, which is disjoint at its own slot scale because
-    (i-1)k + j <= ik.
+    The i-th of the given families must be disjoint at R_ik, the ik-th scale
+    of the stream, and subcover(i, R_ik) returns (B, cover), asked once per
+    nonempty family, where cover(U) gives k families of subsets of the
+    member U covering U, each R_ik-disjoint with mesh <= B; B is fixed
+    before any member is seen, so it cannot depend on U, and an empty family
+    records bound 0.  Members pass through the part check that
+    fibering_cover gives its fibers.  The j-th subfamily of the i-th family
+    lands at slot (i-1)k + j, which is disjoint at its own slot scale
+    because (i-1)k + j <= ik.
 
     Points in allow_uncovered are exempt from the coverage checks; windowed
     constructions use this for their margin region.
@@ -398,17 +400,10 @@ def decompose(space, k, hyp_oracle, scales, *, allow_uncovered=frozenset()):
         raise InputError("decompose needs k >= 1")
     allow_uncovered = frozenset(allow_uncovered)
     counting = CountingStream(scales)
-    sub = MappedStream(counting, lambda i: i * k)
-    fam_list = hyp_oracle.families(sub)
-    n = len(fam_list)
 
     covered = set()
-    for i, (scale_i, fam) in enumerate(fam_list, start=1):
-        R_i = sub.at(i)
-        if scale_i != R_i:
-            raise ConstructionError(
-                f"hypothesis family {i} declared scale {scale_i}, stream says {R_i}"
-            )
+    for i, fam in enumerate(families, start=1):
+        R_i = counting.at(i * k)
         ok, bad = family_is_R_disjoint(space, fam, R_i)
         if not ok:
             raise ConstructionError(f"hypothesis family {i} is not {R_i}-disjoint: {bad}")
@@ -419,19 +414,16 @@ def decompose(space, k, hyp_oracle, scales, *, allow_uncovered=frozenset()):
 
     b_values = []
     slots = {}
-    for i, (_, fam) in enumerate(fam_list, start=1):
-        R_i = sub.at(i)
-        B_i = 0
-        merged = [[] for _ in range(k)]
+    for i, fam in enumerate(families, start=1):
+        B_i, merged = 0, [[] for _ in range(k)]
         if fam.sets:
-            B_i, cover = hyp_oracle.subcover(i, R_i)
-            for U in fam.sets:
-                _check_and_merge(space, cover(U), k, U, B_i, lambda j: R_i,
-                                 f"subcover of a member of family {i}", merged,
-                                 allow_uncovered)
+            R_i = counting.at(i * k)
+            B_i, cover = subcover(i, R_i)
+            merged = _cover_parts(space, fam.sets, cover, k, B_i, lambda j: R_i,
+                                  f"subcover of a member of family {i}", allow_uncovered)
         b_values.append(B_i)
         for j, sets in enumerate(merged, start=1):
-            t = (i - 1) * k + j
-            slots[t] = (Family.of(sets), B_i)
+            slots[(i - 1) * k + j] = (Family.of(sets), B_i)
 
+    n = len(families)
     return _assemble(counting, slots, n * k, {"n": n, "k": k, "bounds": b_values})

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .exact import root_of, scalar, sq_value
@@ -504,7 +505,7 @@ def grid_oracle(space, shape):
     oracle = interval_oracle(grid_window(shape[:1]))
     for d in range(1, len(shape)):
         axis = interval_oracle(interval_window(0, shape[d] - 1))
-        provide = functools.partial(product_engine, oracle, axis, mesh_combine="l1",
+        provide = functools.partial(product_engine, oracle, axis, combine=operator.add,
                                     pair_point=lambda x, y: x + (y,))
         oracle = ApcOracle(grid_window(shape[:d + 1]), provide, name="grid-partial")
     return ApcOracle(space, oracle.provide, name=f"grid{shape}")

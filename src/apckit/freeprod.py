@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from types import SimpleNamespace
 
 from .exact import Root, scalar, sq_value
 from .metric import (
@@ -116,9 +115,6 @@ class FreeProductWindow:
             return nu - nv
         head = self.letter_dist[u[i], v[i]]
         return head + (nu - norms[u[: i + 1]]) + (nv - norms[v[: i + 1]])
-
-    def dist(self, u, v):
-        return self.space.dist(u, v)
 
     def require(self, words):
         for w in words:
@@ -360,7 +356,7 @@ def qi_check(ct):
     pts = sorted_points(ct.cone)
     for u, v in itertools.combinations(pts, 2):
         pairs += 1
-        d = ct.window.dist(u, v)
+        d = ct.window.space.dist(u, v)
         dT = ct.tree.distance(u, v)
         if not (Fraction(d, 1) / M - Fraction(D, 1) / M <= dT):
             violations.append(("lower", u, v, d, dT))
@@ -369,17 +365,8 @@ def qi_check(ct):
     return QiReport(not violations, violations, pairs)
 
 
-def cone_cover(window, A, M, r):
-    """Two r-disjoint families covering con_M(A) and their mesh bound; see
-    :meth:`ConeTree.cover`.  An empty base gives two empty families."""
-    A = frozenset(A)
-    if not A:
-        return [Family.of([]), Family.of([])], 0
-    return cone_tree(window, A, M).cover(r)
-
-
 def cone_cover_bound(E, D_bound, M, r):
-    """The cone_cover mesh bound with the base diameter replaced by a uniform cap."""
+    """The :meth:`ConeTree.cover` mesh bound with the base diameter replaced by a uniform cap."""
     rt = -(-r // E) + 3  # ceil(r/E + 3), exactly
     return M * (3 * rt) + D_bound
 
@@ -607,19 +594,17 @@ def free_product_cover(oracle_for_x, scales, window):
         raise ConstructionError(f"coverage certificate failed: {vf.certificate.problems[:3]}")
     M = max(vf.R_star + 1, 0)
     margin = max(2 * vf.R_star + 1, 0) if window.margin is None else window.margin
-    pairs = []
-    for i, fam in enumerate(vf.families, start=1):
-        R_i = sub.at(i)
-        cone = cone_window(window, fam.support(), M)
-        pairs.append((R_i, Family.of(r_components(window.space, cone, R_i))))
+    families = [
+        Family.of(r_components(window.space, cone_window(window, fam.support(), M), sub.at(i)))
+        for i, fam in enumerate(vf.families, start=1)
+    ]
     artifacts = []
-    hyp = SimpleNamespace(
-        families=lambda _: pairs,
-        subcover=lambda i, R: family_subcover(window, margin, M, vf.bounds[i - 1], R, artifacts),
-    )
     reduced = window.inner_words(margin)
 
-    witness = decompose(window.space, 2, hyp, counting, allow_uncovered=window.word_set - reduced)
+    witness = decompose(
+        window.space, 2, families,
+        lambda i, R: family_subcover(window, margin, M, vf.bounds[i - 1], R, artifacts),
+        counting, allow_uncovered=window.word_set - reduced)
     witness.meta["scales_consumed"] = counting.max_index
     witness.meta["margin"] = margin
     witness.meta["artifacts"] = len(artifacts)
@@ -710,6 +695,7 @@ def wedge_embed_check(X, Y, max_order, max_norm):
     pairs = 0
     for u, v in itertools.combinations(words, 2):
         pairs += 1
-        if window.dist(u, v) != direct(u, v):
-            mismatches.append((u, v, window.dist(u, v), direct(u, v)))
+        d, e = window.space.dist(u, v), direct(u, v)
+        if d != e:
+            mismatches.append((u, v, d, e))
     return WedgeReport(not mismatches, pairs, mismatches)

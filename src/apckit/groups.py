@@ -377,9 +377,6 @@ class CayleyWindow:
     def _dist(self, g, h):
         return self.norm_of(self.model.mul(self.model.inv(g), h))
 
-    def dist(self, g, h):
-        return self.space.dist(g, h)
-
 
 def cayley_ball(model, genset_items, L, **kw):
     genset = (
@@ -642,7 +639,7 @@ def product_group_window(window_G, window_H):
 def product_cover_groups(oracle_G, oracle_H, scales):
     """Product witness over the summed (l1) word metric; same slot layout as
     the l2 product combinator on the same factor oracles."""
-    witness = product_engine(oracle_G, oracle_H, scales, mesh_combine="l1")
+    witness = product_engine(oracle_G, oracle_H, scales, combine=operator.add)
     witness.meta["space"] = "group-product"
     return witness
 

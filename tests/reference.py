@@ -16,13 +16,15 @@ fiber scheme with a per-fiber intersection of every stabilizer set, which the
 library replaces with one slot table per scale.  :func:`core_reach_failures`
 is a component core's reach check by a full cone walk and a sorted scan of
 every word, which the library reads from the core's cone tree.
+:func:`cone_cover` covers the cone over a flat base through a fresh cone
+tree, which the tests compare with the tree a component core keeps.
 :func:`point_key_reference` is the canonical point order with a separate
 bool case and the tuple case tested last, which the library's key must match.
 :func:`random_tree` is the seeded tree generator the tree tests and the
 pinned CLI tree file draw from.
 :class:`FreeProductHypothesis` is the free-product decomposition hypothesis
-as a stateful class that builds the V-families inside decompose, which the
-library replaces with V-families built once before decompose.
+as a stateful class that builds the V-families from a 2-subsampled stream,
+which the library replaces with V-families built once before decompose.
 """
 
 import heapq
@@ -35,7 +37,7 @@ from apckit import groups
 from apckit.combinators import FiberCoverScheme
 from apckit.exact import Rational, Root, root_of, scalar, sq_value
 from apckit.freeprod import (build_v_families, component_core, cone_cover_bound, cone_radius,
-                             cone_window)
+                             cone_tree, cone_window)
 from apckit.metric import (ConstructionError, Family, FiniteMetricSpace, InputError, point_key,
                            r_components, set_diameter, sorted_points)
 from apckit.trees import RootedTree
@@ -124,6 +126,15 @@ def core_reach_failures(window, C, M, R, D, margin=0):
         else:
             hard.append(w)
     return artifacts, hard
+
+
+def cone_cover(window, A, M, r):
+    """Two r-disjoint families covering con_M(A) and their mesh bound; see
+    :meth:`ConeTree.cover`.  An empty base gives two empty families."""
+    A = frozenset(A)
+    if not A:
+        return [Family.of([]), Family.of([])], 0
+    return cone_tree(window, A, M).cover(r)
 
 
 class FreeProductHypothesis:

@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -267,27 +268,20 @@ class TestFiberSchemeFromAsdim:
         assert all(R == 1 for _, R in calls)  # reads the (n+1)-st scale
 
 
-class _IntervalDecomposable:
+def _interval_hypothesis(space, block=6):
     """Hand-written decomposition hypothesis over an interval window:
-    families of parity blocks, each block re-covered by two interval families."""
+    families of parity blocks, each block re-covered by two interval families.
+    Returns the families and their subcover function."""
+    import math
 
-    def __init__(self, space, block=6):
-        self.space = space
-        self.block = block
+    pts = sorted(space.points)
+    blocks = [pts[i : i + block] for i in range(0, len(pts), block)]
+    families = [Family.of(blocks[0::2])]
+    fam2 = Family.of(blocks[1::2])
+    if len(fam2):
+        families.append(fam2)
 
-    def families(self, sub):
-        pts = sorted(self.space.points)
-        blocks = [pts[i : i + self.block] for i in range(0, len(pts), self.block)]
-        fam = Family.of(blocks[0::2])
-        fam2 = Family.of(blocks[1::2])
-        out = [(sub.at(1), fam)]
-        if len(fam2):
-            out.append((sub.at(2), fam2))
-        return out
-
-    def subcover(self, i, R):
-        import math
-
+    def subcover(i, R):
         length = max(1, math.ceil(R))
 
         def cover(U):
@@ -300,32 +294,26 @@ class _IntervalDecomposable:
 
         return length - 1, cover
 
-    def is_valid_input(self, sub):
-        # parity blocks of width `block` are separated by `block`; they must
-        # exceed the queried scales
-        return self.block > sub.at(2)
+    return families, subcover
+
+
+def _whole(bound):
+    """A k = 1 subcover: every member is its own family, at mesh bound."""
+    return lambda i, R: (bound, lambda U: [Family.of([U])])
 
 
 class TestDecompose:
     def test_k1_degenerate(self):
         space = path_space(6)
-
-        class Simple:
-            def families(self, sub):
-                return [(sub.at(1), Family.of([set(space.points)]))]
-
-            def subcover(self, i, R):
-                return 5, lambda U: [Family.of([U])]
-
-        w = decompose(space, 1, Simple(), scales(0))
+        w = decompose(space, 1, [Family.of([set(space.points)])], _whole(5), scales(0))
         assert len(w.entries) == 1
         assert verify_apc_witness(space, scales(0), w).ok
 
     def test_k2_blocks(self):
         space = interval_window(0, 23)
-        hyp = _IntervalDecomposable(space, block=6)
-        s = scales(1, 2)  # sub-stream reads R_2=2, R_4=2; blocks of 6 are 6 apart
-        w = decompose(space, 2, hyp, s)
+        families, subcover = _interval_hypothesis(space, block=6)
+        s = scales(1, 2)  # family i reads R_2i: R_2=2, R_4=2; blocks of 6 are 6 apart
+        w = decompose(space, 2, families, subcover, s)
         assert len(w.entries) == 4
         assert verify_apc_witness(space, s, w).ok
 
@@ -337,65 +325,40 @@ class TestDecompose:
         space = path_space(2 * members)
         asked, covered = [], []
 
-        class Counted:
-            def families(self, sub):
-                return [(sub.at(1), Family.of([{2 * m} for m in range(members)])),
-                        (sub.at(2), Family.of([]))]
+        def subcover(i, R):
+            asked.append((i, R))
 
-            def subcover(self, i, R):
-                asked.append((i, R))
+            def cover(U):
+                covered.append(U)
+                return [Family.of([U])]
 
-                def cover(U):
-                    covered.append(U)
-                    return [Family.of([U])]
-
-                return 3, cover
+            return 3, cover
 
         s = scales(1)
-        w = decompose(space, 1, Counted(), s, allow_uncovered=range(1, 2 * members, 2))
+        families = [Family.of([{2 * m} for m in range(members)]), Family.of([])]
+        w = decompose(space, 1, families, subcover, s, allow_uncovered=range(1, 2 * members, 2))
         assert asked == [(1, 1)]
         assert len(covered) == members
         assert w.meta["bounds"] == [3, 0]
         assert [e.mesh_bound for e in w.entries] == [3, 0]
 
+    def test_family_i_is_checked_at_scale_ik(self):
+        # with k = 2 family 1 must be disjoint at R_2, not only at R_1:
+        # {0} and {2} are 2 apart, so 1-disjoint but not 3-disjoint
+        space = path_space(3)
+        families = [Family.of([{0}, {2}]), Family.of([{1}])]
+        with pytest.raises(ConstructionError, match="family 1 is not 3-disjoint"):
+            decompose(space, 2, families, _whole(0), scales(1, 3))
+
     def test_undisjoint_hypothesis_aborts(self):
         space = path_space(6)
-
-        class Bad:
-            def families(self, sub):
-                return [(sub.at(1), Family.of([{0, 1}, {2, 3}, {4, 5}]))]
-
-            def subcover(self, i, R):
-                return 1, lambda U: [Family.of([U])]
-
         with pytest.raises(ConstructionError):
-            decompose(space, 1, Bad(), scales(3))
-
-    def test_a_wrongly_declared_scale_aborts(self):
-        space = path_space(4)
-
-        class Misdeclared:
-            def families(self, sub):
-                return [(sub.at(1) + 1, Family.of([set(space.points)]))]
-
-            def subcover(self, i, R):
-                return 3, lambda U: [Family.of([U])]
-
-        with pytest.raises(ConstructionError, match="declared scale 2, stream says 1"):
-            decompose(space, 1, Misdeclared(), scales(1))
+            decompose(space, 1, [Family.of([{0, 1}, {2, 3}, {4, 5}])], _whole(1), scales(3))
 
     def test_families_that_miss_points_abort(self):
         space = path_space(4)
-
-        class Partial:
-            def families(self, sub):
-                return [(sub.at(1), Family.of([{0, 1}]))]
-
-            def subcover(self, i, R):
-                return 1, lambda U: [Family.of([U])]
-
         with pytest.raises(ConstructionError, match=r"do not cover the space: \[2, 3\]"):
-            decompose(space, 1, Partial(), scales(1))
+            decompose(space, 1, [Family.of([{0, 1}])], _whole(1), scales(1))
 
 
 def _two_point_cover(A, space, fault=None):
@@ -438,31 +401,24 @@ def _fibering_with(fault):
     return Y, fibering_cover(m, interval_oracle(Y), scheme, scales(2))
 
 
-class _PairMembers:
+def _pair_members(space, fault=None):
     """Hypothesis on a path of 8: two families of 1-disjoint pairs, each pair
-    re-covered by _two_point_cover at mesh 0."""
-
-    def __init__(self, space, fault=None):
-        self.space = space
-        self.fault = fault
-
-    def families(self, sub):
-        return [(sub.at(1), Family.of([{0, 1}, {4, 5}])),
-                (sub.at(2), Family.of([{2, 3}, {6, 7}]))]
-
-    def subcover(self, i, R):
-        return 0, lambda U: _two_point_cover(U, self.space, self.fault)
+    re-covered by _two_point_cover at mesh 0; returns the families and their
+    subcover function."""
+    families = [Family.of([{0, 1}, {4, 5}]), Family.of([{2, 3}, {6, 7}])]
+    return families, lambda i, R: (0, lambda U: _two_point_cover(U, space, fault))
 
 
 class TestProviderCheck:
-    """fibering_cover (per fiber) and decompose (per member) share one check
-    of provider output; each rejection must fire through both callers."""
+    """fibering_cover (per fiber) and decompose (per member) share one part
+    loop that checks provider output; each rejection must fire through both
+    callers."""
 
     def test_valid_providers_pass_through_both_callers(self):
         Y, w = _fibering_with(None)
         assert verify_apc_witness(Y, scales(2), w).ok
         space = path_space(8)
-        w = decompose(space, 2, _PairMembers(space), scales(1))
+        w = decompose(space, 2, *_pair_members(space), scales(1))
         assert verify_apc_witness(space, scales(1), w).ok
 
     @pytest.mark.parametrize("fault", sorted(PROVIDER_FAULTS))
@@ -475,13 +431,13 @@ class TestProviderCheck:
     def test_decompose_rejects(self, fault):
         space = path_space(8)
         with pytest.raises(ConstructionError, match=PROVIDER_FAULTS[fault]) as e:
-            decompose(space, 2, _PairMembers(space, fault), scales(1))
+            decompose(space, 2, *_pair_members(space, fault), scales(1))
         assert "family" in str(e.value)
 
     def test_decompose_exempts_allow_uncovered_from_coverage(self):
         space = path_space(8)
         exempt = frozenset({1, 3, 5, 7})  # the points the coverage fault drops
-        w = decompose(space, 2, _PairMembers(space, "coverage"), scales(1),
+        w = decompose(space, 2, *_pair_members(space, "coverage"), scales(1),
                       allow_uncovered=exempt)
         assert w.support() == space.point_set - exempt
         report = verify_apc_witness(space, scales(1), w,
@@ -489,7 +445,7 @@ class TestProviderCheck:
         assert report.ok
         # without the exemption the same subcovers are refused
         with pytest.raises(ConstructionError, match="misses"):
-            decompose(space, 2, _PairMembers(space, "coverage"), scales(1),
+            decompose(space, 2, *_pair_members(space, "coverage"), scales(1),
                       allow_uncovered={1, 3, 5})
 
 
@@ -501,7 +457,7 @@ class TestGridOracleEquivalence:
         assert verify_apc_witness(g, s, w).ok
         # same layout as the generic engine applied to two interval oracles
         ox = interval_oracle(interval_window(0, 7))
-        w2 = product_engine(ox, ox, s, mesh_combine="l1")
+        w2 = product_engine(ox, ox, s, combine=operator.add)
         for e1, e2 in zip(w.entries, w2.entries):
             assert {frozenset(x) for x in e1.family.sets} == {
                 frozenset(x) for x in e2.family.sets

@@ -24,7 +24,6 @@ from apckit.freeprod import (
     EPSILON,
     build_v_families,
     component_core,
-    cone_cover,
     cone_tree,
     cone_window,
     fp_window,
@@ -35,8 +34,8 @@ from apckit.freeprod import (
     wedge_space,
 )
 from apckit.groups import ZdModel, cayley_ball
-from reference import (FreeProductHypothesis, check_witness, core_reach_failures, fp_distance,
-                       words_adjacent)
+from reference import (FreeProductHypothesis, check_witness, cone_cover, core_reach_failures,
+                       fp_distance, words_adjacent)
 
 
 def base_xab():
@@ -109,14 +108,14 @@ class TestFpDistance:
         rng = random.Random(1)
         for _ in range(60):
             u, v = rng.choice(win.words), rng.choice(win.words)
-            assert win.dist(u, v) == win.dist(v, u)
+            assert win.space.dist(u, v) == win.space.dist(v, u)
 
 
 class TestWindow:
     def test_order_one(self):
         win = fp_window(base_xab(), 1, 9)
         assert set(win.words) == {EPSILON, w(A), w(B)}
-        assert win.dist(w(A), w(B)) == 2
+        assert win.space.dist(w(A), w(B)) == 2
 
     def test_order_zero(self):
         win = fp_window(base_xab(), 0, 9)
@@ -133,7 +132,7 @@ class TestWindow:
     def test_norm_is_distance_to_trivial_word(self):
         win = fp_window(base_xab(), 3, 7)
         for word in win.words:
-            assert win.norm(word) == win.dist(EPSILON, word)
+            assert win.norm(word) == win.space.dist(EPSILON, word)
 
     def test_E_is_min_gap(self):
         assert fp_window(base_xab(), 1, 1).E == 1
@@ -371,11 +370,12 @@ class TestFreeProductCover:
     def test_hypothesis_built_once_with_the_same_witness(self, monkeypatch):
         # the V-families are built once, before decompose, and fix the default
         # margin, so the base oracle answers once per cover; the witness is the
-        # one the reference hypothesis class with that margin gives inside
-        # decompose, down to meta["scales_consumed"]
+        # one decompose gives on the families and subcover of the reference
+        # hypothesis class with that margin, whose families read a 2-subsampled
+        # view of one counting stream, down to meta["scales_consumed"]
         from apckit import freeprod
         from apckit.combinators import decompose
-        from apckit.covers import exact_oracle
+        from apckit.covers import CountingStream, MappedStream, exact_oracle
 
         X = base_xab()
 
@@ -401,11 +401,13 @@ class TestFreeProductCover:
             assert len(calls) == 1
             assert len(provided) == 1
             fresh = FreeProductHypothesis(oracle(X), win, res.margin)
-            ref = decompose(win.space, 2, fresh, s,
+            counting = CountingStream(s)
+            pairs = fresh.families(MappedStream(counting, lambda i: 2 * i))
+            ref = decompose(win.space, 2, [fam for _, fam in pairs], fresh.subcover, counting,
                             allow_uncovered=win.word_set - res.reduced_points)
             assert res.witness.entries == ref.entries
-            assert res.witness.meta == {**ref.meta, "margin": res.margin,
-                                        "artifacts": len(fresh.artifacts)}
+            assert res.witness.meta == {**ref.meta, "scales_consumed": counting.max_index,
+                                        "margin": res.margin, "artifacts": len(fresh.artifacts)}
             assert res.v_families.families == fresh.vf.families
 
     def test_oracle_over_another_base_refused(self):
@@ -887,7 +889,7 @@ class TestCoreConeTree:
         counted("cone_window")
         counted("set_diameter")
         counted("component_core", reports)
-        monkeypatch.setattr(freeprod, "cone_cover",
+        monkeypatch.setattr(freeprod, "cone_tree",
                             lambda *a: pytest.fail("subcover walked a second cone"))
         res = free_product_cover(exact_oracle(X), ScaleSequence(prefix), fp_window(X, m, L))
         monkeypatch.undo()

@@ -134,7 +134,7 @@ class TestCayleyWindows:
     def test_z_ball(self):
         win = z_window(3)
         assert sorted(p[0] for p in win.points) == list(range(-3, 4))
-        assert win.dist((1,), (-2,)) == 3
+        assert win.space.dist((1,), (-2,)) == 3
 
     def test_f2_ball_sizes(self):
         win = f2_window(3)
@@ -158,7 +158,7 @@ class TestCayleyWindows:
             gh = win.model.mul(g, h)
             ghp = win.model.mul(g, hp)
             if gh in win.norms and ghp in win.norms:
-                assert win.dist(gh, ghp) == win.dist(h, hp)
+                assert win.space.dist(gh, ghp) == win.space.dist(h, hp)
         for g in pts:
             assert win.norm_of(g) == win.norm_of(win.model.inv(g))
 

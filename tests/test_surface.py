@@ -5,9 +5,11 @@ referenced from somewhere other than its own definition: another part of the
 package or the benchmark in ``apcbench/``.  Exports in ``__init__.py`` do not
 count, and neither do the tests, so a function that only the tests call
 shows up here and belongs in ``tests/reference.py``.  A reference is a name,
-an attribute or a string naming it (``apcbench/tracer.py`` patches methods by
-name).  The allowlist holds the paper's constructions that the tests
-exercise and no workload runs yet.
+an attribute or, in the package and in ``apcbench/tracer.py``, which
+patches methods by name, a string naming it.  The metric names in
+``apcbench/run.py`` run nothing, so its strings do not count.  The
+allowlist holds the paper's constructions that the tests exercise and no
+workload runs yet.
 
 Every name a module imports, ``from __future__`` aside, must be read in
 that module, so an import left behind by a removed function shows up too.
@@ -35,13 +37,13 @@ CONSTRUCTIONS = {
 }
 
 
-def referenced_names(node):
+def referenced_names(node, strings=True):
     for n in ast.walk(node):
         if isinstance(n, ast.Name):
             yield n.id
         elif isinstance(n, ast.Attribute):
             yield n.attr
-        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+        elif strings and isinstance(n, ast.Constant) and isinstance(n.value, str):
             yield from (part for part in n.value.split(".") if part.isidentifier())
 
 
@@ -60,9 +62,9 @@ def definitions(node, prefix):
 def unreferenced():
     modules = {p.stem: ast.parse(p.read_text()) for p in sorted((ROOT / "src/apckit").glob("*.py"))
                if p.name != "__init__.py"}
-    trees = list(modules.values()) + [ast.parse(p.read_text())
-                                      for p in sorted((ROOT / "apcbench").glob("*.py"))]
-    refs = collections.Counter(name for tree in trees for name in referenced_names(tree))
+    refs = collections.Counter(name for tree in modules.values() for name in referenced_names(tree))
+    for p in sorted((ROOT / "apcbench").glob("*.py")):
+        refs.update(referenced_names(ast.parse(p.read_text()), strings=p.name == "tracer.py"))
     out = set()
     for module, tree in modules.items():
         for qualname, node in definitions(tree, module):

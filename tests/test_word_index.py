@@ -338,4 +338,4 @@ def test_letter_table_holds_the_base_distances():
                                   for p, q in itertools.permutations(base.points, 2)}
     window = fp_window(base, 2, 3)
     for u, v in itertools.combinations(window.words, 2):
-        assert window.dist(u, v) == fp_distance(base, u, v)
+        assert window.space.dist(u, v) == fp_distance(base, u, v)
