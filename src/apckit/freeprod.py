@@ -303,18 +303,6 @@ class ConeTree:
     M: object  # the cone scale
     window: FreeProductWindow
 
-    def cover(self, r):
-        """Two r-disjoint families covering the cone, pulled back from the tree cover.
-
-        Tree sets more than r/E + 3 apart give word sets more than r apart; a
-        tree set of diameter below 3*ceil(r/E + 3) gives a word set of diameter
-        at most M * (3 * ceil(r/E + 3)) + D, the recorded bound.
-        """
-        r = scalar(r)
-        tc = tree_cover(self.tree, -(-r // self.E) + 3)  # ceil(r/E + 3), exactly
-        families = [Family.of([s - {ROOT} for s in fam.sets]) for fam in (tc.even, tc.odd)]
-        return families, cone_cover_bound(self.E, self.D, self.M, r)
-
 
 def cone_tree(window, A, M):
     """The simplicial tree over con_M(A): root joined to the flat base, one
@@ -324,11 +312,6 @@ def cone_tree(window, A, M):
         raise InputError("cone_tree needs a nonempty base")
     if not is_flat(A):
         raise InputError("cone_tree base must be flat")
-    return _cone_tree(window, A, M)
-
-
-def _cone_tree(window, A, M):
-    # A is a nonempty flat base; cone_window checks that it lies in the window
     cone = cone_window(window, A, M)
     M = scalar(M)
     parent = {w: ROOT if w in A else w[:-1] for w in cone}
@@ -365,12 +348,6 @@ def qi_check(ct):
     return QiReport(not violations, violations, pairs)
 
 
-def cone_cover_bound(E, D_bound, M, r):
-    """The :meth:`ConeTree.cover` mesh bound with the base diameter replaced by a uniform cap."""
-    rt = -(-r // E) + 3  # ceil(r/E + 3), exactly
-    return M * (3 * rt) + D_bound
-
-
 # ---------------------------------------------------------------------------
 # component cores
 
@@ -383,10 +360,6 @@ class CoreReport:
     artifacts: list  # boundary words where a check failed, norm beyond margin
     hard_failures: list  # failures among margin-reduced words
     cone_tree: ConeTree | None  # the core's radius cone tree; None when the core is not flat
-
-    @property
-    def ok(self):
-        return self.flat and not self.hard_failures
 
 
 def cone_radius(M, R, D):
@@ -415,7 +388,7 @@ def component_core(window, C, M, R, D, *, margin=0):
 
     artifacts = []
     hard = []
-    tree = _cone_tree(window, core, radius) if flat else None
+    tree = cone_tree(window, core, radius) if flat else None
     if flat:
         for w in sorted_points(C - tree.cone):
             if window.norm(w) > inner_bound:
@@ -526,15 +499,24 @@ def family_subcover(window, margin, M, D, R, artifacts):
     """(B, cover) for the R-components of the M-cone over a V-family whose
     members have diameter at most D.
 
-    cover(U) re-covers a component U through its core's cone tree, cut back
-    to U.  A failed core check at a word of norm above max_norm - margin is a
-    window artifact, appended to artifacts with the component then covered by
-    nothing; elsewhere it is an error.  Cone radius, core cap and tree-cover
-    scale are clamped at 0: a 0-disjoint family is R-disjoint for every R < 0.
+    cover(U) covers a component U by the tree cover of its core's cone tree
+    at scale rt = ceil(r/E) + 3, r = max(R, 0), cut back to U; the tree's
+    root is no word, so the cut drops it.  The cone tree over a core of
+    diameter D_core at cone scale radius has d/radius - D_core/radius <= d_T
+    <= d/E + 3, so tree sets more than rt apart give word sets more than r
+    apart, and a tree set of diameter below 3 * rt gives a word set of
+    diameter at most radius * (3 * rt) + D_core.  B is that bound with the
+    core cap 2 * radius in place of D_core.  A failed core check at a word of
+    norm above max_norm - margin is a window artifact, appended to artifacts
+    with the component then covered by nothing, as is a component whose core
+    exceeds the cap; elsewhere either is an error.  Cone radius, core cap and
+    tree-cover scale are clamped at 0: a 0-disjoint family is R-disjoint for
+    every R < 0.
     """
     radius = cone_radius(M, R, D)
     core_cap = 2 * radius
-    B = cone_cover_bound(window.E, core_cap, radius, max(R, 0))
+    rt = -(-max(R, 0) // window.E) + 3  # ceil(r/E) + 3, exactly
+    B = radius * (3 * rt) + core_cap
 
     def cover(U):
         report = component_core(window, U, M, R, D, margin=margin)
@@ -557,8 +539,8 @@ def family_subcover(window, margin, M, D, R, artifacts):
                 )
             artifacts.extend(U)  # free_product_cover sorts all artifacts once
             return [Family.of([]), Family.of([])]
-        fams, _ = tree.cover(max(R, 0))
-        return [Family.of([s & U for s in fam.sets]) for fam in fams]
+        return [Family.of([s & U for s in fam.sets])
+                for fam in tree_cover(tree.tree, rt).families()]
 
     return B, cover
 

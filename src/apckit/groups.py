@@ -627,7 +627,7 @@ def product_group_window(window_G, window_H):
     pairs = [(g, h) for g in window_G.points for h in window_H.points]
 
     def d(a, b):
-        return window_G._dist(a[0], b[0]) + window_H._dist(a[1], b[1])
+        return window_G.space.dist(a[0], b[0]) + window_H.space.dist(a[1], b[1])
 
     return FiniteMetricSpace(
         pairs, d,

@@ -118,16 +118,13 @@ def _list(v, where):
 # spaces
 
 
-def space_to_obj(space, *, generator_spec=None):
-    if generator_spec is not None:
-        obj = {"metric": {"kind": "generator", "spec": generator_spec}}
-    else:
-        pts = list(space.points)
-        rows = [[encode_scalar(space.dist(p, q)) for q in pts] for p in pts]
-        obj = {
-            "points": [encode_point(p) for p in pts],
-            "metric": {"kind": "matrix", "rows": rows},
-        }
+def space_to_obj(space):
+    pts = list(space.points)
+    rows = [[encode_scalar(space.dist(p, q)) for q in pts] for p in pts]
+    obj = {
+        "points": [encode_point(p) for p in pts],
+        "metric": {"kind": "matrix", "rows": rows},
+    }
     if space.basepoint is not None:
         obj["basepoint"] = encode_point(space.basepoint)
     return obj
@@ -160,8 +157,8 @@ def space_from_obj(obj):
     raise InputError(f"unknown metric kind {metric['kind']!r}")
 
 
-def save_space(path, space, **kw):
-    write_file(path, space_to_obj(space, **kw))
+def save_space(path, space):
+    write_file(path, space_to_obj(space))
 
 
 def load_space(path):

@@ -94,10 +94,6 @@ class FiniteMetricSpace:
             return self._dist_sq(p, q)
         return sq_value(self._dist(p, q))
 
-    def raw_dist(self, p, q):
-        """Distance without the diagonal shortcut; used by the validator."""
-        return self._dist(p, q)
-
     def require(self, pts):
         for p in pts:
             if p not in self.point_set:
@@ -182,8 +178,8 @@ def _sample_pairs(pts, budget, seed):
 
 def _pair_violation(space, p, q):
     """The axiom the pair (p, q) breaks, with its distances, or None."""
-    d1 = space.raw_dist(p, q)
-    d2 = space.raw_dist(q, p)
+    d1 = space.dist(p, q)
+    d2 = space.dist(q, p)
     if d1 != d2:
         return MetricViolation("symmetry", (p, q), (d1, d2))
     if d1 < 0:
@@ -206,9 +202,10 @@ def validate_metric(space, *, pair_budget=2_000_000, triple_budget=2_000_000, se
     exact squares it gives directly, so every axiom is decided on those
     squares, the triangles by :func:`~apckit.exact.triangle_le_sq`, and no
     square root is taken.  Every other space (matrix and callable spaces,
-    whose values may be signed) is checked on ``raw_dist`` and ``dist``.
-    Either way a violation reports the values of ``raw_dist`` and ``dist``,
-    and both draw the same pairs and triples for a seed.
+    whose values may be signed) is checked on ``dist``, with the diagonal
+    read from the space's own distance function, past ``dist``'s shortcut.
+    Either way a violation reports those distances, and both draw the same
+    pairs and triples for a seed.
     """
     if pair_budget < 1 or triple_budget < 1:
         raise InputError(f"budgets must be >= 1, not {pair_budget}, {triple_budget}")
@@ -221,10 +218,10 @@ def validate_metric(space, *, pair_budget=2_000_000, triple_budget=2_000_000, se
 
     sq = space._dist_sq
     if sq is None:
-        raw, dist = space.raw_dist, space.dist
+        dist = space.dist
 
         def diagonal_ok(p):
-            return raw(p, p) == 0
+            return space._dist(p, p) == 0
 
         def pair_ok(p, q):
             return _pair_violation(space, p, q) is None
@@ -246,7 +243,7 @@ def validate_metric(space, *, pair_budget=2_000_000, triple_budget=2_000_000, se
 
     for p in pts:
         if not diagonal_ok(p):
-            violations.append(MetricViolation("identity", (p, p), (space.raw_dist(p, p),)))
+            violations.append(MetricViolation("identity", (p, p), (space._dist(p, p),)))
     checked["diagonal"] = n
 
     for p, q in _sample_pairs(pts, pair_budget, seed):

@@ -18,6 +18,11 @@ is a component core's reach check by a full cone walk and a sorted scan of
 every word, which the library reads from the core's cone tree.
 :func:`cone_cover` covers the cone over a flat base through a fresh cone
 tree, which the tests compare with the tree a component core keeps.
+:func:`cone_tree_cover` pulls a cone tree's cover back to words, root
+stripped, with the mesh bound of its own base diameter, and
+:func:`cone_cover_bound` is that bound with a uniform core cap; the
+library's subcover cuts the tree cover to each component and states its
+bound once.
 :func:`point_key_reference` is the canonical point order with a separate
 bool case and the tuple case tested last, which the library's key must match.
 :func:`random_tree` is the seeded tree generator the tree tests and the
@@ -36,11 +41,11 @@ from fractions import Fraction
 from apckit import groups
 from apckit.combinators import FiberCoverScheme
 from apckit.exact import Rational, Root, root_of, scalar, sq_value
-from apckit.freeprod import (build_v_families, component_core, cone_cover_bound, cone_radius,
-                             cone_tree, cone_window)
+from apckit.freeprod import (ROOT, build_v_families, component_core, cone_radius, cone_tree,
+                             cone_window)
 from apckit.metric import (ConstructionError, Family, FiniteMetricSpace, InputError, point_key,
                            r_components, set_diameter, sorted_points)
-from apckit.trees import RootedTree
+from apckit.trees import RootedTree, tree_cover
 
 INF = math.inf
 
@@ -128,13 +133,33 @@ def core_reach_failures(window, C, M, R, D, margin=0):
     return artifacts, hard
 
 
+def cone_tree_cover(ct, r):
+    """Two r-disjoint families covering a cone tree's cone, pulled back from
+    the tree cover, and their mesh bound.
+
+    Tree sets more than r/E + 3 apart give word sets more than r apart; a
+    tree set of diameter below 3*ceil(r/E + 3) gives a word set of diameter
+    at most M * (3 * ceil(r/E + 3)) + D, the returned bound.
+    """
+    r = scalar(r)
+    tc = tree_cover(ct.tree, -(-r // ct.E) + 3)  # ceil(r/E + 3), exactly
+    families = [Family.of([s - {ROOT} for s in fam.sets]) for fam in (tc.even, tc.odd)]
+    return families, cone_cover_bound(ct.E, ct.D, ct.M, r)
+
+
+def cone_cover_bound(E, D_bound, M, r):
+    """The :func:`cone_tree_cover` mesh bound with the base diameter replaced by a uniform cap."""
+    rt = -(-r // E) + 3  # ceil(r/E + 3), exactly
+    return M * (3 * rt) + D_bound
+
+
 def cone_cover(window, A, M, r):
     """Two r-disjoint families covering con_M(A) and their mesh bound; see
-    :meth:`ConeTree.cover`.  An empty base gives two empty families."""
+    :func:`cone_tree_cover`.  An empty base gives two empty families."""
     A = frozenset(A)
     if not A:
         return [Family.of([]), Family.of([])], 0
-    return cone_tree(window, A, M).cover(r)
+    return cone_tree_cover(cone_tree(window, A, M), r)
 
 
 class FreeProductHypothesis:
@@ -199,7 +224,7 @@ class FreeProductHypothesis:
                     )
                 self.artifacts.extend(U)  # free_product_cover sorts all artifacts once
                 return [Family.of([]), Family.of([])]
-            fams, _ = tree.cover(max(R, 0))
+            fams, _ = cone_tree_cover(tree, max(R, 0))
             return [Family.of([s & U for s in fam.sets]) for fam in fams]
 
         return B, cover
@@ -212,15 +237,15 @@ class FreeProductHypothesis:
 def without_index(space):
     """The same points, distances and basepoint, with no index, so every
     set-level question about it takes the generic all-pairs path."""
-    return FiniteMetricSpace(space.points, space.raw_dist, dist_sq=space.dist_sq,
+    return FiniteMetricSpace(space.points, space._dist, dist_sq=space.dist_sq,
                              basepoint=space.basepoint, name="plain")
 
 
 def without_squares(space):
     """The same points, distances and basepoint, with no ``dist_sq`` and no
-    index, so :func:`~apckit.metric.validate_metric` checks it on
-    ``raw_dist`` and ``dist`` instead of on exact squares."""
-    return FiniteMetricSpace(space.points, space.raw_dist, basepoint=space.basepoint,
+    index, so :func:`~apckit.metric.validate_metric` checks it on its
+    distances instead of on exact squares."""
+    return FiniteMetricSpace(space.points, space._dist, basepoint=space.basepoint,
                              name="plain")
 
 

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apckit import io as fio
@@ -34,8 +34,8 @@ from apckit.freeprod import (
     wedge_space,
 )
 from apckit.groups import ZdModel, cayley_ball
-from reference import (FreeProductHypothesis, check_witness, cone_cover, core_reach_failures,
-                       fp_distance, words_adjacent)
+from reference import (FreeProductHypothesis, check_witness, cone_cover, cone_cover_bound,
+                       cone_tree_cover, core_reach_failures, fp_distance, words_adjacent)
 
 
 def base_xab():
@@ -269,12 +269,12 @@ class TestComponentCore:
         win = fp_window(base_xab(), 2, 9)
         rep = component_core(win, {w(B), w(B, A)}, 1, 1, 0)
         assert rep.core == {w(B)}
-        assert rep.ok
+        assert rep.flat and not rep.hard_failures
 
     def test_single_word(self):
         win = fp_window(base_xab(), 2, 9)
         rep = component_core(win, {w(A, B)}, 1, 1, 0)
-        assert rep.core == {w(A, B)} and rep.ok
+        assert rep.core == {w(A, B)} and rep.flat and not rep.hard_failures
 
     def test_nonempty_required(self):
         win = fp_window(base_xab(), 2, 9)
@@ -288,7 +288,7 @@ class TestComponentCore:
         rep = component_core(win, {w(A), w(B, B), w(B, B, B)}, 1, 0, 0, margin=1)
         assert rep.flat and rep.core == {w(A)}
         assert rep.artifacts == [w(B, B, B)] and rep.hard_failures == [w(B, B)]
-        assert not rep.ok
+        assert not (rep.flat and not rep.hard_failures)
 
     @pytest.mark.parametrize("margin, artifacts, hard", [
         (4, [w(A, B), w(B, A)], []),
@@ -297,7 +297,7 @@ class TestComponentCore:
     def test_non_flat_core_is_an_artifact_only_at_the_boundary(self, margin, artifacts, hard):
         win = fp_window(base_xab(), 3, 6)
         rep = component_core(win, {w(A, B), w(B, A)}, 1, 0, 0, margin=margin)
-        assert not rep.flat and not rep.ok
+        assert not rep.flat
         assert rep.artifacts == artifacts and rep.hard_failures == hard
 
 
@@ -532,7 +532,7 @@ class TestWedge:
                 else:
                     (_, i), (_, j) = sorted([side[a], side[b]])
                     want = dX[bx][i] + dY[by][j]
-                assert W.raw_dist(a, b) == want, (a, b)
+                assert W._dist(a, b) == want, (a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -854,7 +854,41 @@ class TestCoreConeTree:
         assert tree.cone == cone_window(win, core, rep.radius)
         assert tree.D == set_diameter(win.space, core)
         for r in (0, Fraction(1, 2), 1, 2):
-            assert tree.cover(r) == cone_cover(win, core, rep.radius, r)
+            assert cone_tree_cover(tree, r) == cone_cover(win, core, rep.radius, r)
+
+    @given(flat_components())
+    @example((core_window("xab", 2, 5), frozenset({w(A), w(B)}), frozenset({w(A), w(B)}),
+              0, 0, 0, 0))
+    @settings(max_examples=150, deadline=None)
+    def test_subcover_cuts_the_reference_cone_cover_to_the_component(self, case):
+        # cover(C) is the reference cover of the core's radius cone cut to C,
+        # and B is the reference bound with the core cap; cover(C) refuses
+        # exactly a hard core failure or an inner component over the cap,
+        # which the strategy seldom draws, so the example pins one
+        from apckit.freeprod import cone_radius, family_subcover
+        from apckit.metric import ConstructionError
+
+        win, core, C, M, R, D, margin = case
+        radius = cone_radius(M, R, D)
+        cap = 2 * radius
+        artifacts = []
+        B, cover = family_subcover(win, margin, M, D, R, artifacts)
+        assert B == cone_cover_bound(win.E, cap, radius, max(R, 0))
+        reached, hard = core_reach_failures(win, C, M, R, D, margin)
+        over = set_diameter(win.space, core) > cap
+        inner = all(win.norm(v) <= win.max_norm - margin for v in C)
+        if hard or (over and inner):
+            with pytest.raises(ConstructionError):
+                cover(C)
+            return
+        fams = cover(C)
+        if over:
+            assert all(len(f) == 0 for f in fams)
+            assert sorted_points(artifacts) == sorted_points(reached + list(C))
+            return
+        want, _ = cone_cover(win, core, radius, max(R, 0))
+        assert fams == [Family.of([s & C for s in f.sets]) for f in want]
+        assert artifacts == reached
 
     def test_a_non_flat_core_has_no_cone_tree(self):
         win = fp_window(base_xab(), 3, 6)
@@ -866,7 +900,8 @@ class TestCoreConeTree:
     ])
     def test_each_flat_component_walks_its_cone_once(self, monkeypatch, base_name, m, L, prefix):
         # cone_window runs once per V-family and once per flat component, the
-        # core's diameter is taken once, and subcover covers no second cone
+        # core's diameter is taken once, and each flat component builds one
+        # cone tree, so subcover covers no second cone
         from apckit import freeprod
         from apckit.covers import exact_oracle
 
@@ -889,14 +924,14 @@ class TestCoreConeTree:
         counted("cone_window")
         counted("set_diameter")
         counted("component_core", reports)
-        monkeypatch.setattr(freeprod, "cone_tree",
-                            lambda *a: pytest.fail("subcover walked a second cone"))
+        counted("cone_tree")
         res = free_product_cover(exact_oracle(X), ScaleSequence(prefix), fp_window(X, m, L))
         monkeypatch.undo()
         flat = sum(rep.flat for rep in reports)
         assert flat > 0
         vf = res.v_families.families
         assert counts["cone_window"] == len(vf) + flat
+        assert counts["cone_tree"] == flat
         assert counts["set_diameter"] == sum(len(fam.sets) for fam in vf) + flat
 
     @pytest.mark.parametrize("hi, prefix", [(3, (2,)), (5, (2,)), (5, (3,))])
@@ -924,7 +959,7 @@ class TestCoreConeTree:
             for U in fam.sets:
                 cover(U)
             trees = [rep.cone_tree for rep in reports if rep.cone_tree is not None]
-            assert all(tree.cover(max(R, 0))[1] <= bound for tree in trees)
+            assert all(cone_tree_cover(tree, max(R, 0))[1] <= bound for tree in trees)
             positive += bool(trees) and hyp.vf.bounds[i - 1] > 0
         assert positive
 

@@ -215,7 +215,8 @@ class TestGroupFiles:
         p = tmp_path / "s.json"
         for space, spec in ((interval_window(2, 5), {"kind": "interval", "lo": 2, "hi": 5}),
                             (grid_window([3, 2]), {"kind": "grid", "shape": [3, 2]})):
-            fio.save_space(str(p), space, generator_spec=spec)
+            fio.write_file(str(p), {"metric": {"kind": "generator", "spec": spec},
+                                    "basepoint": fio.encode_point(space.basepoint)})
             loaded = fio.load_space(str(p))
             assert loaded.basepoint == space.basepoint
             assert isinstance(loaded.index, LatticeIndex)

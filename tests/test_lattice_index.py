@@ -334,7 +334,7 @@ class GapsSpy:
 def test_negative_rho_at_zero_takes_the_pairwise_loop():
     space = product_space(interval_window(0, 5), interval_window(0, 4))
     spy = GapsSpy(space.index)
-    spied = FiniteMetricSpace(space.points, space.raw_dist, dist_sq=space.dist_sq, index=spy)
+    spied = FiniteMetricSpace(space.points, space._dist, dist_sq=space.dist_sq, index=spy)
     target = interval_window(0, 4)
     proj = lambda p: p[1]
     assert check_uniformly_expansive(UniformlyExpansiveMap(spied, target, proj, identity_rho)) == (
