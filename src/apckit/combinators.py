@@ -369,7 +369,7 @@ def fibering_cover(umap, oracleY, scheme_factory, scales, *, rho_budget=200_000)
         audit.append({"column": i, "M": M_i, "B": B_i, "fibers": n_fibers})
         for j, sets in enumerate(merged, start=1):
             if sets:
-                slots[triangular_index(i, j)] = (Family.of(sets), B_i)
+                slots[triangular_index(i, j)] = (Family.of(sets, X.rank), B_i)
 
     return _assemble(counting, slots, max(slots, default=0),
                      {"columns": len(schemes),
@@ -403,11 +403,13 @@ def decompose(space, k, families, subcover, scales, *, allow_uncovered=frozenset
 
     covered = set()
     for i, fam in enumerate(families, start=1):
+        support = fam.support()
+        space.require(support)  # before an index sees an unknown id
         R_i = counting.at(i * k)
         ok, bad = family_is_R_disjoint(space, fam, R_i)
         if not ok:
             raise ConstructionError(f"hypothesis family {i} is not {R_i}-disjoint: {bad}")
-        covered |= fam.support()
+        covered |= support
     if not covered >= space.point_set - allow_uncovered:
         missing = sorted_points(space.point_set - allow_uncovered - covered)[:5]
         raise ConstructionError(f"hypothesis families do not cover the space: {missing}")
@@ -423,7 +425,7 @@ def decompose(space, k, families, subcover, scales, *, allow_uncovered=frozenset
                                   f"subcover of a member of family {i}", allow_uncovered)
         b_values.append(B_i)
         for j, sets in enumerate(merged, start=1):
-            slots[(i - 1) * k + j] = (Family.of(sets), B_i)
+            slots[(i - 1) * k + j] = (Family.of(sets, space.rank), B_i)
 
     n = len(families)
     return _assemble(counting, slots, n * k, {"n": n, "k": k, "bounds": b_values})

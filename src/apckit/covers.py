@@ -22,7 +22,6 @@ from .metric import (
     family_is_R_disjoint,
     grid_window,
     interval_window,
-    point_key,
     set_diameter,
     set_diameter_sq,
     sorted_points,
@@ -192,7 +191,7 @@ def verify_apc_witness(space, scales, witness, *, require_cover_of=None):
                 entry_ok = False
                 violations.append(
                     CoverViolation(
-                        "mesh", slot, (min(s, key=point_key),),
+                        "mesh", slot, (min(s, key=space.rank.__getitem__),),
                         f"member diameter {root_of(dsq)} exceeds bound {bound}",
                     )
                 )

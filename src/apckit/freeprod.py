@@ -82,6 +82,7 @@ class FreeProductWindow:
             self.words, self._dist, basepoint=EPSILON, name="*X-window",
             index=WordIndex(self),
         )
+        self.space.rank = {w: i for i, w in enumerate(self.words)}  # already sorted
 
     def _enumerate(self):
         # each word is pushed once, by its parent
@@ -464,7 +465,7 @@ def build_v_families(oracle_for_x, scales, window):
         for i, si in holders.get(w[-1], ()) if w else ():
             members[i].setdefault((w[:-1], si), set()).add(w)
     members = [{k: frozenset(m) for k, m in fam.items()} for fam in members]
-    families = [Family.of(set(fam.values())) for fam in members]
+    families = [Family.of(set(fam.values()), window.space.rank) for fam in members]
     families.append(Family.of([{EPSILON}]))
     bounds = [entry.mesh_bound for entry in witness.entries] + [0]
 
@@ -539,7 +540,7 @@ def family_subcover(window, margin, M, D, R, artifacts):
                 )
             artifacts.extend(U)  # free_product_cover sorts all artifacts once
             return [Family.of([]), Family.of([])]
-        return [Family.of([s & U for s in fam.sets])
+        return [Family.of([s & U for s in fam.sets], window.space.rank)
                 for fam in tree_cover(tree.tree, rt).families()]
 
     return B, cover
@@ -577,7 +578,7 @@ def free_product_cover(oracle_for_x, scales, window):
     M = max(vf.R_star + 1, 0)
     margin = max(2 * vf.R_star + 1, 0) if window.margin is None else window.margin
     families = [
-        Family.of(r_components(window.space, cone_window(window, fam.support(), M), sub.at(i)))
+        Family(tuple(r_components(window.space, cone_window(window, fam.support(), M), sub.at(i))))
         for i, fam in enumerate(vf.families, start=1)
     ]
     artifacts = []

@@ -301,6 +301,7 @@ class CayleyWindow:
             self.points, self._dist, basepoint=model.identity(),
             name=f"ball({model.name},{radius})", index=self._axis_index(weights),
         )
+        self.space.rank = {g: i for i, g in enumerate(self.points)}  # already sorted
 
     def _axis_weights(self):
         """[w_1, ..., w_d] if the generators are exactly Z^d's +-e_i at w_i, else None."""
@@ -492,7 +493,8 @@ def hom_fiber_scheme(window, phi, sigma, windowH, kernel_source):
         def cover_fn(A):
             if not A:
                 return [Family.of([]) for _ in range(n + 1)]
-            ginv = model.inv(min(A, key=point_key))
+            window.space.require(A)
+            ginv = model.inv(min(A, key=window.space.rank.__getitem__))
             parts = [{} for _ in kernel_fams]
             for a in A:
                 t = model.mul(ginv, a)
@@ -502,7 +504,8 @@ def hom_fiber_scheme(window, phi, sigma, windowH, kernel_source):
                     )
                 for j, si in table[t]:
                     parts[j].setdefault(si, set()).add(a)
-            return [Family.of([part[si] for si in sorted(part)]) for part in parts]
+            return [Family.of([part[si] for si in sorted(part)], window.space.rank)
+                    for part in parts]
 
         return B_k + 2 * sigma_max, cover_fn
 

@@ -8,6 +8,7 @@ spaces and families can be shared freely across concurrent checks.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -66,6 +67,8 @@ class FiniteMetricSpace:
     lists to an int no larger than the squared distance of any cross pair;
     :func:`~apckit.combinators.check_uniformly_expansive` proves its contract
     fiber by fiber with it.
+    ``rank``, each point's place in :func:`point_key` order, is built on first
+    read or handed over by a window already in that order; sorts read it.
     """
 
     def __init__(self, points, dist, *, basepoint=None, name="", dist_sq=None, index=None):
@@ -94,6 +97,10 @@ class FiniteMetricSpace:
             return self._dist_sq(p, q)
         return sq_value(self._dist(p, q))
 
+    @functools.cached_property
+    def rank(self):
+        return {p: i for i, p in enumerate(sorted_points(self.points))}
+
     def require(self, pts):
         for p in pts:
             if p not in self.point_set:
@@ -116,9 +123,12 @@ class Family:
     sets: tuple
 
     @staticmethod
-    def of(sets):
+    def of(sets, rank=None):
+        """Nonempty sets by least point: by a space's ``rank``, which orders as
+        :func:`point_key`, else by the key, for ids outside any space."""
+        key = point_key if rank is None else rank.__getitem__
         cleaned = [frozenset(s) for s in sets if s]
-        cleaned.sort(key=lambda s: min(map(point_key, s)))
+        cleaned.sort(key=lambda s: min(map(key, s)))
         return Family(tuple(cleaned))
 
     def __len__(self):
@@ -318,7 +328,7 @@ def family_is_R_disjoint(space, family, R, *, diam_sqs=None):
     R2 = sq_value(R)
     if diam_sqs is None:
         diam_sqs = [set_diameter_sq(space, s) for s in sets]
-    reps = [min(s, key=point_key) for s in sets]
+    reps = [min(s, key=space.rank.__getitem__) for s in sets]
     r_up = ceil_scalar(R)
     d_up = [ceil_scalar(root_of(d)) for d in diam_sqs]
     dist_sq = space.dist_sq
@@ -367,7 +377,7 @@ def r_components(space, S, R):
     pieces come in the order Family.of gives them.
     """
     space.require(S)
-    pts = sorted_points(S)
+    pts = sorted(S, key=space.rank.__getitem__)
     if R < 0:
         return [frozenset({p}) for p in pts]
     uf = UnionFind(len(pts))

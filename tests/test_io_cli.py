@@ -339,6 +339,16 @@ class TestCli:
         assert r.stderr.startswith("input error:")
         assert "Traceback" not in r.stderr
 
+    def test_cover_verify_unknown_point_exit_2(self, tmp_path):
+        f = self._space_file(tmp_path, {"kind": "path", "n": 5})
+        w = tmp_path / "w.json"
+        fio.write_file(str(w), {"scales": [1], "families": [
+            {"R": 1, "mesh": 2, "sets": [[0, 1], [3, 4, 9]]}]})
+        r = run_cli("cover", "verify", "--space", f, "--witness", str(w))
+        assert r.returncode == 2
+        assert r.stderr.startswith("input error:") and "9" in r.stderr
+        assert "Traceback" not in r.stderr
+
     def test_group_ball_rejects_a_generator_outside_its_model(self, tmp_path):
         p = tmp_path / "g.json"
         fio.write_file(str(p), {"model": "free-2", "radius": 2,

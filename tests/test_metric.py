@@ -27,7 +27,10 @@ from apckit.metric import (
     cycle_space,
     validate_metric,
 )
+from apckit.combinators import decompose
 from apckit.covers import ScaleSequence, verify_apc_witness, witness_from_families
+from apckit.freeprod import fp_window
+from apckit.groups import FreeGroupModel, FreeProductModel, ZdModel, cayley_ball
 from conftest import brute_components, random_points_space
 from reference import is_R_disjoint, mesh, point_key_reference, set_distance, without_squares
 
@@ -97,6 +100,99 @@ class TestPointKey:
         order = range(len(pts))
         assert (sorted(order, key=lambda i: point_key(pts[i]))
                 == sorted(order, key=lambda i: point_key_reference(pts[i])))
+
+
+@st.composite
+def mixed_space(draw):
+    """A space over ids of every kind, in shuffled order, with random point sets.
+
+    Ids equal as dict keys (1, 1.0 and True) collapse to one point."""
+    ids = list(dict.fromkeys(draw(st.lists(nested_ids(2), min_size=1, max_size=12))))
+    space = FiniteMetricSpace(draw(st.permutations(ids)), lambda p, q: 1)
+    sets = draw(st.lists(st.sets(st.sampled_from(ids)), max_size=6))
+    return space, sets
+
+
+@st.composite
+def window_spaces(draw):
+    """The space of a Cayley window or of a word window over a mixed-id base."""
+    if draw(st.booleans()):
+        z = ZdModel(1)
+        model, gens = draw(st.sampled_from([
+            (ZdModel(2), ZdModel(2).standard_gens()),
+            (FreeGroupModel(2), FreeGroupModel(2).standard_gens()),
+            (FreeProductModel([z, z]), [(((0, (1,)),), 1), (((1, (1,)),), 1)]),
+        ]))
+        return cayley_ball(model, gens, draw(st.integers(0, 3))).space
+    letters = draw(st.lists(st.sampled_from([3, "b", ("a", 1), Fraction(1, 2), (2, "c")]),
+                            min_size=1, max_size=4, unique=True))
+    ids = ["x0"] + letters
+    rows = [[0 if p == q else 1 + (p in letters[1:] and q in letters[1:]) for q in ids]
+            for p in ids]
+    base = matrix_space(ids, rows, basepoint="x0")
+    return fp_window(base, draw(st.integers(0, 3)), draw(st.integers(0, 4))).space
+
+
+class TestRank:
+    """A space's rank orders its points as point_key does, so sorts that
+    read it give what the key gives."""
+
+    @given(mixed_space())
+    @settings(max_examples=300, deadline=None)
+    def test_rank_orders_as_the_key(self, case):
+        space, sets = case
+        assert Family.of(sets, space.rank) == Family.of(sets)
+        for S in sets + [space.points]:
+            assert (sorted(S, key=space.rank.__getitem__)
+                    == sorted(S, key=point_key_reference))
+
+    @given(window_spaces())
+    @settings(max_examples=100, deadline=None)
+    def test_windows_hand_over_their_sorted_points(self, space):
+        assert "rank" in vars(space)  # handed over, not sorted again on first read
+        assert space.rank == {p: i for i, p in
+                              enumerate(sorted(space.points, key=point_key_reference))}
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_components_come_in_family_order(self, data):
+        space = data.draw(st.one_of(
+            st.builds(interval_window, st.integers(-3, 0), st.integers(0, 6)),
+            mixed_space().map(lambda case: case[0]),
+            window_spaces()))
+        S = data.draw(st.sets(st.sampled_from(space.points)))
+        R = data.draw(st.sampled_from([-1, 0, 1, Fraction(3, 2), 2]))
+        pieces = r_components(space, S, R)
+        assert Family.of(pieces).sets == tuple(pieces)
+
+
+class TestUnknownIds:
+    """A point outside the space is refused with InputError, before any
+    lookup in the space's tables could fail on it."""
+
+    def test_disjointness_check(self):
+        for space in (cycle_space(6), line(0, 5)):
+            with pytest.raises(InputError, match="unknown point id: 99"):
+                family_is_R_disjoint(space, [{0}, {1, 99}], 1)
+
+    def test_components(self):
+        with pytest.raises(InputError, match="unknown point id: 99"):
+            r_components(cycle_space(6), {0, 99}, 1)
+
+    def test_verifier(self):
+        stream = ScaleSequence([1])
+        fams = [Family.of([{0, 1, 2}, {3, 4, 99}])]
+        with pytest.raises(InputError, match="unknown point id: 99"):
+            verify_apc_witness(cycle_space(6), stream, witness_from_families(fams, stream, [0]))
+
+    def test_decompose_family(self):
+        window = fp_window(matrix_space(["x0", "a"], [[0, 1], [1, 0]], basepoint="x0"), 3, 3)
+        singletons = (0, lambda U: [Family.of([{u} for u in U])])
+        for space, fam in ((cycle_space(6), [set(range(6)), {99}]),
+                           (window.space, [{()}, {("a",), ("b",)}])):
+            with pytest.raises(InputError, match="unknown point id"):
+                decompose(space, 1, [Family.of(fam)], lambda i, R: singletons,
+                          ScaleSequence([1]))
 
 
 class TestValidateMetric:
