@@ -21,13 +21,14 @@ from .metric import (
     FiniteMetricSpace,
     InputError,
     family_is_R_disjoint,
+    point_key,
     r_components,
     set_diameter,
     sorted_points,
 )
 from .covers import CountingStream, CoverWitness, MappedStream
 from .combinators import decompose
-from .trees import RootedTree, tree_cover
+from .trees import RootedTree
 
 ROOT = "<root>"  # cone-tree root sentinel; never collides with word tuples
 
@@ -44,9 +45,11 @@ class FreeProductWindow:
     all pipeline correctness assertions are restricted to words of norm at
     most max_norm - margin.  ``letter_dist`` maps each ordered pair of
     distinct base points to their distance, computed once with E; the word
-    metric reads its divergence distance from it.  The window's space carries
-    a :class:`WordIndex`, which answers diameters, separation and
-    R-neighbour pairs on the trie of the words involved.
+    metric reads its divergence distance from it.  The words are enumerated
+    in :func:`point_key` order, so the window hands its order to the space as
+    its rank.  The window's space carries a :class:`WordIndex`, which answers
+    diameters, separation and R-neighbour pairs on the trie of the words
+    involved.
     """
 
     def __init__(self, base, max_order, max_norm, *, margin=None):
@@ -76,16 +79,20 @@ class FreeProductWindow:
         }
 
         self._norms = self._enumerate()
-        self.words = tuple(sorted_points(self._norms))
+        self.words = tuple(self._norms)
         self.word_set = frozenset(self.words)
         self.space = FiniteMetricSpace(
             self.words, self._dist, basepoint=EPSILON, name="*X-window",
             index=WordIndex(self),
         )
-        self.space.rank = {w: i for i, w in enumerate(self.words)}  # already sorted
+        self.space.rank = {w: i for i, w in enumerate(self.words)}  # built in key order
 
     def _enumerate(self):
-        # each word is pushed once, by its parent
+        """Word -> norm, in :func:`point_key` order: each word is pushed once,
+        by its parent, with the letters pushed in reverse key order, so the
+        preorder lists a word before its extensions and those by their first
+        new letter, which is how tuples compare."""
+        letters = sorted(self.letter_norm.items(), key=lambda xn: point_key(xn[0]), reverse=True)
         norms = {}
         stack = [(EPSILON, 0)]
         while stack:
@@ -94,8 +101,7 @@ class FreeProductWindow:
             if len(norms) > WINDOW_CAP:
                 raise InputError(f"window exceeds the {WINDOW_CAP}-word cap")
             if len(w) < self.max_order:
-                stack.extend((w + (x,), nw + nx) for x, nx in self.letter_norm.items()
-                             if nw + nx <= self.max_norm)
+                stack.extend((w + (x,), nw + nx) for x, nx in letters if nw + nx <= self.max_norm)
         return norms
 
     def norm(self, w):
@@ -355,12 +361,15 @@ def qi_check(ct):
 
 @dataclass
 class CoreReport:
+    """A component's core, its prefix reach check and the core's diameter,
+    which the subcover compares with its cap; see :func:`component_core`."""
+
     core: frozenset
     flat: bool
     radius: object  # exact scalar
     artifacts: list  # boundary words where a check failed, norm beyond margin
     hard_failures: list  # failures among margin-reduced words
-    cone_tree: ConeTree | None  # the core's radius cone tree; None when the core is not flat
+    core_diameter: object  # exact scalar; None when the core is not flat
 
 
 def cone_radius(M, R, D):
@@ -373,9 +382,12 @@ def component_core(window, C, M, R, D, *, margin=0):
     """Minimal-order slice of an R-component of a cone window, with checks.
 
     Verifies the core is flat and that C lies in the cone_radius(M, R, D)-cone
-    of the core, whose cone tree the report keeps.  Failures at words whose norm
-    exceeds max_norm - margin are window artifacts; failures at inner words are
-    hard.
+    of the core, and keeps the core's diameter.  A word w of C has order at
+    least the core's order k0, and it lies in that cone iff w[:k0] is in the
+    core and every later letter has norm at most the radius, since the window
+    holds every prefix of its words; so each word is tested once, by its
+    prefix, and no cone is walked.  Failures at words whose norm exceeds
+    max_norm - margin are window artifacts; failures at inner words are hard.
     """
     C = frozenset(C)
     if not C:
@@ -389,9 +401,10 @@ def component_core(window, C, M, R, D, *, margin=0):
 
     artifacts = []
     hard = []
-    tree = cone_tree(window, core, radius) if flat else None
     if flat:
-        for w in sorted_points(C - tree.cone):
+        small = {x for x, nx in window.letter_norm.items() if nx <= radius}
+        failed = [w for w in C if w[:k0] not in core or not small.issuperset(w[k0:])]
+        for w in sorted(failed, key=window.space.rank.__getitem__):
             if window.norm(w) > inner_bound:
                 artifacts.append(w)
             else:
@@ -402,7 +415,8 @@ def component_core(window, C, M, R, D, *, margin=0):
             artifacts = sorted_points(boundary)
         else:
             hard = sorted_points(C)
-    return CoreReport(core, flat, radius, artifacts, hard, tree)
+    diameter = set_diameter(window.space, core) if flat else None
+    return CoreReport(core, flat, radius, artifacts, hard, diameter)
 
 
 # ---------------------------------------------------------------------------
@@ -496,23 +510,49 @@ def build_v_families(oracle_for_x, scales, window):
     return VFamilies(families, bounds, R_star, cert)
 
 
+def prefix_cover(window, core, words, rt):
+    """The tree cover at the integer scale rt of the cone tree over a flat
+    core, cut to some words of the cone: the words grouped by annulus and
+    anchor prefix, even annuli first; see :func:`family_subcover`."""
+    k0, half = len(next(iter(core))), rt // 2
+    sets = {}
+    for v in words:
+        i = (len(v) - k0 + 1) // rt
+        sets.setdefault((i, v[:k0 - 1 + i * rt - half] if i else EPSILON), set()).add(v)
+    return [Family.of([s for (i, _), s in sets.items() if i % 2 == parity], window.space.rank)
+            for parity in (0, 1)]
+
+
 def family_subcover(window, margin, M, D, R, artifacts):
     """(B, cover) for the R-components of the M-cone over a V-family whose
     members have diameter at most D.
 
     cover(U) covers a component U by the tree cover of its core's cone tree
-    at scale rt = ceil(r/E) + 3, r = max(R, 0), cut back to U; the tree's
-    root is no word, so the cut drops it.  The cone tree over a core of
-    diameter D_core at cone scale radius has d/radius - D_core/radius <= d_T
-    <= d/E + 3, so tree sets more than rt apart give word sets more than r
-    apart, and a tree set of diameter below 3 * rt gives a word set of
-    diameter at most radius * (3 * rt) + D_core.  B is that bound with the
-    core cap 2 * radius in place of D_core.  A failed core check at a word of
-    norm above max_norm - margin is a window artifact, appended to artifacts
-    with the component then covered by nothing, as is a component whose core
-    exceeds the cap; elsewhere either is an error.  Cone radius, core cap and
-    tree-cover scale are clamped at 0: a 0-disjoint family is R-disjoint for
-    every R < 0.
+    at scale rt = ceil(r/E) + 3, r = max(R, 0), cut back to U.  The cone tree
+    over a core of diameter D_core at cone scale radius has d/radius -
+    D_core/radius <= d_T <= d/E + 3, so tree sets more than rt apart give
+    word sets more than r apart, and a tree set of diameter below 3 * rt
+    gives a word set of diameter at most radius * (3 * rt) + D_core.  B is
+    that bound with the core cap 2 * radius in place of D_core.  A failed
+    core check at a word of norm above max_norm - margin is a window
+    artifact, appended to artifacts with the component then covered by
+    nothing, as is a component whose core exceeds the cap; elsewhere either
+    is an error.  Cone radius, core cap and tree-cover scale are clamped at
+    0: a 0-disjoint family is R-disjoint for every R < 0.
+
+    No tree is built: :func:`prefix_cover` reads the cover off the words.
+    The cone tree over a flat core of order k0 has the root at depth 0, the
+    core at depth 1 and every other cone word under its prefix, so a cone
+    word w has depth len(w) - k0 + 1 and its ancestor at depth h >= 1 is
+    w[:k0 - 1 + h].  :func:`~apckit.trees.tree_cover` at the integer scale
+    rt puts w in annulus i = depth // rt and keys its set by the ancestor of
+    w at the anchor depth max(0, i * rt - rt // 2).  For i = 0 that is the
+    root, shared by the whole annulus; for i >= 1 the anchor depth is at
+    least rt - rt // 2 >= 2, so the anchor is the word w[:k0 - 1 + i * rt -
+    rt // 2].  So the tree sets cut to U are the words of U in the cone
+    grouped by annulus and anchor prefix, even annuli in the first family
+    and odd ones in the second.  The root is no word, and the words of U
+    outside the cone, which the core check reports, lie in no tree set.
     """
     radius = cone_radius(M, R, D)
     core_cap = 2 * radius
@@ -527,11 +567,10 @@ def family_subcover(window, margin, M, D, R, artifacts):
                 f"component core failed inside the margin-reduced window: "
                 f"{report.hard_failures[:3]}"
             )
-        tree = report.cone_tree
-        if tree is None:
+        if report.core_diameter is None:
             # whole component is a boundary artifact; emit nothing for it
             return [Family.of([]), Family.of([])]
-        if tree.D > core_cap:
+        if report.core_diameter > core_cap:
             inner_bound = window.max_norm - margin
             if not any(window.norm(w) > inner_bound for w in U):
                 raise ConstructionError(
@@ -540,8 +579,8 @@ def family_subcover(window, margin, M, D, R, artifacts):
                 )
             artifacts.extend(U)  # free_product_cover sorts all artifacts once
             return [Family.of([]), Family.of([])]
-        return [Family.of([s & U for s in fam.sets], window.space.rank)
-                for fam in tree_cover(tree.tree, rt).families()]
+        clipped = set(report.artifacts)
+        return prefix_cover(window, report.core, (v for v in U if v not in clipped), rt)
 
     return B, cover
 

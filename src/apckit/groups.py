@@ -279,6 +279,9 @@ class CayleyWindow:
     every other window by Dijkstra.  With int weights and norm_radius >= 2L
     its metric is sum_i w_i |g_i - h_i| on all pairs, and its space carries
     the lattice index g -> (w_1 g_1, ..., w_d g_d); other windows have none.
+    The points are in :func:`point_key` order, which the window hands to its
+    space as the rank: the closed form builds them in that order, and a
+    Dijkstra ball is sorted.
     """
 
     def __init__(self, model, genset, radius, *, norm_radius=None):
@@ -294,14 +297,13 @@ class CayleyWindow:
             raise InputError("norm_radius must be at least the ball radius")
         weights = self._axis_weights()
         self.norms = self._dijkstra() if weights is None else self._axis_norms(weights)
-        self.points = tuple(
-            sorted((g for g, n in self.norms.items() if n <= self.radius), key=point_key)
-        )
+        points = (g for g, n in self.norms.items() if n <= self.radius)
+        self.points = tuple(points if weights else sorted(points, key=point_key))
         self.space = FiniteMetricSpace(
             self.points, self._dist, basepoint=model.identity(),
             name=f"ball({model.name},{radius})", index=self._axis_index(weights),
         )
-        self.space.rank = {g: i for i, g in enumerate(self.points)}  # already sorted
+        self.space.rank = {g: i for i, g in enumerate(self.points)}  # in key order
 
     def _axis_weights(self):
         """[w_1, ..., w_d] if the generators are exactly Z^d's +-e_i at w_i, else None."""
@@ -324,7 +326,10 @@ class CayleyWindow:
         |g_i| letters +-e_i, each of weight w_i, as no other letter moves
         coordinate i, and |g_i| steps of sign(g_i) e_i per axis attain it.  The
         ball is built one axis at a time, each level counted from the last
-        before it is built, so a level over the cap is refused unbuilt."""
+        before it is built, so a level over the cap is refused unbuilt.  Each
+        level extends the last one's tuples in order by increasing ints, so
+        the table is lexicographic in the coordinates: :func:`point_key`
+        order."""
         N, level = self.norm_radius, [((), 0)]
         for w in weights:
             if sum(2 * ((N - n) // w) + 1 for _, n in level) > BALL_CAP:

@@ -102,9 +102,10 @@ class FiniteMetricSpace:
         return {p: i for i, p in enumerate(sorted_points(self.points))}
 
     def require(self, pts):
-        for p in pts:
-            if p not in self.point_set:
-                raise InputError(f"unknown point id: {p!r}")
+        """Refuse the first of the collection pts that is not a point here."""
+        if not self.point_set.issuperset(pts):
+            unknown = next(p for p in pts if p not in self.point_set)
+            raise InputError(f"unknown point id: {unknown!r}")
 
     def __len__(self):
         return len(self.points)
@@ -310,21 +311,28 @@ def family_is_R_disjoint(space, family, R, *, diam_sqs=None):
     Returns (ok, violation) where violation is (set_i, set_j, p, q, d) for the
     first failing cross pair, i and j indexing the family's nonempty sets (a
     plain list loses its empty sets, as in :meth:`Family.of`, but keeps its
-    order).  A space's index, when it has one, settles the
-    passing case; otherwise, and to name the violation, representative-plus-
-    diameter prefilters skip set pairs and points that no pair within R can
-    involve: with int upper bounds r >= R and D_i >= diam S_i, a pair of sets
-    whose representatives are more than r + D_i + D_j apart, and a point more
-    than r + D_b from the representative of S_b.  Both tests compare exact
-    squares, and every pair left is decided by the exact squared comparison.
+    order).  A space's index, when it has one, settles the passing case once
+    every point is known to be the space's: a caller that passes ``diam_sqs``
+    has taken each set through :func:`set_diameter_sq`, which requires it,
+    and any other call requires the sets here.  Otherwise, and to name the
+    violation, representative-plus-diameter prefilters skip set pairs and
+    points that no pair within R can involve: with int upper bounds r >= R
+    and D_i >= diam S_i, a pair of sets whose representatives are more than
+    r + D_i + D_j apart, and a point more than r + D_b from the
+    representative of S_b.  Both tests compare exact squares, and every pair
+    left is decided by the exact squared comparison.
     """
     sets = family.sets if isinstance(family, Family) else [frozenset(s) for s in family if s]
     if len(sets) <= 1:
         return True, None
     if R < 0:
         return True, None
-    if space.index is not None and space.index.separated(sets, R):
-        return True, None
+    if space.index is not None:
+        if diam_sqs is None:
+            for s in sets:
+                space.require(s)
+        if space.index.separated(sets, R):
+            return True, None
     R2 = sq_value(R)
     if diam_sqs is None:
         diam_sqs = [set_diameter_sq(space, s) for s in sets]

@@ -15,14 +15,14 @@ replace with a closed form.  :func:`hom_fiber_provider` is the homomorphism
 fiber scheme with a per-fiber intersection of every stabilizer set, which the
 library replaces with one slot table per scale.  :func:`core_reach_failures`
 is a component core's reach check by a full cone walk and a sorted scan of
-every word, which the library reads from the core's cone tree.
+every word, which the library reads off each word's prefix.
 :func:`cone_cover` covers the cone over a flat base through a fresh cone
-tree, which the tests compare with the tree a component core keeps.
-:func:`cone_tree_cover` pulls a cone tree's cover back to words, root
-stripped, with the mesh bound of its own base diameter, and
+tree, which the tests compare with the library's cover read off the words'
+prefixes.  :func:`cone_tree_cover` pulls a cone tree's cover back to words,
+root stripped, with the mesh bound of its own base diameter, and
 :func:`cone_cover_bound` is that bound with a uniform core cap; the
-library's subcover cuts the tree cover to each component and states its
-bound once.
+library's subcover covers each component from its words' prefixes, with no
+tree, and states its bound once.
 :func:`point_key_reference` is the canonical point order with a separate
 bool case and the tuple case tested last, which the library's key must match.
 :func:`random_tree` is the seeded tree generator the tree tests and the
@@ -166,7 +166,8 @@ class FreeProductHypothesis:
     """Decomposition hypothesis realizing the free-product construction.
 
     Families are the R_i-components of the (R* + 1)-cones over the translated
-    base families; each component is re-covered through its core's cone tree.
+    base families; each component is re-covered through its core's cone
+    tree, built here from the core the component check reports.
     The margin is fixed by the caller (free_product_cover states its
     default): a failed core check at a word of norm above max_norm - margin
     is a window artifact, elsewhere an error.  Cone scale, cone radius, core
@@ -211,10 +212,10 @@ class FreeProductHypothesis:
                     f"component core failed inside the margin-reduced window: "
                     f"{report.hard_failures[:3]}"
                 )
-            tree = report.cone_tree
-            if tree is None:
+            if not report.flat:
                 # whole component is a boundary artifact; emit nothing for it
                 return [Family.of([]), Family.of([])]
+            tree = cone_tree(self.window, report.core, report.radius)
             if tree.D > core_cap:
                 inner_bound = self.window.max_norm - self.margin
                 if not any(self.window.norm(w) > inner_bound for w in U):

@@ -13,6 +13,7 @@ from apckit.cli import main as cli_main
 from apckit.covers import ApcOracle, ScaleSequence, verify_apc_witness, witness_from_families
 from apckit.metric import (
     Family,
+    FiniteMetricSpace,
     InputError,
     interval_window,
     matrix_space,
@@ -29,6 +30,7 @@ from apckit.freeprod import (
     fp_window,
     free_product_cover,
     is_flat,
+    prefix_cover,
     qi_check,
     wedge_embed_check,
     wedge_space,
@@ -111,7 +113,38 @@ class TestFpDistance:
             assert win.space.dist(u, v) == win.space.dist(v, u)
 
 
+LETTERS = {
+    "int": st.integers(-4, 4),
+    "str": st.text("ab*", max_size=2),
+    "tuple": st.tuples(st.integers(-2, 2)) | st.tuples(st.sampled_from("ab"), st.integers(0, 2)),
+    "wedge": st.builds(lambda side, k: (side, (k,)), st.sampled_from("xy"), st.integers(-2, 2)),
+}
+
+
+@st.composite
+def pointed_bases(draw):
+    """A pointed base over letters of one or more id kinds, wedge letters
+    ("x", (k,)) among them: d(x0, x) = n_x and d(x, y) = max(n_x, n_y)."""
+    kinds = sorted(draw(st.sets(st.sampled_from(sorted(LETTERS)), min_size=1)))
+    pts = draw(st.lists(st.one_of(*[LETTERS[k] for k in kinds]), min_size=1, max_size=5,
+                        unique=True))
+    x0 = draw(st.sampled_from(pts))
+    norm = {p: 0 if p == x0 else draw(st.sampled_from([Fraction(1, 2), 1, 2])) for p in pts}
+    rows = [[0 if p == q else max(norm[p], norm[q]) for q in pts] for p in pts]
+    return matrix_space(pts, rows, basepoint=x0)
+
+
 class TestWindow:
+    @given(pointed_bases(), st.integers(0, 3), st.sampled_from([0, 1, Fraction(3, 2), 3]))
+    @settings(max_examples=150, deadline=None)
+    def test_words_are_built_in_key_order(self, X, m, L):
+        # the enumeration's order is the sorted one, so the rank the window
+        # hands its space is the generic rank
+        win = fp_window(X, m, L)
+        assert win.words == tuple(sorted_points(win.words))
+        assert set(win.words) == brute_window_words(X, m, L)
+        assert win.space.rank == FiniteMetricSpace.rank.func(win.space)
+
     def test_order_one(self):
         win = fp_window(base_xab(), 1, 9)
         assert set(win.words) == {EPSILON, w(A), w(B)}
@@ -802,7 +835,7 @@ class TestConeScale:
         assert check_witness(dist, [s.at(i) for i in range(1, len(slots) + 1)], slots) == set()
 
 
-CORE_BASES = ["xab", "interval", "z-wedge"]
+CORE_BASES = ["xab", "interval", "z-wedge", "xab-fractional"]
 
 
 @functools.lru_cache(maxsize=None)
@@ -812,11 +845,15 @@ def core_window(base_name, m, L):
 
 @st.composite
 def flat_components(draw):
-    """A window of order <= 3, a flat core (a set of one-letter extensions of
-    a prefix, or the trivial word alone) and deeper words that complete it to
-    a component, some under the core and some anywhere, with the scales."""
+    """A window of order <= 3, or <= 4 over the base whose minimal gap is 1/2,
+    a flat core (a set of one-letter extensions of a prefix, or the trivial
+    word alone) and deeper words that complete it to a component, some under
+    the core and some anywhere, with the scales.  The fractional gap puts
+    rt = ceil(r/E) + 3 at 3, 4 and 5, odd and even, and the order-4 windows
+    reach a second annulus below one-letter cores as well as below the
+    trivial word."""
     base_name = draw(st.sampled_from(CORE_BASES))
-    m = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 4 if base_name == "xab-fractional" else 3))
     L = draw(st.sampled_from([2, 3, Fraction(7, 2), 5]))
     win = core_window(base_name, m, L)
     if draw(st.booleans()):
@@ -840,8 +877,9 @@ def flat_components(draw):
 
 
 class TestCoreConeTree:
-    """component_core keeps the core's cone tree, and the free-product
-    pipeline reads the core check, the diameter cap and the tree cover from it."""
+    """component_core checks a component's reach by its words' prefixes and
+    keeps the core's diameter, and the free-product pipeline reads the cone
+    tree's cover off the words, with no cone walked and no tree built."""
 
     @given(flat_components())
     @settings(max_examples=150, deadline=None)
@@ -850,15 +888,19 @@ class TestCoreConeTree:
         rep = component_core(win, C, M, R, D, margin=margin)
         assert rep.flat and rep.core == core
         assert (rep.artifacts, rep.hard_failures) == core_reach_failures(win, C, M, R, D, margin)
-        tree = rep.cone_tree
-        assert tree.cone == cone_window(win, core, rep.radius)
-        assert tree.D == set_diameter(win.space, core)
+        assert rep.core_diameter == set_diameter(win.space, core)
+        cone = cone_window(win, core, rep.radius)
         for r in (0, Fraction(1, 2), 1, 2):
-            assert cone_tree_cover(tree, r) == cone_cover(win, core, rep.radius, r)
+            want, _ = cone_cover(win, core, rep.radius, r)
+            assert prefix_cover(win, core, cone, -(-r // win.E) + 3) == want
 
     @given(flat_components())
     @example((core_window("xab", 2, 5), frozenset({w(A), w(B)}), frozenset({w(A), w(B)}),
               0, 0, 0, 0))
+    @example((core_window("xab-fractional", 4, 5), frozenset({EPSILON}),
+              frozenset({EPSILON, w(A), w(A, A), w(A, A, A), w(A, A, A, A),
+                         w(A, B), w(B, A, A)}),
+              1, -1, Fraction(3, 2), 0))
     @settings(max_examples=150, deadline=None)
     def test_subcover_cuts_the_reference_cone_cover_to_the_component(self, case):
         # cover(C) is the reference cover of the core's radius cone cut to C,
@@ -892,17 +934,21 @@ class TestCoreConeTree:
 
     def test_a_non_flat_core_has_no_cone_tree(self):
         win = fp_window(base_xab(), 3, 6)
-        assert component_core(win, {w(A, B), w(B, A)}, 1, 0, 0).cone_tree is None
+        rep = component_core(win, {w(A, B), w(B, A)}, 1, 0, 0)
+        assert not rep.flat and rep.core_diameter is None
+        with pytest.raises(InputError, match="flat"):
+            cone_tree(win, rep.core, rep.radius)
 
     @pytest.mark.parametrize("base_name, m, L, prefix", [
         ("xab", 3, 9, (1,)), ("xab", 3, 9, (1, 1, 2)), ("interval", 3, 6, (1, 2)),
         ("z-wedge", 2, 5, (2, 2, 3)),
     ])
     def test_each_flat_component_walks_its_cone_once(self, monkeypatch, base_name, m, L, prefix):
-        # cone_window runs once per V-family and once per flat component, the
-        # core's diameter is taken once, and each flat component builds one
-        # cone tree, so subcover covers no second cone
-        from apckit import freeprod
+        # cone_window runs once per V-family only and the core's diameter is
+        # taken once per flat component: a component's reach and cover are
+        # read off its words' prefixes, so no cone is walked for it and no
+        # cone tree, rooted tree or tree cover is built
+        from apckit import freeprod, trees
         from apckit.covers import exact_oracle
 
         X = PIN_BASES[base_name]()
@@ -925,13 +971,19 @@ class TestCoreConeTree:
         counted("set_diameter")
         counted("component_core", reports)
         counted("cone_tree")
+        real_cover, real_init = trees.tree_cover, trees.RootedTree.__init__
+        monkeypatch.setattr(trees, "tree_cover",
+                            lambda *a: counts.update(["tree_cover"]) or real_cover(*a))
+        monkeypatch.setattr(trees.RootedTree, "__init__",
+                            lambda *a: counts.update(["RootedTree"]) or real_init(*a))
         res = free_product_cover(exact_oracle(X), ScaleSequence(prefix), fp_window(X, m, L))
         monkeypatch.undo()
         flat = sum(rep.flat for rep in reports)
         assert flat > 0
         vf = res.v_families.families
-        assert counts["cone_window"] == len(vf) + flat
-        assert counts["cone_tree"] == flat
+        assert counts["cone_window"] == len(vf)
+        assert counts["cone_tree"] == counts["tree_cover"] == counts["RootedTree"] == 0
+        assert not hasattr(freeprod, "tree_cover")
         assert counts["set_diameter"] == sum(len(fam.sets) for fam in vf) + flat
 
     @pytest.mark.parametrize("hi, prefix", [(3, (2,)), (5, (2,)), (5, (3,))])
@@ -958,7 +1010,7 @@ class TestCoreConeTree:
             reports.clear()
             for U in fam.sets:
                 cover(U)
-            trees = [rep.cone_tree for rep in reports if rep.cone_tree is not None]
+            trees = [cone_tree(win, rep.core, rep.radius) for rep in reports if rep.flat]
             assert all(cone_tree_cover(tree, max(R, 0))[1] <= bound for tree in trees)
             positive += bool(trees) and hyp.vf.bounds[i - 1] > 0
         assert positive

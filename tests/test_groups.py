@@ -16,6 +16,7 @@ from apckit.io import canonical_dumps, witness_to_obj
 from apckit.metric import (
     ConstructionError,
     Family,
+    FiniteMetricSpace,
     InputError,
     LatticeIndex,
     interval_window,
@@ -254,6 +255,18 @@ class TestAxisNorms:
             else:
                 with pytest.raises(WindowExhausted):
                     win.space.dist(g, h)
+
+    @given(axis_windows())
+    @settings(max_examples=150, deadline=None)
+    def test_points_are_built_in_key_order(self, case):
+        # the closed form's table is lexicographic in the coordinates, so the
+        # window keeps its order unsorted and hands it over as the rank
+        d, weights, radius, norm_radius = case
+        model = ZdModel(d)
+        win = cayley_ball(model, model.standard_gens(weights), radius,
+                          norm_radius=norm_radius)
+        assert win.points == tuple(sorted_points(win.points))
+        assert win.space.rank == FiniteMetricSpace.rank.func(win.space)
 
     def test_other_z2_gensets_take_dijkstra(self, monkeypatch):
         calls = []

@@ -175,6 +175,15 @@ class TestUnknownIds:
             with pytest.raises(InputError, match="unknown point id: 99"):
                 family_is_R_disjoint(space, [{0}, {1, 99}], 1)
 
+    def test_disjointness_check_refuses_before_the_index(self):
+        # the index would find no pair within R and pass the family, wherever
+        # the foreign point lies; a word the window lacks is no KeyError
+        with pytest.raises(InputError, match="unknown point id: 99"):
+            family_is_R_disjoint(interval_window(0, 5), [{0}, {3, 99}], 1)
+        window = fp_window(matrix_space(["x0", "a"], [[0, 1], [1, 0]], basepoint="x0"), 3, 3)
+        with pytest.raises(InputError, match="unknown point id"):
+            family_is_R_disjoint(window.space, [{()}, {("a", "a"), ("b",)}], 1)
+
     def test_components(self):
         with pytest.raises(InputError, match="unknown point id: 99"):
             r_components(cycle_space(6), {0, 99}, 1)
