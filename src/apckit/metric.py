@@ -13,6 +13,7 @@ import itertools
 import math
 import operator
 import random
+from bisect import insort
 from dataclasses import dataclass
 
 from .exact import (Rational, Root, ceil_scalar, hyp, root_of, scalar, sq_value, triangle_le,
@@ -59,7 +60,7 @@ class FiniteMetricSpace:
     point list with at least two entries, and ``index.separated(sets, R)`` is
     true iff every pair of points from two distinct sets is more than R >= 0
     apart.  :func:`set_diameter_sq` and :func:`family_is_R_disjoint` use it;
-    spaces without one, and every violation report, take the generic path.
+    spaces without one take the generic path, which names every violation.
     An index may also have ``pairs_within(pts, R)``, the index pairs (i, j),
     i < j, of a point list whose points are at most R >= 0 apart, each pair
     once; :func:`r_components` uses it when present.  ``gaps_sq(sets)``, when
@@ -170,20 +171,40 @@ class MetricReport:
         return "\n".join(lines)
 
 
+def _sample_indices(n, k, budget, seed):
+    """budget seeded draws of k distinct indices below n >= k, each a list.
+    Index t is drawn below n - t by ``getrandbits`` rejection, exactly as
+    ``random.Random(seed).randrange(n - t)`` draws it, then shifted past the
+    earlier indices in increasing order, which maps the draws one to one onto
+    ordered k-tuples (cf. Bentley and Floyd, CACM 30(9), 1987); a pair is
+    the ``randrange(n)``, ``randrange(n - 1)`` draw, j + 1 if j >= i."""
+    getrandbits = random.Random(seed).getrandbits
+    limits = [(n - t, (n - t).bit_length()) for t in range(k)]
+    for _ in range(budget):
+        drawn, taken = [], []
+        for m, bits in limits:
+            r = getrandbits(bits)
+            while r >= m:
+                r = getrandbits(bits)
+            for e in taken:
+                if r < e:
+                    break
+                r += 1
+            insort(taken, r)
+            drawn.append(r)
+        yield drawn
+
+
 def _sample_pairs(pts, budget, seed):
-    """All pairs of pts if there are at most budget of them, else budget seeded
-    draws of two distinct points.  A generator, so the distances its caller
-    evaluates stay the caller's work."""
+    """All pairs of pts if there are at most budget of them, else budget
+    draws of two distinct points from :func:`_sample_indices` on the seed.
+    A generator, so the distances its caller evaluates stay the caller's
+    work."""
     n = len(pts)
     if n * (n - 1) // 2 <= budget:
         yield from itertools.combinations(pts, 2)
         return
-    rng = random.Random(seed)
-    for _ in range(budget):
-        i = rng.randrange(n)
-        j = rng.randrange(n - 1)
-        if j >= i:
-            j += 1
+    for i, j in _sample_indices(n, 2, budget, seed):
         yield pts[i], pts[j]
 
 
@@ -216,7 +237,9 @@ def validate_metric(space, *, pair_budget=2_000_000, triple_budget=2_000_000, se
     whose values may be signed) is checked on ``dist``, with the diagonal
     read from the space's own distance function, past ``dist``'s shortcut.
     Either way a violation reports those distances, and both draw the same
-    pairs and triples for a seed.
+    pairs and triples for a seed: :func:`_sample_pairs` on the seed and
+    ordered triples of distinct points from :func:`_sample_indices` on
+    seed + 1.
     """
     if pair_budget < 1 or triple_budget < 1:
         raise InputError(f"budgets must be >= 1, not {pair_budget}, {triple_budget}")
@@ -277,9 +300,7 @@ def validate_metric(space, *, pair_budget=2_000_000, triple_budget=2_000_000, se
             check_triple(r, p, q)
         checked["triples"] = ("exhaustive", n_triples)
     else:
-        rng = random.Random(seed + 1)
-        for _ in range(triple_budget):
-            i, j, k = rng.sample(range(n), 3)
+        for i, j, k in _sample_indices(n, 3, triple_budget, seed + 1):
             check_triple(pts[i], pts[j], pts[k])
         checked["triples"] = ("sampled", triple_budget)
 
@@ -319,19 +340,22 @@ def family_is_R_disjoint(space, family, R, *, diam_sqs=None):
     points that no pair within R can involve: with int upper bounds r >= R
     and D_i >= diam S_i, a pair of sets whose representatives are more than
     r + D_i + D_j apart, and a point more than r + D_b from the
-    representative of S_b.  Both tests compare exact squares, and every pair
-    left is decided by the exact squared comparison.
+    representative of S_b.  Both tests compare exact squares.  The index,
+    when there is one, also clears each set pair left that it finds
+    separated, which is exact, so the first failing pair is the same.
+    Every pair left is decided by the exact squared comparison.
     """
     sets = family.sets if isinstance(family, Family) else [frozenset(s) for s in family if s]
     if len(sets) <= 1:
         return True, None
     if R < 0:
         return True, None
-    if space.index is not None:
+    index = space.index
+    if index is not None:
         if diam_sqs is None:
             for s in sets:
                 space.require(s)
-        if space.index.separated(sets, R):
+        if index.separated(sets, R):
             return True, None
     R2 = sq_value(R)
     if diam_sqs is None:
@@ -342,6 +366,8 @@ def family_is_R_disjoint(space, family, R, *, diam_sqs=None):
     dist_sq = space.dist_sq
     for i, j in itertools.combinations(range(len(sets)), 2):
         if dist_sq(reps[i], reps[j]) > (r_up + d_up[i] + d_up[j]) ** 2:
+            continue
+        if index is not None and index.separated([sets[i], sets[j]], R):
             continue
         small, big = (i, j) if len(sets[i]) <= len(sets[j]) else (j, i)
         rep_b = reps[big]

@@ -11,6 +11,11 @@ from fractions import Fraction
 
 from apckit.metric import Family, FiniteMetricSpace, set_diameter, sorted_points
 
+# The Cayley table of a loop of order 5 that is no group: 0 is the identity,
+# each element is its own inverse and every row and column is a permutation,
+# but 36 triples are not associative, (1*1)*2 != 1*(1*2) among them.
+LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
 
 def random_points_space(rng, n, dim=3, span=9):
     """Random integer points under l1; always a genuine metric."""

@@ -25,6 +25,8 @@ library's subcover covers each component from its words' prefixes, with no
 tree, and states its bound once.
 :func:`point_key_reference` is the canonical point order with a separate
 bool case and the tuple case tested last, which the library's key must match.
+:func:`randrange_pairs` is the validator's seeded pair draw by ``randrange``,
+which the library's one sampler must reproduce bit for bit.
 :func:`random_tree` is the seeded tree generator the tree tests and the
 pinned CLI tree file draw from.
 :class:`FreeProductHypothesis` is the free-product decomposition hypothesis
@@ -240,6 +242,21 @@ def without_index(space):
     set-level question about it takes the generic all-pairs path."""
     return FiniteMetricSpace(space.points, space._dist, dist_sq=space.dist_sq,
                              basepoint=space.basepoint, name="plain")
+
+
+def randrange_pairs(n, budget, seed):
+    """budget seeded pairs of distinct indices below n, drawn by
+    ``randrange``; the library's sampler, which draws by ``getrandbits``
+    rejection, must draw exactly these."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(budget):
+        i = rng.randrange(n)
+        j = rng.randrange(n - 1)
+        if j >= i:
+            j += 1
+        out.append((i, j))
+    return out
 
 
 def without_squares(space):

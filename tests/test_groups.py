@@ -1,5 +1,7 @@
 import hashlib
 import itertools
+import math
+import operator
 import random
 import tracemalloc
 from fractions import Fraction
@@ -47,6 +49,7 @@ from apckit.groups import (
     rho_from_weights,
     z2_extension_pipeline,
 )
+from conftest import LOOP5
 from reference import dijkstra_norms, embedded_gens, hom_fiber_provider
 
 
@@ -80,6 +83,49 @@ def brute_f2_ball(L):
     return words
 
 
+def is_group(elements, table, e):
+    """The group axioms by definition: identity, inverses and every triple
+    associative."""
+    return (all(table[(a, e)] == a == table[(e, a)] for a in elements)
+            and all(any(table[(a, b)] == e for b in elements) for a in elements)
+            and all(table[(table[(a, b)], c)] == table[(a, table[(b, c)])]
+                    for a, b, c in itertools.product(elements, repeat=3)))
+
+
+def _group_table(n, mul):
+    return {(a, b): mul(a, b) for a in range(n) for b in range(n)}
+
+
+def _s3(a, b):
+    perms = list(itertools.permutations(range(3)))
+    p, q = perms[a], perms[b]
+    return perms.index(tuple(p[q[i]] for i in range(3)))
+
+
+GROUP_TABLES = {
+    "Z/1": _group_table(1, lambda a, b: 0),
+    "Z/4": _group_table(4, lambda a, b: (a + b) % 4),
+    "Z/2 x Z/2": _group_table(4, operator.xor),
+    "Z/2 x Z/4": _group_table(8, lambda a, b: (a ^ b) & 4 | (a + b) & 3),
+    "S3": _group_table(6, _s3),
+    "loop": {(a, b): LOOP5[a][b] for a in range(5) for b in range(5)},
+}
+
+
+@st.composite
+def group_tables(draw):
+    """A group table (or the loop), its elements relabelled by a permutation,
+    with up to two products changed to other elements."""
+    table = GROUP_TABLES[draw(st.sampled_from(sorted(GROUP_TABLES)))]
+    n = math.isqrt(len(table))
+    relabel = draw(st.permutations(range(n)))
+    table = {(relabel[a], relabel[b]): relabel[c] for (a, b), c in table.items()}
+    for _ in range(draw(st.integers(0, 2))):
+        table[(draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)))] = draw(
+            st.integers(0, n - 1))
+    return list(range(n)), table, relabel[0]
+
+
 class TestModels:
     def test_zd(self):
         Z2 = ZdModel(2)
@@ -94,8 +140,6 @@ class TestModels:
 
     def test_table_cyclic(self):
         C = TableModel.cyclic(5)
-        ok, _ = C.check_axioms()
-        assert ok
         assert C.mul(3, 4) == 2
         assert C.inv(2) == 3
 
@@ -120,6 +164,27 @@ class TestModels:
             TableModel([0, 1], {(0, 0): 0}, 0)
         with pytest.raises(InputError):
             TableModel([0, 1], {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 2}, 0)
+
+    def test_table_must_be_a_group(self):
+        loop = {(a, b): LOOP5[a][b] for a in range(5) for b in range(5)}
+        with pytest.raises(InputError, match=r"not associative: \(1\*1\)\*2 != 1\*\(1\*2\)"):
+            TableModel(range(5), loop, 0)
+        z2 = {(a, b): (a + b) % 2 for a in range(2) for b in range(2)}
+        for e in (1, 2):
+            with pytest.raises(InputError, match="not the identity"):
+                TableModel(range(2), z2, e)
+
+    @given(group_tables())
+    @settings(max_examples=300, deadline=None)
+    def test_table_check_matches_the_group_axioms(self, case):
+        elements, table, e = case
+        try:
+            TableModel(elements, table, e)
+        except InputError:
+            accepted = False
+        else:
+            accepted = True
+        assert accepted == is_group(elements, table, e)
 
     def test_genset_symmetry_enforced(self):
         Z = ZdModel(1)

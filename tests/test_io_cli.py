@@ -14,6 +14,7 @@ from apckit.covers import ScaleSequence, interval_oracle, verify_apc_witness
 from apckit.exact import root_of
 from apckit.metric import (InputError, LatticeIndex, grid_window, interval_window, matrix_space,
                            product_space)
+from conftest import LOOP5
 from reference import random_tree
 
 
@@ -363,6 +364,9 @@ class TestCli:
         {"elements": [0, 1], "identity": 0, "rows": [[0, 0, 0], [0, 1]]},
         {"elements": [0, 1], "rows": [[0, 0, 0]]},
         {"elements": 2, "identity": 0, "rows": []},
+        {"elements": [0, 1], "identity": 1, "rows": [[a, b, a ^ b] for a in (0, 1) for b in (0, 1)]},
+        {"elements": list(range(5)), "identity": 0,
+         "rows": [[a, b, LOOP5[a][b]] for a in range(5) for b in range(5)]},
     ])
     def test_group_ball_rejects_a_malformed_table(self, tmp_path, table):
         p = tmp_path / "g.json"

@@ -1,12 +1,15 @@
+import collections
 import itertools
 import math
 import random
+import types
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apckit import metric
 from apckit.exact import Root, hyp, root_of, scalar, sq_value, triangle_le, triangle_le_sq
 from apckit.metric import (
     Family,
@@ -26,13 +29,15 @@ from apckit.metric import (
     star_space,
     cycle_space,
     validate_metric,
+    _sample_pairs,
 )
 from apckit.combinators import decompose
 from apckit.covers import ScaleSequence, verify_apc_witness, witness_from_families
 from apckit.freeprod import fp_window
 from apckit.groups import FreeGroupModel, FreeProductModel, ZdModel, cayley_ball
 from conftest import brute_components, random_points_space
-from reference import is_R_disjoint, mesh, point_key_reference, set_distance, without_squares
+from reference import (is_R_disjoint, mesh, point_key_reference, random_tree, randrange_pairs,
+                       set_distance, without_index, without_squares)
 
 
 def line(lo, hi):
@@ -484,6 +489,119 @@ class TestPrefilter:
     def test_matches_unfiltered_scan(self, case):
         space, fam, R = case
         assert family_is_R_disjoint(space, fam, R) == unfiltered_scan(space, fam, R)
+
+
+class TestSampler:
+    """One seeded sampler draws the validator's pairs and triples."""
+
+    @pytest.mark.parametrize("n", [3, 4, 7, 8, 9, 64, 4096, 4097])
+    def test_pairs_match_the_randrange_loop(self, n):
+        pts = list(range(n))
+        budget = min(200, n * (n - 1) // 2 - 1)
+        for seed in range(20):
+            assert list(_sample_pairs(pts, budget, seed)) == randrange_pairs(n, budget, seed)
+
+    def test_shift_map_hits_each_ordered_tuple_once(self, monkeypatch):
+        """Every script of in-range draws, fed through getrandbits, maps to
+        a different ordered k-tuple of distinct indices, and all are hit."""
+        script = []
+
+        class Scripted:
+            def __init__(self, seed):
+                pass
+
+            def getrandbits(self, bits):
+                return script.pop(0)
+
+        monkeypatch.setattr(metric, "random", types.SimpleNamespace(Random=Scripted))
+        for n in range(1, 8):
+            for k in range(1, min(n, 3) + 1):
+                hits = collections.Counter()
+                for raw in itertools.product(*(range(n - t) for t in range(k))):
+                    script[:] = raw
+                    (draw,) = metric._sample_indices(n, k, 1, 0)
+                    assert not script
+                    hits[tuple(draw)] += 1
+                assert hits == dict.fromkeys(itertools.permutations(range(n), k), 1), (n, k)
+
+    def test_sampled_violations_are_confirmed_by_the_definition(self):
+        """A 36-point line with planted faults: every sampled violation holds
+        by the definition, and the report counts exactly the budgets."""
+        n = 36
+        rows = [[abs(i - j) for j in range(n)] for i in range(n)]
+        rows[0][n - 1] = rows[n - 1][0] = 3 * n  # triangles through 0 and n - 1
+        rows[5][9] = 7  # symmetry
+        rows[12][13] = rows[13][12] = 0  # separation
+        rows[20][30] = rows[30][20] = 40  # more triangles
+        space = matrix_space(range(n), rows)
+        d = lambda p, q: rows[p][q]
+        for seed in range(4):
+            report = validate_metric(space, pair_budget=300, triple_budget=2000, seed=seed)
+            assert report.checked == {"diagonal": n, "pairs": ("sampled", 300),
+                                      "triples": ("sampled", 2000)}
+            assert not report.valid
+            for v in report.violations:
+                p, q = v.points[:2]
+                if v.axiom == "triangle":
+                    r = v.points[2]
+                    assert d(p, q) > d(p, r) + d(r, q)
+                    assert v.values == (d(p, q), d(p, r), d(r, q))
+                elif v.axiom == "symmetry":
+                    assert d(p, q) != d(q, p) and v.values == (d(p, q), d(q, p))
+                else:
+                    assert v.axiom == "separation" and p != q and d(p, q) == 0
+
+
+FAIL_KINDS = ("interval", "grid", "l2-product", "tree", "words")
+
+
+@st.composite
+def failing_family(draw):
+    """A space with an index, a partition of some of its points into two to
+    five sets, and R at least the distance of a pair planted across two of
+    them, so that the family fails and the scan names its first violation."""
+    kind = draw(st.sampled_from(FAIL_KINDS))
+    if kind == "interval":
+        space = interval_window(draw(st.integers(-5, 5)), draw(st.integers(6, 30)))
+    elif kind == "grid":
+        space = grid_window([draw(st.integers(1, 7)), draw(st.integers(2, 7))])
+    elif kind == "l2-product":
+        space = product_space(interval_window(0, draw(st.integers(1, 6))),
+                              interval_window(-2, draw(st.integers(0, 5))))
+    elif kind == "tree":
+        space = random_tree(draw(st.integers(2, 40)),
+                            random.Random(draw(st.integers(0, 2**16)))).as_space()
+    else:
+        base = matrix_space(["x0", "a", "b"], [[0, 1, 2], [1, 0, 2], [2, 2, 0]],
+                            basepoint="x0")
+        space = fp_window(base, *draw(st.sampled_from([(2, 4), (3, 5), (4, 6)]))).space
+    assert space.index is not None
+    pts = list(space.points)
+    k = draw(st.integers(2, 5))
+    labels = draw(st.lists(st.integers(-1, k - 1), min_size=len(pts), max_size=len(pts)))
+    p, q = draw(st.lists(st.sampled_from(pts), min_size=2, max_size=2, unique=True))
+    a, b = draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
+    sets = [set() for _ in range(k)]
+    for x, label in zip(pts, labels):
+        if label >= 0:
+            sets[label].add(x)
+    for x, label in ((p, a), (q, b)):
+        for s in sets:
+            s.discard(x)
+        sets[label].add(x)
+    d2 = space.dist_sq(p, q)
+    R = draw(st.sampled_from([root_of(d2), root_of(d2 + 1), root_of(4 * d2)]))
+    return space, Family.of(sets, space.rank), R
+
+
+class TestFailingScan:
+    @given(failing_family())
+    @settings(max_examples=300, deadline=None)
+    def test_index_cleared_scan_matches_generic_path(self, case):
+        space, fam, R = case
+        got = family_is_R_disjoint(space, fam, R)
+        assert not got[0]
+        assert got == family_is_R_disjoint(without_index(space), fam, R)
 
 
 class TestComponents:

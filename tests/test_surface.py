@@ -24,7 +24,6 @@ ROOT = Path(__file__).resolve().parent.parent
 CONSTRUCTIONS = {
     "covers.NegativeCertificate.replay",
     "freeprod.wedge_embed_check",
-    "groups.TableModel.check_axioms",
     "groups.TableModel.cyclic",
     "groups.TrivialKernelSource",
     "groups.product_cover_groups",
