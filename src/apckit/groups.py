@@ -15,7 +15,6 @@ import heapq
 import itertools
 import math
 import operator
-import random
 from dataclasses import dataclass
 
 from .exact import scalar, sq_value
@@ -25,6 +24,8 @@ from .metric import (
     FiniteMetricSpace,
     InputError,
     LatticeIndex,
+    _sample_indices,
+    _sample_pairs,
     point_key,
 )
 from .covers import _parity_blocks, greedy_oracle, interval_oracle
@@ -406,16 +407,15 @@ def cayley_ball(model, genset_items, L, **kw):
 def r_stabilizer(window, action, target_space, x0, R, *, check_isometry=64):
     """Window elements moving x0 by at most R under the action.
 
-    Optionally spot-checks that the action is isometric on sampled pairs.
+    Optionally spot-checks that the action is isometric on up to
+    ``check_isometry`` target pairs and elements from ``metric``'s sampler.
     """
     target_space.require([x0])
     elems = window.points
-    if check_isometry:
-        rng = random.Random(0)
-        pts = target_space.points
-        for _ in range(min(check_isometry, len(elems) * len(pts))):
-            g = rng.choice(elems)
-            x, y = rng.choice(pts), rng.choice(pts)
+    if check_isometry and elems:
+        pairs = _sample_pairs(target_space.points, check_isometry, 0)
+        for (x, y), (i,) in zip(pairs, _sample_indices(len(elems), 1, check_isometry, 1)):
+            g = elems[i]
             gx, gy = action(g, x), action(g, y)
             if gx in target_space and gy in target_space:
                 if target_space.dist(gx, gy) != target_space.dist(x, y):

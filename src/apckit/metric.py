@@ -495,16 +495,27 @@ class LatticeIndex:
                 for i, j in itertools.combinations(range(len(boxes)), 2)}
 
     def diameter_sq(self, S):
-        """Two sweeps give a pair at distance L.  A point whose farthest
-        bounding-box corner is nearer than L is in no pair of length >= L,
-        so both ends of every diameter pair are among the points left, and
-        the exact maximum is taken over those only.  On a box the corners
-        are all that is left."""
+        """No two points are further apart in coordinate k than hi_k - lo_k on
+        the bounding box [lo, hi], and the squared distance only grows with
+        each gap, so diam^2 <= norm_sq(hi - lo) under every kernel; opposite
+        corners c and lo + hi - c have exactly those gaps, so when both are
+        points that bound is the diameter.  The 2^(dim-1) corner pairs are
+        tried only when there are no more of them than points.
+
+        Otherwise two sweeps give a pair at distance L.  A point whose
+        farthest bounding-box corner is nearer than L is in no pair of length
+        >= L, so both ends of every diameter pair are among the points left,
+        and the exact maximum is taken over those only."""
         cs = [self.coord(p) for p in S]
+        lo, hi = self._box(cs)
+        if len(cs) >= 1 << (self.dim - 1):
+            have, span = set(cs), list(map(operator.add, lo, hi))
+            for c in itertools.islice(itertools.product(*zip(lo, hi)), 1 << (self.dim - 1)):
+                if c in have and tuple(map(operator.sub, span, c)) in have:
+                    return self._norm_sq(list(map(operator.sub, hi, lo)))
         dist = self._dist_sq
         a = max(cs, key=lambda c: dist(cs[0], c))
         L = max(dist(a, c) for c in cs)
-        lo, hi = self._box(cs)
         left = [c for c in cs
                 if self._norm_sq([max(x - l, h - x) for x, l, h in zip(c, lo, hi)]) >= L]
         return max(dist(p, q) for p, q in itertools.combinations(left, 2))
@@ -612,8 +623,11 @@ def product_space(X, Y):
         dy = Y.dist(p[1], q[1])
         return hyp(dx, dy)
 
+    # each factor's own square, past the accessor's p == q test (0 there too)
+    dx_sq, dy_sq = X._dist_sq or X.dist_sq, Y._dist_sq or Y.dist_sq
+
     def d_sq(p, q):
-        return X.dist_sq(p[0], q[0]) + Y.dist_sq(p[1], q[1])
+        return dx_sq(p[0], q[0]) + dy_sq(p[1], q[1])
 
     base = None
     if X.basepoint is not None and Y.basepoint is not None:

@@ -8,6 +8,7 @@ check's results must agree.  The spaces are interval windows, grid windows,
 their l2 products and Z^d Cayley windows on the axis generators.
 """
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -171,6 +172,115 @@ def test_whole_space_and_single_scale_results(space, R):
     assert r_components(space, space.points, R) == r_components(plain, space.points, R)
     halves = [h for h in (space.points[::2], space.points[1::2]) if h]
     assert family_is_R_disjoint(space, halves, R) == family_is_R_disjoint(plain, halves, R)
+
+
+DIM5 = {
+    "grid5": lambda: grid_window([2, 3, 2, 2, 2]),
+    "interval^5": lambda: functools.reduce(
+        product_space, [interval_window(0, k) for k in (2, 1, 1, 1, 2)]),
+    "grid3 x interval^2": lambda: product_space(
+        product_space(grid_window([2, 2, 3]), interval_window(0, 1)), interval_window(-1, 1)),
+}
+SHAPES = ("full", "anti-diagonal", "corner removed", "no opposite corners", "below the guard")
+
+
+def corner_pairs(cs):
+    """The opposite corner pairs (c, lo + hi - c) of the coordinate tuples'
+    bounding box, from the definition: each unordered pair twice."""
+    lo, hi = tuple(map(min, zip(*cs))), tuple(map(max, zip(*cs)))
+    corners = itertools.product(*zip(lo, hi))
+    return [(c, tuple(l + h - x for x, l, h in zip(c, lo, hi))) for c in corners]
+
+
+@st.composite
+def shaped_sets(draw):
+    """A box of a lattice space's points (or all of them): whole, with one
+    random opposite corner pair and no other corner, with one corner
+    removed, or with some corners but no two opposite (L- and T-shapes); or,
+    in a dim-5 space, fewer points than its 16 corner pairs, two of them
+    opposite corners."""
+    shape = draw(st.sampled_from(SHAPES))
+    space = DIM5[draw(st.sampled_from(sorted(DIM5)))]() if shape == "below the guard" \
+        else draw(spaces())
+    coords = {p: space.index.coord(p) for p in space.points}
+    if shape == "below the guard":
+        lo_p, hi_p = space.points[0], space.points[-1]
+        rest = draw(st.lists(st.sampled_from(space.points[1:-1]), max_size=13, unique=True))
+        return space, [lo_p, hi_p] + rest
+    box = list(space.points) if draw(st.booleans()) else \
+        boxes(space, random.Random(draw(st.integers(0, 2**16))), 1)[0]
+    pairs = corner_pairs([coords[p] for p in box])
+    corner_set = {c for pair in pairs for c in pair}
+    corners = [p for p in box if coords[p] in corner_set]
+    inner = [p for p in box if coords[p] not in corner_set]
+    if shape == "full" or not corners:  # a ball's diamond may have no corner
+        return space, box
+    if shape == "corner removed":
+        drop = draw(st.sampled_from(corners))
+        return space, [p for p in box if p != drop]
+    keep = [p for p in inner if draw(st.booleans())]
+    if shape == "anti-diagonal":
+        c, d = draw(st.sampled_from(pairs))
+        return space, keep + [p for p in corners if coords[p] in (c, d)]
+    chosen = set()
+    for c, d in pairs:
+        if d not in chosen and draw(st.booleans()):
+            chosen.add(c)
+    return space, keep + [p for p in corners if coords[p] in chosen]
+
+
+class KernelSpy:
+    """Counts an index's calls of its squared-distance kernel."""
+
+    def __init__(self, index):
+        self.index, self.kernel, self.calls = index, index._dist_sq, 0
+
+    def __call__(self, a, b):
+        self.calls += 1
+        return self.kernel(a, b)
+
+    def __enter__(self):
+        self.index._dist_sq = self
+        return self
+
+    def __exit__(self, *exc):
+        self.index._dist_sq = self.kernel
+
+
+@given(shaped_sets())
+@settings(max_examples=500, deadline=None)
+def test_diameter_matches_generic_path_in_both_branches(case):
+    """The corner certificate answers, with no kernel call, exactly when the
+    set has an opposite pair of its box's corners and at least as many
+    points as corner pairs; otherwise the sweeps answer.  Either way the
+    diameter is the generic path's."""
+    space, S = case
+    if len(S) < 2:
+        return
+    cs = {space.index.coord(p) for p in S}
+    pairs = corner_pairs(cs)
+    certified = 2 * len(S) >= len(pairs) and any(c in cs and d in cs for c, d in pairs)
+    with KernelSpy(space.index) as spy:
+        got = space.index.diameter_sq(S)
+    assert got == set_diameter_sq(without_index(space), S)
+    assert (spy.calls == 0) is certified
+
+
+def test_a_full_box_costs_no_kernel_call():
+    Z2 = ZdModel(2)
+    cases = [
+        (product_space(interval_window(0, 63), interval_window(0, 63)), lambda p: True),
+        (grid_window([4, 3, 2]), lambda p: p[0] >= 1 and p[2] == 0),
+        (product_space(grid_window([3, 3]), interval_window(-2, 2)), lambda p: p[1] <= 0),
+        (cayley_ball(Z2, Z2.standard_gens([1, 2]), 6).space,
+         lambda g: abs(g[0]) <= 1 and abs(g[1]) <= 1),
+    ]
+    for space, inside in cases:
+        S = [p for p in space.points if inside(p)]
+        with KernelSpy(space.index) as spy:
+            got = set_diameter_sq(space, S)
+        assert spy.calls == 0
+        assert got == set_diameter_sq(without_index(space), S)
 
 
 def valid_slot(plain, pts, R):
