@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 from dataclasses import dataclass, field
 
@@ -422,22 +421,63 @@ class ApcOracle:
         return f"ApcOracle({self.name})"
 
 
-def _parity_blocks(items, coord, length):
-    """The even and odd families of the blocks coord(g) // length, taken in
-    block order; blocks two apart in that order have a full block between them."""
-    blocks = {}
-    for g in items:
-        blocks.setdefault(coord(g) // length, []).append(g)
-    ordered = [blocks[k] for k in sorted(blocks)]
-    return Family.of(ordered[0::2]), Family.of(ordered[1::2])
+@dataclass
+class IntervalKernelSource:
+    """The integer-block cover of a set lying along an integer coordinate.
+
+    coordinate maps an element to its integer position; step is the exact
+    distance between consecutive positions.  At scale R the blocks
+    coordinate // ceil(R/step), taken in block order, alternate between an
+    even and an odd family; blocks two apart have a full block between them,
+    so each family is more than R apart.  A cover has n + 1 = 2 families,
+    the count ``hom_fiber_scheme`` reads off a kernel source.
+    """
+
+    coordinate: object  # elem -> int
+    step: object = 1
+
+    n = 1
+
+    def cover(self, elems, R):
+        step, R = scalar(self.step), scalar(R)
+        length = max(1, -(-R // step))  # ceil(R / step), exactly
+        blocks = {}
+        for g in elems:
+            blocks.setdefault(self.coordinate(g) // length, []).append(g)
+        ordered = [blocks[k] for k in sorted(blocks)]
+        return step * (length - 1), [Family.of(ordered[0::2]), Family.of(ordered[1::2])]
+
+
+def _scale_oracle(space, cover, n, name):
+    """Oracle covering with ``cover(R)``, which returns ``(mesh bound, families)``.
+
+    It covers at the n-th scale and drops the empty families; while the
+    nonempty count exceeds the index of the scale it covered at, it covers
+    again at the scale of that count.  Every emitted family is then disjoint
+    at a scale at least as large as every slot it occupies, so the witness
+    verifies against any monotone stream.  The loop ends: the index strictly
+    increases while it runs, and no cover has more nonempty families than
+    the space has points.
+    """
+
+    def provide(scales):
+        k = n
+        while True:
+            bound, fams = cover(scales.at(k))
+            fams = [f for f in fams if len(f)]
+            if len(fams) <= k:
+                return witness_from_families(fams, scales, [bound] * len(fams))
+            k = len(fams)
+
+    return ApcOracle(space, provide, name=name)
 
 
 def interval_oracle(space):
     """Two families of consecutive blocks for an integer interval window.
 
     The points are consecutive ints, or 1-tuples of them (a Z^1 Cayley
-    window, a 1-D grid).  At scale R the blocks have ceil(R) points, so
-    same-parity blocks are separated by more than R.
+    window, a 1-D grid).  At the second scale R the blocks have ceil(R)
+    points, so same-parity blocks are separated by more than R.
     """
     pts = space.points
     tuples = all(isinstance(p, tuple) and len(p) == 1 for p in pts)
@@ -448,46 +488,20 @@ def interval_oracle(space):
     if not coords or max(coords) - min(coords) + 1 != len(coords):
         raise InputError("interval_oracle needs a contiguous integer window")
     lo = min(coords)
-
-    def provide(scales):
-        length = max(1, math.ceil(scales.at(2)))
-        fams = [f for f in _parity_blocks(pts, lambda p: coord(p) - lo, length) if len(f)]
-        return witness_from_families(fams, scales, [length - 1] * len(fams))
-
-    return ApcOracle(space, provide, name=f"interval({space.name})")
-
-
-def _solver_oracle(space, solve, name):
-    """Oracle answering with ``solve(R)``, a solver run at mesh bound 0 (singleton sets).
-
-    Solving at the n-th scale where n is the resulting family count makes all
-    emitted families disjoint at a scale at least as large as every slot they
-    occupy, so the witness verifies against any monotone stream.  The loop
-    ends: n strictly increases while it runs, and no solver returns more
-    families than the space has points.
-    """
-
-    def provide(scales):
-        n = 1
-        while True:
-            res = solve(scales.at(n))
-            if res.n <= n:
-                return witness_from_families(res.families, scales, [0] * res.n)
-            n = res.n
-
-    return ApcOracle(space, provide, name=name)
+    source = IntervalKernelSource(lambda p: coord(p) - lo)
+    return _scale_oracle(space, functools.partial(source.cover, pts), 2, f"interval({space.name})")
 
 
 def exact_oracle(space, *, cap=DEFAULT_EXACT_CAP):
-    """Oracle backed by the exact solver at mesh bound 0."""
-    return _solver_oracle(space, lambda R: min_families_at_scale(space, R, 0, cap=cap),
-                          f"exact({space.name})")
+    """Oracle backed by the exact solver at mesh bound 0 (singleton sets)."""
+    return _scale_oracle(space, lambda R: (0, min_families_at_scale(space, R, 0, cap=cap).families),
+                         1, f"exact({space.name})")
 
 
 def greedy_oracle(space):
-    """Oracle backed by the greedy solver at mesh bound 0."""
-    return _solver_oracle(space, lambda R: greedy_families_at_scale(space, R, 0),
-                          f"greedy({space.name})")
+    """Oracle backed by the greedy solver at mesh bound 0 (singleton sets)."""
+    return _scale_oracle(space, lambda R: (0, greedy_families_at_scale(space, R, 0).families),
+                         1, f"greedy({space.name})")
 
 
 def grid_oracle(space, shape):

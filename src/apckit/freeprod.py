@@ -123,11 +123,6 @@ class FreeProductWindow:
         head = self.letter_dist[u[i], v[i]]
         return head + (nu - norms[u[: i + 1]]) + (nv - norms[v[: i + 1]])
 
-    def require(self, words):
-        for w in words:
-            if w not in self.word_set:
-                raise InputError(f"word {w!r} is outside the window")
-
     def inner_words(self, margin):
         bound = self.max_norm - margin
         return frozenset(w for w in self.words if self.norm(w) <= bound)
@@ -264,7 +259,7 @@ def fp_window(base, max_order, max_norm, *, margin=None):
 
 def cone_window(window, A, R):
     """A concatenated with all words whose letters have norm <= R, inside the window."""
-    window.require(A)
+    window.space.require(A)
     R = scalar(R)
     small = [x for x, nx in window.letter_norm.items() if nx <= R]
     out = set(A)
@@ -392,7 +387,7 @@ def component_core(window, C, M, R, D, *, margin=0):
     C = frozenset(C)
     if not C:
         raise InputError("component_core needs a nonempty component")
-    window.require(C)
+    window.space.require(C)
     k0 = min(len(w) for w in C)
     core = frozenset(w for w in C if len(w) == k0)
     flat = is_flat(core)

@@ -28,7 +28,7 @@ from .metric import (
     _sample_pairs,
     point_key,
 )
-from .covers import _parity_blocks, greedy_oracle, interval_oracle
+from .covers import IntervalKernelSource, greedy_oracle, interval_oracle
 from .combinators import (
     UniformlyExpansiveMap,
     _projection_scheme,
@@ -428,26 +428,6 @@ def r_stabilizer(window, action, target_space, x0, R, *, check_isometry=64):
         if target_space.dist(gx, x0) <= R:
             out.add(g)
     return frozenset(out)
-
-
-@dataclass
-class IntervalKernelSource:
-    """Asdim-1 cover source for a Z-like kernel lying along an integer coordinate.
-
-    coordinate maps a kernel element to its integer position; step is the
-    exact distance between consecutive positions.  Parity blocks of
-    ceil(R/step) positions are more than R apart within each family.
-    """
-
-    coordinate: object  # elem -> int
-    step: object = 1
-
-    n = 1
-
-    def cover(self, elems, R):
-        step, R = scalar(self.step), scalar(R)
-        length = max(1, -(-R // step))  # ceil(R / step), exactly
-        return step * (length - 1), list(_parity_blocks(elems, self.coordinate, length))
 
 
 @dataclass

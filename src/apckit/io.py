@@ -400,15 +400,14 @@ def tree_dot(tree, families):
                 color[v] = _PALETTE[set_index % len(_PALETTE)]
             set_index += 1
     lines = ["graph tree {"]
-    vertices = sorted_points(tree.parent)
-    for v in vertices:
+    for v in tree.vertices:
         if v in color:
             lines.append(
                 f"  {_dot_id(v)} [style=filled, fillcolor={color[v]}];"
             )
         else:
             lines.append(f"  {_dot_id(v)};")
-    for v in vertices:
+    for v in tree.vertices:
         if tree.parent[v] is not None:
             lines.append(f"  {_dot_id(tree.parent[v])} -- {_dot_id(v)};")
     lines.append("}")

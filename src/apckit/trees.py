@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .exact import scalar, sq_value
 from .metric import Family, FiniteMetricSpace, InputError, sorted_points
-from .covers import ApcOracle, witness_from_families
+from .covers import _scale_oracle
 
 
 class RootedTree:
@@ -244,16 +244,13 @@ def tree_cover(tree, r):
 
 
 def tree_oracle(tree):
-    """Oracle over the tree's metric space; uses tree_cover at the second scale."""
-    space = tree.as_space()
-
-    def provide(scales):
-        r = max(1, math.ceil(scales.at(2)))
-        cover = tree_cover(tree, r)
-        fams = [f for f in cover.families() if len(f)]
-        return witness_from_families(fams, scales, [cover.mesh_bound] * len(fams))
-
-    return ApcOracle(space, provide, name="tree")
+    """Oracle over the tree's metric space: tree_cover at the second scale,
+    rounded up to an integer r >= 1."""
+    return _scale_oracle(
+        tree.as_space(),
+        lambda R: ((c := tree_cover(tree, max(1, math.ceil(R)))).mesh_bound, c.families()),
+        2, "tree",
+    )
 
 
 def set_tree_diameter(tree, S):

@@ -32,6 +32,9 @@ pinned CLI tree file draw from.
 :class:`FreeProductHypothesis` is the free-product decomposition hypothesis
 as a stateful class that builds the V-families from a 2-subsampled stream,
 which the library replaces with V-families built once before decompose.
+:func:`interval_witness`, :func:`tree_witness` and :func:`solver_witness`
+are the built-in oracles' answers as each oracle once computed them in a
+loop of its own, which the library replaces with one cover-at-a-scale loop.
 """
 
 import heapq
@@ -42,6 +45,7 @@ from fractions import Fraction
 
 from apckit import groups
 from apckit.combinators import FiberCoverScheme
+from apckit.covers import witness_from_families
 from apckit.exact import Rational, Root, root_of, scalar, sq_value
 from apckit.freeprod import (ROOT, build_v_families, component_core, cone_radius, cone_tree,
                              cone_window)
@@ -614,3 +618,42 @@ def matrix_search(pts, dist, R, B, k):
     if depth < 0:
         return None, nodes
     return [Family.of([[pts[i] for i in c] for c in fam]) for fam in comps if fam], nodes
+
+
+# ---------------------------------------------------------------------------
+# built-in oracles, one loop each
+
+
+def interval_witness(space, scales):
+    """interval_oracle's witness: at the second scale R, blocks of
+    max(1, ceil(R)) consecutive points, even blocks in one family and odd in
+    the other, each with mesh bound length - 1."""
+    pts = space.points
+    coord = (lambda p: p[0]) if all(isinstance(p, tuple) for p in pts) else (lambda p: p)
+    lo = min(coord(p) for p in pts)
+    length = max(1, math.ceil(scales.at(2)))
+    blocks = {}
+    for p in pts:
+        blocks.setdefault((coord(p) - lo) // length, []).append(p)
+    ordered = [blocks[k] for k in sorted(blocks)]
+    fams = [f for f in (Family.of(ordered[0::2]), Family.of(ordered[1::2])) if len(f)]
+    return witness_from_families(fams, scales, [length - 1] * len(fams))
+
+
+def tree_witness(tree, scales):
+    """tree_oracle's witness: tree_cover at the second scale rounded up to
+    an integer r >= 1, its nonempty families with its mesh bound."""
+    cover = tree_cover(tree, max(1, math.ceil(scales.at(2))))
+    fams = [f for f in cover.families() if len(f)]
+    return witness_from_families(fams, scales, [cover.mesh_bound] * len(fams))
+
+
+def solver_witness(solve, scales):
+    """exact_oracle's and greedy_oracle's witness: ``solve(R)`` at mesh bound
+    0, rerun at the n-th scale while it returns n families for an index below n."""
+    n = 1
+    while True:
+        res = solve(scales.at(n))
+        if res.n <= n:
+            return witness_from_families(res.families, scales, [0] * res.n)
+        n = res.n

@@ -6,10 +6,13 @@ package or the benchmark in ``apcbench/``.  Exports in ``__init__.py`` do not
 count, and neither do the tests, so a function that only the tests call
 shows up here and belongs in ``tests/reference.py``.  A reference is a name,
 an attribute or, in the package and in ``apcbench/tracer.py``, which
-patches methods by name, a string naming it.  The metric names in
-``apcbench/run.py`` run nothing, so its strings do not count.  The
-allowlist holds the paper's constructions that the tests exercise and no
-workload runs yet.
+patches methods by name, a string naming it.  ``self.m`` counts only for
+the method m of the enclosing class and ``C.m`` only for that of class C,
+so a dead method is not hidden by a live one of the same name elsewhere;
+an attribute through any other receiver counts for every definition of
+its name.  The metric names in ``apcbench/run.py`` run nothing, so its
+strings do not count.  The allowlist holds the paper's constructions that
+the tests exercise and no workload runs yet.
 
 Every name a module imports, ``from __future__`` aside, must be read in
 that module, so an import left behind by a removed function shows up too.
@@ -36,39 +39,52 @@ CONSTRUCTIONS = {
 }
 
 
-def referenced_names(node, strings=True):
-    for n in ast.walk(node):
-        if isinstance(n, ast.Name):
-            yield n.id
-        elif isinstance(n, ast.Attribute):
-            yield n.attr
-        elif strings and isinstance(n, ast.Constant) and isinstance(n.value, str):
-            yield from (part for part in n.value.split(".") if part.isidentifier())
+def references(node, classes, strings=True, owner=None):
+    """(scope, name) of every reference under node.  ``self.m`` has the
+    scope of the enclosing class ``owner``, ``C.m`` for a package class C has
+    scope C, and every other name, attribute or string has scope None."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Name):
+            yield None, child.id
+        elif isinstance(child, ast.Attribute):
+            receiver = child.value.id if isinstance(child.value, ast.Name) else None
+            if receiver == "self" and owner is not None:
+                yield owner, child.attr
+            else:
+                yield (receiver if receiver in classes else None), child.attr
+        elif strings and isinstance(child, ast.Constant) and isinstance(child.value, str):
+            yield from ((None, part) for part in child.value.split(".") if part.isidentifier())
+        inner = child.name if isinstance(child, ast.ClassDef) else owner
+        yield from references(child, classes, strings, inner)
 
 
-def definitions(node, prefix):
-    """(qualified name, node) of every function and class under node."""
+def definitions(node, prefix, owner=None):
+    """(qualified name, node, class it is a method of or None) of every
+    function and class under node."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
             name = f"{prefix}.{child.name}"
             if not (child.name.startswith("__") and child.name.endswith("__")):
-                yield name, child
-            yield from definitions(child, name)
+                yield name, child, owner
+            yield from definitions(child, name, child.name if isinstance(child, ast.ClassDef) else None)
         else:
-            yield from definitions(child, prefix)
+            yield from definitions(child, prefix, owner)
 
 
 def unreferenced():
     modules = {p.stem: ast.parse(p.read_text()) for p in sorted((ROOT / "src/apckit").glob("*.py"))
                if p.name != "__init__.py"}
-    refs = collections.Counter(name for tree in modules.values() for name in referenced_names(tree))
+    classes = {n.name for tree in modules.values() for n in ast.walk(tree)
+               if isinstance(n, ast.ClassDef)}
+    refs = collections.Counter(ref for tree in modules.values() for ref in references(tree, classes))
     for p in sorted((ROOT / "apcbench").glob("*.py")):
-        refs.update(referenced_names(ast.parse(p.read_text()), strings=p.name == "tracer.py"))
+        refs.update(references(ast.parse(p.read_text()), classes, strings=p.name == "tracer.py"))
     out = set()
     for module, tree in modules.items():
-        for qualname, node in definitions(tree, module):
-            own = sum(name == node.name for name in referenced_names(node))
-            if refs[node.name] == own:
+        for qualname, node, owner in definitions(tree, module):
+            own = collections.Counter(references(node, classes, owner=(
+                node.name if isinstance(node, ast.ClassDef) else owner)))
+            if all(refs[scope, node.name] == own[scope, node.name] for scope in {None, owner}):
                 out.add(qualname)
     return out
 
