@@ -45,7 +45,6 @@ from .freeprod import (
     FreeProductWindow,
     build_v_families,
     component_core,
-    cone_tree,
     cone_window,
     fp_window,
     free_product_cover,

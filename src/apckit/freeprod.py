@@ -3,9 +3,9 @@
 Words are tuples of non-basepoint letters; the distance between two words
 eliminates their common prefix and pays the letter distance at the first
 divergence plus the norms of both tails.  A window truncates the (infinite)
-word space at a maximum order and norm; everything downstream -- cones, cone
-trees, component cores, the full cover pipeline -- works inside a window and
-restricts its correctness claims to the margin-reduced part.
+word space at a maximum order and norm; everything downstream -- cones and
+their quasi-isometry check, component cores, the full cover pipeline -- works
+inside a window and restricts its correctness claims to the margin-reduced part.
 """
 
 from __future__ import annotations
@@ -28,9 +28,6 @@ from .metric import (
 )
 from .covers import CountingStream, CoverWitness, MappedStream
 from .combinators import decompose
-from .trees import RootedTree
-
-ROOT = "<root>"  # cone-tree root sentinel; never collides with word tuples
 
 EPSILON = ()
 
@@ -293,61 +290,40 @@ def is_flat(A) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# cone trees and the quasi-isometry check
+# the quasi-isometry check
 
 
-@dataclass
-class ConeTree:
-    tree: RootedTree
-    cone: frozenset
-    E: object  # the window's minimal positive gap
-    D: object  # diameter of the flat base
-    M: object  # the cone scale
-    window: FreeProductWindow
+def qi_check(window, A, M):
+    """Violations of the two quasi-isometry inequalities between con_M(A)
+    and its cone tree, d/M - D/M <= d_T <= d/E + 3, checked exactly on every
+    pair of the cone, as (side, u, v, d, d_T) in pair order.
 
-
-def cone_tree(window, A, M):
-    """The simplicial tree over con_M(A): root joined to the flat base, one
-    edge per single-letter extension of norm <= M."""
+    The cone tree joins a root to the flat base A and each cone word to its
+    one-letter extensions.  The words of A have one order k and share their
+    prefix of length k - 1, for which the root stands, so the tree is the
+    cone's prefix trie and d_T(u, v) = len(u) + len(v) - 2 lcp(u, v).  D is
+    the base's diameter and E the window's minimal gap; M must be positive.
+    """
     A = frozenset(A)
     if not A:
-        raise InputError("cone_tree needs a nonempty base")
+        raise InputError("qi_check needs a nonempty base")
     if not is_flat(A):
-        raise InputError("cone_tree base must be flat")
+        raise InputError("qi_check base must be flat")
     cone = cone_window(window, A, M)
     M = scalar(M)
-    parent = {w: ROOT if w in A else w[:-1] for w in cone}
-    parent[ROOT] = None
-    tree = RootedTree(parent)
-    D = set_diameter(window.space, A)
-    return ConeTree(tree, cone, window.E, D, M, window)
-
-
-@dataclass
-class QiReport:
-    ok: bool
-    violations: list
-    pairs_checked: int
-
-
-def qi_check(ct):
-    """Exact verification of both quasi-isometry inequalities on all cone pairs:
-    d/M - D/M <= d_T <= d/E + 3, which need a positive cone scale M."""
-    E, D, M = ct.E, ct.D, ct.M
     if M <= 0:
         raise InputError(f"the quasi-isometry check needs a cone scale M > 0, not {M}")
+    E, D = window.E, set_diameter(window.space, A)
     violations = []
-    pairs = 0
-    pts = sorted_points(ct.cone)
-    for u, v in itertools.combinations(pts, 2):
-        pairs += 1
-        d = ct.window.space.dist(u, v)
-        dT = ct.tree.distance(u, v)
+    for u, v in itertools.combinations(sorted_points(cone), 2):
+        d = window.space.dist(u, v)
+        lcp = next((i for i, (x, y) in enumerate(zip(u, v)) if x != y), min(len(u), len(v)))
+        dT = len(u) + len(v) - 2 * lcp
         if not (Fraction(d, 1) / M - Fraction(D, 1) / M <= dT):
             violations.append(("lower", u, v, d, dT))
         if not (dT <= Fraction(d, 1) / E + 3):
             violations.append(("upper", u, v, d, dT))
-    return QiReport(not violations, violations, pairs)
+    return violations
 
 
 # ---------------------------------------------------------------------------

@@ -194,7 +194,6 @@ class TreeCover:
     even: Family
     odd: Family
     mesh_bound: object
-    anchors: dict  # annulus index -> anchor depth
 
     def families(self):
         return [self.even, self.odd]
@@ -221,14 +220,14 @@ def tree_cover(tree, r):
     half = math.floor(r) // 2  # chain-step threshold: distances are integers
     # key: vertex -> (annulus, anchor); up: vertex -> its ancestor at the
     # anchor depth of the next annulus, for vertices at least that deep
-    key, up, comps, anchors = {}, {}, {}, {}
+    key, up, comps = {}, {}, {}
     for v in tree.preorder:
         d, p = tree.depth[v], tree.parent[v]
         i = d // r
         if p is not None and key[p][0] == i:
             key[v] = key[p]
         else:
-            anchors[i] = h = max(0, math.ceil(i * r) - half)
+            h = max(0, math.ceil(i * r) - half)
             key[v] = (i, v if d == h else up[p])
         h_next = math.ceil((i + 1) * r) - half
         if d >= h_next:
@@ -239,7 +238,6 @@ def tree_cover(tree, r):
         even=Family.of(c for (i, _), c in comps.items() if i % 2 == 0),
         odd=Family.of(c for (i, _), c in comps.items() if i % 2),
         mesh_bound=3 * r - 2 if isinstance(r, int) else 3 * r,
-        anchors=anchors,
     )
 
 

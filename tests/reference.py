@@ -18,11 +18,14 @@ is a component core's reach check by a full cone walk and a sorted scan of
 every word, which the library reads off each word's prefix.
 :func:`cone_cover` covers the cone over a flat base through a fresh cone
 tree, which the tests compare with the library's cover read off the words'
-prefixes.  :func:`cone_tree_cover` pulls a cone tree's cover back to words,
-root stripped, with the mesh bound of its own base diameter, and
-:func:`cone_cover_bound` is that bound with a uniform core cap; the
-library's subcover covers each component from its words' prefixes, with no
-tree, and states its bound once.
+prefixes.  :func:`cone_tree` builds the simplicial tree over a cone, with a
+root joined to its flat base, and :func:`qi_violations` checks the
+quasi-isometry inequalities against that tree's own distance, which the
+library reads off the words' prefixes.  :func:`cone_tree_cover` pulls a
+cone tree's cover back to words, root stripped, with the mesh bound of its
+own base diameter, and :func:`cone_cover_bound` is that bound with a
+uniform core cap; the library's subcover covers each component from its
+words' prefixes, with no tree, and states its bound once.
 :func:`point_key_reference` is the canonical point order with a separate
 bool case and the tuple case tested last, which the library's key must match.
 :func:`randrange_pairs` is the validator's seeded pair draw by ``randrange``,
@@ -41,14 +44,15 @@ import heapq
 import itertools
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 from apckit import groups
 from apckit.combinators import FiberCoverScheme
 from apckit.covers import witness_from_families
 from apckit.exact import Rational, Root, root_of, scalar, sq_value
-from apckit.freeprod import (ROOT, build_v_families, component_core, cone_radius, cone_tree,
-                             cone_window)
+from apckit.freeprod import (FreeProductWindow, build_v_families, component_core, cone_radius,
+                             cone_window, is_flat)
 from apckit.metric import (ConstructionError, Family, FiniteMetricSpace, InputError, point_key,
                            r_components, set_diameter, sorted_points)
 from apckit.trees import RootedTree, tree_cover
@@ -137,6 +141,51 @@ def core_reach_failures(window, C, M, R, D, margin=0):
         else:
             hard.append(w)
     return artifacts, hard
+
+
+ROOT = "<root>"  # cone-tree root sentinel; never collides with word tuples
+
+
+@dataclass
+class ConeTree:
+    tree: RootedTree
+    cone: frozenset
+    E: object  # the window's minimal positive gap
+    D: object  # diameter of the flat base
+    M: object  # the cone scale
+    window: FreeProductWindow
+
+
+def cone_tree(window, A, M):
+    """The simplicial tree over con_M(A): root joined to the flat base, one
+    edge per single-letter extension of norm <= M."""
+    A = frozenset(A)
+    if not A:
+        raise InputError("cone_tree needs a nonempty base")
+    if not is_flat(A):
+        raise InputError("cone_tree base must be flat")
+    cone = cone_window(window, A, M)
+    M = scalar(M)
+    parent = {w: ROOT if w in A else w[:-1] for w in cone}
+    parent[ROOT] = None
+    tree = RootedTree(parent)
+    D = set_diameter(window.space, A)
+    return ConeTree(tree, cone, window.E, D, M, window)
+
+
+def qi_violations(ct):
+    """Both quasi-isometry inequalities, d/M - D/M <= d_T <= d/E + 3, on all
+    pairs of a cone tree's cone, with d_T read off the built tree."""
+    E, D, M = ct.E, ct.D, ct.M
+    violations = []
+    for u, v in itertools.combinations(sorted_points(ct.cone), 2):
+        d = ct.window.space.dist(u, v)
+        dT = ct.tree.distance(u, v)
+        if not (Fraction(d, 1) / M - Fraction(D, 1) / M <= dT):
+            violations.append(("lower", u, v, d, dT))
+        if not (dT <= Fraction(d, 1) / E + 3):
+            violations.append(("upper", u, v, d, dT))
+    return violations
 
 
 def cone_tree_cover(ct, r):

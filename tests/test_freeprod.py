@@ -25,7 +25,6 @@ from apckit.freeprod import (
     EPSILON,
     build_v_families,
     component_core,
-    cone_tree,
     cone_window,
     fp_window,
     free_product_cover,
@@ -36,8 +35,9 @@ from apckit.freeprod import (
     wedge_space,
 )
 from apckit.groups import ZdModel, cayley_ball
-from reference import (FreeProductHypothesis, check_witness, cone_cover, cone_cover_bound,
-                       cone_tree_cover, core_reach_failures, fp_distance, words_adjacent)
+from reference import (ROOT, FreeProductHypothesis, check_witness, cone_cover, cone_cover_bound,
+                       cone_tree, cone_tree_cover, core_reach_failures, fp_distance,
+                       qi_violations, words_adjacent)
 
 
 def base_xab():
@@ -206,8 +206,7 @@ class TestConeTree:
         ct = cone_tree(win, {w(A)}, 1)
         assert ct.cone == {w(A), w(A, A)}
         assert ct.tree.distance(w(A), w(A, A)) == 1
-        rep = qi_check(ct)
-        assert rep.ok
+        assert qi_check(win, {w(A)}, 1) == []
 
     def test_no_extensions_below_gap(self):
         win = fp_window(base_xab(), 2, 9)
@@ -216,14 +215,11 @@ class TestConeTree:
 
     def test_flat_pair_base(self):
         win = fp_window(base_xab(), 3, 9)
-        ct = cone_tree(win, {w(A, B), w(A, A)}, 2)
-        assert qi_check(ct).ok
+        assert qi_check(win, {w(A, B), w(A, A)}, 2) == []
 
     def test_root_adjacent_exactly_to_base(self):
         win = fp_window(base_xab(), 3, 9)
         ct = cone_tree(win, {w(A, B), w(A, A)}, 2)
-        from apckit.freeprod import ROOT
-
         children_of_root = {v for v, p in ct.tree.parent.items() if p == ROOT}
         assert children_of_root == {w(A, B), w(A, A)}
         # every other edge extends by one letter of norm <= M
@@ -236,7 +232,7 @@ class TestConeTree:
     def test_non_flat_base_rejected(self):
         win = fp_window(base_xab(), 2, 9)
         with pytest.raises(InputError):
-            cone_tree(win, {w(A), w(A, B)}, 1)
+            qi_check(win, {w(A), w(A, B)}, 1)
 
     def test_qi_all_flat_bases_small_window(self):
         win = fp_window(base_xab(), 3, 9)
@@ -245,8 +241,35 @@ class TestConeTree:
             ext = [prefix + (c,) for c in (A, B) if prefix + (c,) in win.word_set]
             for k in (1, 2):
                 for combo in itertools.combinations(ext, k):
-                    ct = cone_tree(win, set(combo), M)
-                    assert qi_check(ct).ok
+                    assert qi_check(win, set(combo), M) == []
+
+
+@st.composite
+def matrix_bases(draw):
+    """A pointed matrix base of 2-4 points whose distances are drawn freely
+    from {1/2, 1, 2, 3, 5, 9}, so many break the triangle inequality, and a
+    window of order <= 3 over it."""
+    pts = ["x0", "a", "b", "c"][:draw(st.integers(2, 4))]
+    d = {}
+    for p, q in itertools.combinations(pts, 2):
+        d[p, q] = d[q, p] = draw(st.sampled_from([Fraction(1, 2), 1, 2, 3, 5, 9]))
+    rows = [[0 if p == q else d[p, q] for q in pts] for p in pts]
+    X = matrix_space(pts, rows, basepoint="x0")
+    return fp_window(X, draw(st.integers(1, 3)), draw(st.sampled_from([1, 2, 3, 4])))
+
+
+@given(matrix_bases())
+@settings(max_examples=200, deadline=None)
+def test_qi_check_matches_the_built_cone_tree(win):
+    # every flat base of sibling extensions, at every cone scale: the prefix
+    # trie's distance gives exactly the violations of the built tree's
+    letters = sorted_points(win.letter_norm)
+    for prefix in win.words:
+        ext = [prefix + (c,) for c in letters if prefix + (c,) in win.word_set]
+        for k in range(1, len(ext) + 1):
+            for combo in itertools.combinations(ext, k):
+                for M in (Fraction(1, 2), 1, 2, 3):
+                    assert qi_check(win, combo, M) == qi_violations(cone_tree(win, combo, M))
 
 
 class TestConeCover:
@@ -811,7 +834,7 @@ class TestConeScale:
     def test_qi_check_refuses_non_positive_scale(self, M):
         win = fp_window(base_xab(), 2, 4)
         with pytest.raises(InputError):
-            qi_check(cone_tree(win, {w(A), w(B)}, M))
+            qi_check(win, {w(A), w(B)}, M)
 
     @pytest.mark.parametrize("scale", ["-1", "-5"])
     @pytest.mark.parametrize("kind", ["freeprod-cover", "free-product-zz"])
@@ -937,7 +960,7 @@ class TestCoreConeTree:
         rep = component_core(win, {w(A, B), w(B, A)}, 1, 0, 0)
         assert not rep.flat and rep.core_diameter is None
         with pytest.raises(InputError, match="flat"):
-            cone_tree(win, rep.core, rep.radius)
+            qi_check(win, rep.core, rep.radius)
 
     @pytest.mark.parametrize("base_name, m, L, prefix", [
         ("xab", 3, 9, (1,)), ("xab", 3, 9, (1, 1, 2)), ("interval", 3, 6, (1, 2)),
@@ -970,7 +993,6 @@ class TestCoreConeTree:
         counted("cone_window")
         counted("set_diameter")
         counted("component_core", reports)
-        counted("cone_tree")
         real_cover, real_init = trees.tree_cover, trees.RootedTree.__init__
         monkeypatch.setattr(trees, "tree_cover",
                             lambda *a: counts.update(["tree_cover"]) or real_cover(*a))
@@ -982,8 +1004,8 @@ class TestCoreConeTree:
         assert flat > 0
         vf = res.v_families.families
         assert counts["cone_window"] == len(vf)
-        assert counts["cone_tree"] == counts["tree_cover"] == counts["RootedTree"] == 0
-        assert not hasattr(freeprod, "tree_cover")
+        assert counts["tree_cover"] == counts["RootedTree"] == 0
+        assert not hasattr(freeprod, "tree_cover") and not hasattr(freeprod, "cone_tree")
         assert counts["set_diameter"] == sum(len(fam.sets) for fam in vf) + flat
 
     @pytest.mark.parametrize("hi, prefix", [(3, (2,)), (5, (2,)), (5, (3,))])

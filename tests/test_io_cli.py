@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -568,6 +569,51 @@ class TestCli:
         assert cli_main(["freeprod", "qi-check", "--base", str(p), "-m", "2", "-L", "4",
                          "-M", "1"]) == 0
         assert json.loads(capsys.readouterr().out)["ok"]
+
+    @pytest.mark.parametrize("window, M, digest", [
+        ("3,9", "1", "cac36718d8eb349a1131c5a43acee9730c1d31b02155d6a0ae41aff3302f757c"),
+        ("4,9", "2", "a585ad8c3c600da39ce0d4ff6aab83dcfd09c3ef6e1334f7f4f40e530d058f43"),
+    ])
+    def test_freeprod_qi_check_pins_a_failing_base(self, tmp_path, capsys, window, M, digest):
+        # d(a, b) = 50 against norms 1 breaks the lower inequality on sibling
+        # pairs; the report keeps the first violation of each failing base
+        p = tmp_path / "base.json"
+        fio.write_file(str(p), {
+            "points": ["x0", "a", "b"],
+            "metric": {"kind": "matrix", "rows": [[0, 1, 1], [1, 0, 50], [1, 50, 0]]},
+            "basepoint": "x0",
+        })
+        assert cli_main(["freeprod", "qi-check", "--base", str(p), "--window", window,
+                         "-M", M]) == 1
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    def test_freeprod_qi_check_refuses_too_many_cone_bases(self, tmp_path, capsys):
+        # the trivial word of a 24-letter star has 2**24 - 1 cone bases, which
+        # are counted and refused before any cone is walked
+        pts = ["x0"] + [f"l{i}" for i in range(24)]
+        rows = [[0 if p == q else 1 if "x0" in (p, q) else 2 for q in pts] for p in pts]
+        p = tmp_path / "star.json"
+        fio.write_file(str(p), {"points": pts, "metric": {"kind": "matrix", "rows": rows},
+                                "basepoint": "x0"})
+        start = time.perf_counter()
+        assert cli_main(["freeprod", "qi-check", "--base", str(p), "--window", "1,9",
+                         "-M", "1"]) == 2
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err.startswith("input error:")
+
+    @pytest.mark.parametrize("cap, code", [(45, 0), (44, 2)])
+    def test_freeprod_qi_check_walks_exactly_the_cap(self, tmp_path, monkeypatch, cap, code):
+        # Xab's order-4 window has 15 prefixes of two extensions each, so 45
+        # cone bases: a cap of 45 walks them, a cap of 44 refuses them
+        p = tmp_path / "base.json"
+        fio.write_file(str(p), {
+            "points": ["x0", "a", "b"],
+            "metric": {"kind": "matrix", "rows": [[0, 1, 2], [1, 0, 2], [2, 2, 0]]},
+            "basepoint": "x0",
+        })
+        monkeypatch.setattr(cli, "QI_BASE_CAP", cap)
+        assert cli_main(["freeprod", "qi-check", "--base", str(p), "--window", "4,9",
+                         "-M", "2"]) == code
 
     def test_group_ball_fractional_weight_spheres_in_norm_order(self, tmp_path, capsys):
         p = tmp_path / "g.json"

@@ -16,6 +16,12 @@ the tests exercise and no workload runs yet.
 
 Every name a module imports, ``from __future__`` aside, must be read in
 that module, so an import left behind by a removed function shows up too.
+
+Every field of a dataclass in ``src/apckit`` must be read, as an attribute
+or a string, in the package or in ``apcbench/``, so a field that is written
+and never read shows up as well.  Like the definition guard it matches by
+name: a read of ``x.name`` counts for every field called ``name``.  The
+allowlist holds the fields of records that only the tests read.
 """
 
 import ast
@@ -36,6 +42,16 @@ CONSTRUCTIONS = {
     "groups.rho_from_weights",
     "metric.hypercube_collapse",
     "trees.tree_oracle",
+}
+
+FIELDS_READ_BY_TESTS = {
+    "CoreReport.flat",
+    "CoverageAssignment.member",
+    "CoverageAssignment.word",
+    "CoverageCertificate.assignments",
+    "FreeProductResult.v_families",
+    "WedgeReport.mismatches",
+    "WedgeReport.pairs_checked",
 }
 
 
@@ -109,3 +125,30 @@ def test_every_import_is_read():
     unread = {p.name: sorted(unread_imports(ast.parse(p.read_text())))
               for p in sorted((ROOT / "src/apckit").glob("*.py")) if p.name != "__init__.py"}
     assert {name: names for name, names in unread.items() if names} == {}
+
+
+def dataclass_fields(tree):
+    """Class.field of every annotated field in a ``@dataclass`` class body."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+                ast.unparse(d).split("(")[0].split(".")[-1] == "dataclass"
+                for d in node.decorator_list):
+            yield from (f"{node.name}.{item.target.id}" for item in node.body
+                        if isinstance(item, ast.AnnAssign))
+
+
+def reads(tree):
+    """Attribute names read under tree, and the dotted parts of its strings."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield from (part for part in node.value.split(".") if part.isidentifier())
+
+
+def test_every_dataclass_field_is_read():
+    package = [ast.parse(p.read_text()) for p in sorted((ROOT / "src/apckit").glob("*.py"))]
+    bench = [ast.parse(p.read_text()) for p in sorted((ROOT / "apcbench").glob("*.py"))]
+    read = {name for tree in package + bench for name in reads(tree)}
+    fields = {f for tree in package for f in dataclass_fields(tree)}
+    assert {f for f in fields if f.split(".")[1] not in read} == FIELDS_READ_BY_TESTS

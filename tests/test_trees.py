@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -155,7 +156,7 @@ class TestTreeCover:
                 for s in fam.sets:
                     depths = [t.depth[v] for v in s]
                     i = min(depths) // r
-                    h = cover.anchors[i]
+                    h = max(0, math.ceil(i * r) - math.floor(r) // 2)
                     anc = {ancestor_at_depth(t, v, h) for v in s}
                     assert len(anc) == 1
 
