@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import re
 import sys
 
@@ -299,6 +300,7 @@ def cmd_freeprod_cover(args):
 
 
 QI_BASE_CAP = 100_000  # flat cone bases one qi-check may walk
+QI_PAIR_CAP = 1_000_000  # word pairs one qi-check may compare, over all its cones
 
 
 def cmd_freeprod_qi_check(args):
@@ -315,13 +317,20 @@ def cmd_freeprod_qi_check(args):
                          f"over the {QI_BASE_CAP}-base cap")
     if not checked:
         raise InputError(f"window ({m}, {L}) has no cone base to check")
-    failures = []
-    for ext in exts:
-        for k in range(1, len(ext) + 1):
-            for combo in itertools.combinations(ext, k):
-                violations = qi_check(win, combo, M)
-                if violations:
-                    failures.append(violations[0])
+    bases = [combo for ext in exts for k in range(1, len(ext) + 1)
+             for combo in itertools.combinations(ext, k)]
+    # a base's cone is the disjoint union of its words' cones; the window
+    # lists each word before its extensions, so in reverse each word's cone
+    # size is summed from theirs
+    small = [x for x, nx in win.letter_norm.items() if nx <= M]
+    size = {}
+    for w in reversed(win.words):
+        size[w] = 1 + sum(size.get(w + (x,), 0) for x in small)
+    pairs = sum(math.comb(sum(map(size.__getitem__, combo)), 2) for combo in bases)
+    if pairs > QI_PAIR_CAP:
+        raise InputError(f"window ({m}, {L}) has {pairs} cone pairs at -M {M}, "
+                         f"over the {QI_PAIR_CAP}-pair cap")
+    failures = [v[0] for v in (qi_check(win, combo, M) for combo in bases) if v]
     obj = {"cone_trees_checked": checked, "ok": not failures,
            "failures": [str(f) for f in failures[:5]]}
     _emit(args, obj, [f"{checked} cone trees checked; "

@@ -45,7 +45,7 @@ class FreeProductWindow:
     metric reads its divergence distance from it.  The words are enumerated
     in :func:`point_key` order, so the window hands its order to the space as
     its rank.  The window's space carries a :class:`WordIndex`, which answers
-    diameters, separation and R-neighbour pairs on the trie of the words
+    diameters, separation and R-links by walking up the trie from the words
     involved.
     """
 
@@ -129,37 +129,20 @@ class FreeProductWindow:
 
 
 class WordIndex:
-    """Set diameters, R-separation and R-neighbour pairs of a word window.
+    """Set diameters, R-separation and R-links of a word window.
 
     Two words diverge at their longest common prefix c.  When c is one of
     them their distance is the norm of the other's tail below c; otherwise it
     is d_X(x, y) for the letters x, y after c plus the norms of the tails
     below c+x and c+y.  So each question about a set of words is answered on
     the trie of their prefixes, from the window's norms and letter table,
-    with no word distance evaluated.  The trie is built per query, so an
-    index that is never asked costs nothing.  Distances are rational and R
-    may be a Root, so every test compares the distance spent with R.
+    with no word distance evaluated.  Each query walks up from its words,
+    so an index that is never asked costs nothing.  Distances are rational
+    and R may be a Root, so every test compares the distance spent with R.
     """
 
     def __init__(self, window):
         self.window = window
-
-    @staticmethod
-    def _children(words):
-        """Trie node -> letters of its child nodes, over all prefixes of words."""
-        kids = {}
-        for w in words:
-            if w in kids:
-                continue
-            kids[w] = []
-            while w:
-                c = w[:-1]
-                known = c in kids
-                kids.setdefault(c, []).append(w[-1])
-                if known:
-                    break
-                w = c
-        return kids
 
     def diameter_sq(self, S):
         """With T(c) the deepest tail of S below a trie node c, the diameter
@@ -190,8 +173,9 @@ class WordIndex:
     def separated(self, sets, R):
         """True iff every pair of words from two distinct sets is more than R apart.
 
-        A word in two sets fails at once; otherwise the sets are separated
-        iff no pair that :meth:`pairs_within` finds joins two of them.
+        A word in two sets fails at once.  Otherwise a pair within R from two
+        sets is joined by a chain of :meth:`links`, and some step of that
+        chain joins two sets, so the sets are separated iff no link does.
         """
         if R < 0:
             return True
@@ -201,49 +185,60 @@ class WordIndex:
                 if label.setdefault(w, i) != i:
                     return False
         words = list(label)
-        return all(label[words[i]] == label[words[j]] for i, j in self.pairs_within(words, R))
+        return all(label[words[i]] == label[words[j]] for i, j in self.links(words, R))
 
-    def pairs_within(self, pts, R):
-        """Index pairs (i, j), i < j, of words at most R >= 0 apart, each once.
+    def links(self, pts, R):
+        """Index pairs (i, j) of words, each at most R >= 0 apart, whose
+        transitive closure is exactly the R-components of pts.
 
-        From each word s, walk up its prefixes while the tail fits in R: an
-        ancestor in pts is a pair, and at each ancestor c the walk branches
-        to the sibling letters y listed after s's own letter x while
-        tail + d_X(x, y) fits, then walks down the trie of pts while the
-        norms fit.  A pair that diverges at c is reached from the word under
-        the earlier of its two letters, and an ancestor pair from the lower
-        word, so every pair is reached once.
+        Pass 1 walks up from each word while its tail fits in R and keeps at
+        each node c+x the least tail below it and its word, as near[c][x],
+        stopping at a node that already holds a tail no larger (that walk
+        went on above with tails no larger).  Pass 2 walks up from each word
+        u again: at each ancestor c, u links to near[c][y] for each sibling y
+        of its letter x with tail + d_X(x, y) + that tail <= R, and at its
+        first ancestor in pts it links to it if within R, and stops.
+
+        The closure is exact, by induction on len(u) + len(v) for u and v
+        within R with longest common prefix c.  An ancestor a of u at or
+        below c only shortens u's tail below c, so d(u, a) and d(a, v) are at
+        most d(u, v): a word outside a's subtree is no nearer to u than a is,
+        which is why the walk stops at a.  So if u or v has such an ancestor
+        in pts, its walk links to the first, which is the other word or is
+        joined to it.  Otherwise u and v diverge at c, below c+x and c+y, and
+        both walks reach c.  With u* = near[c][x] and v* = near[c][y], the
+        steps u-v*, v*-u* and u*-v are each within R, each tail replaced by
+        one no longer, and pass 2 links them at c, from u, u* and v; the walk
+        of u* reaches c, as a branch's nearest word has no ancestor in pts
+        inside the branch.  Neither step uses the base's triangle inequality.
         """
         if R < 0:
-            return []
+            return
         norms, ln, ld = self.window._norms, self.window.letter_norm, self.window.letter_dist
-        at = {w: i for i, w in enumerate(pts)}
-        kids = self._children(pts)
-        out = []
+        near = {}
         for i, s in enumerate(pts):
-            ns = norms[s]
-            for k in range(len(s) - 1, -1, -1):
-                c, x = s[:k], s[k]
-                tail = ns - norms[s[:k + 1]]
-                if tail > R:
+            ns, n = norms[s], s
+            while n and (tail := ns - norms[n]) <= R:
+                kids = near.setdefault(n[:-1], {})
+                held = kids.get(n[-1])
+                if held and held[0] <= tail:
                     break
+                kids[n[-1]] = (tail, i)
+                n = n[:-1]
+        at = {w: i for i, w in enumerate(pts)}
+        for i, s in enumerate(pts):
+            ns, n = norms[s], s
+            while n and (tail := ns - norms[n]) <= R:
+                c, x = n[:-1], n[-1]
+                for y, (t, j) in near[c].items():
+                    if y != x and tail + ld[x, y] + t <= R:
+                        yield i, j
                 j = at.get(c)
-                if j is not None and tail + ln[x] <= R:
-                    out.append((j, i) if j < i else (i, j))
-                letters = kids[c]
-                for y in letters[letters.index(x) + 1:]:
-                    spent = tail + ld[x, y]
-                    stack = [(c + (y,), spent)] if spent <= R else []
-                    while stack:
-                        t, d = stack.pop()
-                        j = at.get(t)
-                        if j is not None:
-                            out.append((j, i) if j < i else (i, j))
-                        for z in kids[t]:
-                            dz = d + ln[z]
-                            if dz <= R:
-                                stack.append((t + (z,), dz))
-        return out
+                if j is not None:
+                    if tail + ln[x] <= R:
+                        yield i, j
+                    break
+                n = c
 
 
 def fp_window(base, max_order, max_norm, *, margin=None):

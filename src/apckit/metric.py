@@ -61,11 +61,12 @@ class FiniteMetricSpace:
     true iff every pair of points from two distinct sets is more than R >= 0
     apart.  :func:`set_diameter_sq` and :func:`family_is_R_disjoint` use it;
     spaces without one take the generic path, which names every violation.
-    An index may also have ``pairs_within(pts, R)``, the index pairs (i, j),
-    i < j, of a point list whose points are at most R >= 0 apart, each pair
-    once; :func:`r_components` uses it when present.  ``gaps_sq(sets)``, when
-    present, maps each index pair (i, j), i < j, of a list of nonempty point
-    lists to an int no larger than the squared distance of any cross pair;
+    An index may also have ``links(pts, R)``, index pairs (i, j) of a point
+    list, each at most R >= 0 apart, whose transitive closure is exactly its
+    R-components; :func:`r_components` uses it when present.
+    ``gaps_sq(sets)``, when present, maps each index pair (i, j), i < j, of a
+    list of nonempty point lists to an int no larger than the squared
+    distance of any cross pair;
     :func:`~apckit.combinators.check_uniformly_expansive` proves its contract
     fiber by fiber with it.
     ``rank``, each point's place in :func:`point_key` order, is built on first
@@ -415,9 +416,9 @@ def r_components(space, S, R):
     if R < 0:
         return [frozenset({p}) for p in pts]
     uf = UnionFind(len(pts))
-    pairs_within = getattr(space.index, "pairs_within", None)
-    if pairs_within is not None:
-        for i, j in pairs_within(pts, R):
+    links = getattr(space.index, "links", None)
+    if links is not None:
+        for i, j in links(pts, R):
             uf.union(i, j)
     else:
         R2 = sq_value(R)
@@ -549,8 +550,8 @@ class LatticeIndex:
                         return False
         return True
 
-    def pairs_within(self, pts, R):
-        """Index pairs (i, j), i < j, of pts at most R >= 0 apart, each once.
+    def links(self, pts, R):
+        """Every index pair (i, j), i < j, of pts at most R >= 0 apart, once.
 
         Points go into cubical cells of side floor(R) + 1, so two points
         within R lie in the same or adjacent cells (Bentley, Stanat and

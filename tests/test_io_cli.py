@@ -615,6 +615,34 @@ class TestCli:
         assert cli_main(["freeprod", "qi-check", "--base", str(p), "--window", "4,9",
                          "-M", "2"]) == code
 
+    def write_failing_base(self, tmp_path):
+        p = tmp_path / "base.json"
+        fio.write_file(str(p), {
+            "points": ["x0", "a", "b"],
+            "metric": {"kind": "matrix", "rows": [[0, 1, 1], [1, 0, 50], [1, 50, 0]]},
+            "basepoint": "x0",
+        })
+        return str(p)
+
+    def test_freeprod_qi_check_refuses_too_many_cone_pairs(self, tmp_path, capsys):
+        # 1 533 cone bases over 1 023 words hold 1 535 483 word pairs at -M 3,
+        # which are counted from the cone sizes and refused before any is compared
+        p = self.write_failing_base(tmp_path)
+        start = time.perf_counter()
+        assert cli_main(["freeprod", "qi-check", "--base", p, "--window", "9,99",
+                         "-M", "3"]) == 2
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err.startswith("input error:")
+
+    @pytest.mark.parametrize("cap, code", [(1003, 1), (1002, 2)])
+    def test_freeprod_qi_check_compares_exactly_the_pair_cap(self, tmp_path, monkeypatch,
+                                                             cap, code):
+        # the failing-base pin's window (4, 9) at -M 2 has 1 003 cone pairs
+        p = self.write_failing_base(tmp_path)
+        monkeypatch.setattr(cli, "QI_PAIR_CAP", cap)
+        assert cli_main(["freeprod", "qi-check", "--base", p, "--window", "4,9",
+                         "-M", "2"]) == code
+
     def test_group_ball_fractional_weight_spheres_in_norm_order(self, tmp_path, capsys):
         p = tmp_path / "g.json"
         fio.write_file(str(p), {"model": "Z^1", "radius": 2,

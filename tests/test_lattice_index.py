@@ -150,7 +150,7 @@ def test_set_level_results_match_generic_path(case):
 
 @given(space_and_family())
 @settings(max_examples=400, deadline=None)
-def test_separated_and_pairs_within_match_definition(case):
+def test_separated_and_links_match_definition(case):
     space, sets, R = case
     plain = without_index(space)
     sets = [frozenset(s) for s in sets]
@@ -160,7 +160,7 @@ def test_separated_and_pairs_within_match_definition(case):
     pts = sorted(set().union(*sets), key=repr)
     want = [(i, j) for i, j in itertools.combinations(range(len(pts)), 2)
             if within(pts[i], pts[j])]
-    assert sorted(space.index.pairs_within(pts, R)) == want
+    assert sorted(space.index.links(pts, R)) == want
 
 
 @given(spaces(), st.sampled_from([0, 1, 2, 3, 10**400]))

@@ -3,11 +3,12 @@
 Every check builds the same word window twice: ``window.space``, which
 carries the ``WordIndex``, and its copy without the index
 (``reference.without_index``), which takes the generic code.  Diameters,
-separation verdicts, R-neighbour pairs, violation tuples, R-components and
-whole verifier reports, planted faults included, must agree.  The bases are
+separation verdicts, violation tuples, R-components and whole verifier
+reports, planted faults included, must agree, and the index's R-links must
+close to the R-components.  The bases are
 Xab, its half-scaled copy, the interval [0, 3], the wedge of two Z balls,
-the wedge of the Z/2 and Z/3 balls, and small random pointed bases with
-rational distances.
+the wedge of the Z/2 and Z/3 balls, small random pointed bases with
+rational distances, and bases that break the triangle inequality.
 """
 
 import itertools
@@ -24,6 +25,7 @@ from apckit.freeprod import WordIndex, fp_window, free_product_cover, wedge_spac
 from apckit.groups import TableModel, ZdModel, cayley_ball
 from apckit.metric import (
     Family,
+    UnionFind,
     family_is_R_disjoint,
     interval_window,
     matrix_space,
@@ -148,9 +150,20 @@ def test_set_level_results_match_generic_path(case):
     assert r_components(space, union, R) == r_components(plain, union, R)
 
 
+def closure(pts, links):
+    """The classes of pts under the transitive closure of the index pairs links."""
+    uf = UnionFind(len(pts))
+    for i, j in links:
+        uf.union(i, j)
+    classes = {}
+    for i, p in enumerate(pts):
+        classes.setdefault(uf.find(i), set()).add(p)
+    return {frozenset(c) for c in classes.values()}
+
+
 @given(window_and_family())
 @settings(max_examples=300, deadline=None)
-def test_separated_and_pairs_within_match_definition(case):
+def test_separated_and_links_match_definition(case):
     window, sets, R = case
     plain = without_index(window.space)
     near = within(plain, R)
@@ -158,10 +171,56 @@ def test_separated_and_pairs_within_match_definition(case):
     assert window.space.index.separated(sets, R) == (not any(
         near(p, q) for a, b in itertools.combinations(sets, 2) for p in a for q in b))
     pts = sorted(set().union(*sets), key=repr)
-    got = window.space.index.pairs_within(pts, R)
-    assert len(got) == len(set(got))
-    assert sorted(got) == [(i, j) for i, j in itertools.combinations(range(len(pts)), 2)
-                           if near(pts[i], pts[j])]
+    links = list(window.space.index.links(pts, R))
+    assert all(fp_distance(window.base, pts[i], pts[j]) <= R for i, j in links)
+    assert closure(pts, links) == set(r_components(plain, pts, R))
+
+
+@st.composite
+def non_metric_windows(draw):
+    """Windows over pointed bases that may break the triangle inequality: the
+    base (x0, a, b) with d(a, b) = 50 against norms 1, and random symmetric
+    distances on 2 to 4 points."""
+    if draw(st.booleans()):
+        base = matrix_space(["x0", "a", "b"], [[0, 1, 1], [1, 0, 50], [1, 50, 0]],
+                            basepoint="x0")
+    else:
+        n = draw(st.integers(2, 4))
+        d = [[0] * n for _ in range(n)]
+        for i, j in itertools.combinations(range(n), 2):
+            d[i][j] = d[j][i] = draw(st.sampled_from(WEIGHTS + [9]))
+        base = matrix_space(list(range(n)), d, basepoint=0)
+    return fp_window(base, draw(st.integers(1, 4)), draw(st.sampled_from([3, 5, 12])))
+
+
+@given(non_metric_windows(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_links_close_to_components_without_the_triangle_inequality(window, data):
+    pts = data.draw(st.lists(st.sampled_from(window.words), min_size=1, max_size=30,
+                             unique=True))
+    u, v = data.draw(st.sampled_from(pts)), data.draw(st.sampled_from(pts))
+    R = data.draw(st.sampled_from([0, 1, 2, 3, 49, 50, fp_distance(window.base, u, v)]))
+    plain = without_index(window.space)
+    links = list(window.space.index.links(pts, R))
+    assert all(fp_distance(window.base, pts[i], pts[j]) <= R for i, j in links)
+    assert closure(pts, links) == set(r_components(plain, pts, R))
+    labels = data.draw(st.lists(st.integers(0, 2), min_size=len(pts), max_size=len(pts)))
+    sets = [{p for p, k in zip(pts, labels) if k == i} for i in range(3)]
+    near = within(plain, R)
+    assert window.space.index.separated(sets, R) == (not any(
+        near(p, q) for a, b in itertools.combinations(sets, 2) for p in a for q in b))
+
+
+def test_links_stay_few_as_R_grows():
+    """One link per sibling letter and level and one to the first ancestor
+    bound the links of a word, whatever R is.  On the Z/2 * Z/3 window of
+    order and norm 8 (9 841 words) that is at most 3 sum(len(w)) = 221 436
+    links; the pairs within R = 8 number 1 419 090."""
+    window = fp_window(modular_wedge(), 8, 8)
+    words = list(window.words)
+    bound = 3 * sum(map(len, words))
+    for R in (2, 4, 8):
+        assert len(list(window.space.index.links(words, R))) <= bound
 
 
 @given(windows())
@@ -288,19 +347,27 @@ def test_pipeline_witness_reports_match_with_planted_faults(name, fault):
 
 
 def test_boundary_radii_on_xab():
-    """Pairs exactly R apart count as within R; a pair diverging at a sibling
-    letter is found once; an ancestor pair is found from the lower word."""
+    """Pairs exactly R apart count as within R; siblings link both ways; a
+    word links to its first ancestor in the set and no higher; a branch's
+    nearest word is the first one listed among equally near ones."""
     window = fp_window(xab(), 3, 5)
     index = window.space.index
-    a, b, aa, ab = ("a",), ("b",), ("a", "a"), ("a", "b")
-    assert index.pairs_within([a, b], 2) == [(0, 1)]
-    assert index.pairs_within([a, b], Fraction(3, 2)) == []
-    assert index.pairs_within([(), aa], 2) == [(0, 1)]
-    assert index.pairs_within([ab, b], 4) == [(0, 1)]
-    assert index.pairs_within([ab, b], root_of(15)) == []
-    # the same pair, reached from b by walking down below the sibling a
-    assert index.pairs_within([b, ab], 4) == [(0, 1)]
-    assert index.pairs_within([b, ab], root_of(15)) == []
+
+    def links(pts, R):
+        return sorted(index.links(pts, R))
+
+    a, b, aa, ab, aaa = ("a",), ("b",), ("a", "a"), ("a", "b"), ("a", "a", "a")
+    assert links([a, b], 2) == [(0, 1), (1, 0)]
+    assert links([a, b], Fraction(3, 2)) == []
+    assert links([(), aa], 2) == [(1, 0)]
+    assert links([(), aa], root_of(3)) == []
+    assert links([(), a, aa], 2) == [(1, 0), (2, 1)]
+    assert links([ab, b], 4) == [(0, 1), (1, 0)]
+    assert links([ab, b], root_of(15)) == []
+    assert links([b, ab], 4) == [(0, 1), (1, 0)]
+    assert links([b, ab], root_of(15)) == []
+    # ab and aaa are both 2 below a, so b links to ab, listed first
+    assert links([ab, aaa, b], 4) == [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0)]
     assert index.separated([{a}, {b}], Fraction(3, 2))
     assert not index.separated([{a}, {b}], 2)
     assert not index.separated([{a}, {a, b}], 0)
@@ -321,7 +388,7 @@ def test_index_evaluates_no_word_distance():
     index, words = window.space.index, list(window.words)
     assert index.diameter_sq(words) == 36
     assert index.separated([{()}, {w for w in words if window.norm(w) == 3}], 2)
-    assert len(index.pairs_within(words, 1)) > 0
+    assert len(list(index.links(words, 1))) > 0
     assert len(r_components(window.space, words, 1)) == 1
 
 
