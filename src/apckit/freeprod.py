@@ -45,8 +45,7 @@ class FreeProductWindow:
     metric reads its divergence distance from it.  The words are enumerated
     in :func:`point_key` order, so the window hands its order to the space as
     its rank.  The window's space carries a :class:`WordIndex`, which answers
-    diameters, separation and R-links by walking up the trie from the words
-    involved.
+    diameters and R-links by walking up the trie from the words involved.
     """
 
     def __init__(self, base, max_order, max_norm, *, margin=None):
@@ -129,7 +128,7 @@ class FreeProductWindow:
 
 
 class WordIndex:
-    """Set diameters, R-separation and R-links of a word window.
+    """Set diameters and R-links of a word window.
 
     Two words diverge at their longest common prefix c.  When c is one of
     them their distance is the norm of the other's tail below c; otherwise it
@@ -170,73 +169,55 @@ class WordIndex:
                     best = d
         return sq_value(best)
 
-    def separated(self, sets, R):
-        """True iff every pair of words from two distinct sets is more than R apart.
-
-        A word in two sets fails at once.  Otherwise a pair within R from two
-        sets is joined by a chain of :meth:`links`, and some step of that
-        chain joins two sets, so the sets are separated iff no link does.
-        """
-        if R < 0:
-            return True
-        label = {}
-        for i, s in enumerate(sets):
-            for w in s:
-                if label.setdefault(w, i) != i:
-                    return False
-        words = list(label)
-        return all(label[words[i]] == label[words[j]] for i, j in self.links(words, R))
-
-    def links(self, pts, R):
-        """Index pairs (i, j) of words, each at most R >= 0 apart, whose
-        transitive closure is exactly the R-components of pts.
+    def links(self, label, R):
+        """Label pairs (a, b), a != b, of words each at most R >= 0 apart,
+        whose transitive closure joins every two labels with words within R.
 
         Pass 1 walks up from each word while its tail fits in R and keeps at
-        each node c+x the least tail below it and its word, as near[c][x],
-        stopping at a node that already holds a tail no larger (that walk
-        went on above with tails no larger).  Pass 2 walks up from each word
-        u again: at each ancestor c, u links to near[c][y] for each sibling y
-        of its letter x with tail + d_X(x, y) + that tail <= R, and at its
-        first ancestor in pts it links to it if within R, and stops.
+        each node c+x the least tail below it and its word's label, as
+        near[c][x], stopping at a node that already holds a tail no larger
+        (that walk went on above with tails no larger).  Pass 2 walks up
+        from each word u again: at each ancestor c, u links to near[c][y] for
+        each sibling y of its letter x with tail + d_X(x, y) + that tail <= R,
+        and at its first labelled ancestor it links to it if within R, and
+        stops.  Links between equal labels are skipped.
 
         The closure is exact, by induction on len(u) + len(v) for u and v
         within R with longest common prefix c.  An ancestor a of u at or
         below c only shortens u's tail below c, so d(u, a) and d(a, v) are at
         most d(u, v): a word outside a's subtree is no nearer to u than a is,
         which is why the walk stops at a.  So if u or v has such an ancestor
-        in pts, its walk links to the first, which is the other word or is
+        labelled, its walk links to the first, which is the other word or is
         joined to it.  Otherwise u and v diverge at c, below c+x and c+y, and
-        both walks reach c.  With u* = near[c][x] and v* = near[c][y], the
-        steps u-v*, v*-u* and u*-v are each within R, each tail replaced by
-        one no longer, and pass 2 links them at c, from u, u* and v; the walk
-        of u* reaches c, as a branch's nearest word has no ancestor in pts
-        inside the branch.  Neither step uses the base's triangle inequality.
+        both walks reach c.  With u* and v* the words behind near[c][x] and
+        near[c][y], the steps u-v*, v*-u* and u*-v are each within R, each
+        tail replaced by one no longer, and pass 2 links them at c, from u,
+        u* and v; the walk of u* reaches c, as a branch's nearest word has no
+        labelled ancestor inside the branch.  Neither step uses the base's
+        triangle inequality.
         """
-        if R < 0:
-            return
         norms, ln, ld = self.window._norms, self.window.letter_norm, self.window.letter_dist
         near = {}
-        for i, s in enumerate(pts):
+        for s, a in label.items():
             ns, n = norms[s], s
             while n and (tail := ns - norms[n]) <= R:
                 kids = near.setdefault(n[:-1], {})
                 held = kids.get(n[-1])
                 if held and held[0] <= tail:
                     break
-                kids[n[-1]] = (tail, i)
+                kids[n[-1]] = (tail, a)
                 n = n[:-1]
-        at = {w: i for i, w in enumerate(pts)}
-        for i, s in enumerate(pts):
+        for s, a in label.items():
             ns, n = norms[s], s
             while n and (tail := ns - norms[n]) <= R:
                 c, x = n[:-1], n[-1]
-                for y, (t, j) in near[c].items():
-                    if y != x and tail + ld[x, y] + t <= R:
-                        yield i, j
-                j = at.get(c)
-                if j is not None:
-                    if tail + ln[x] <= R:
-                        yield i, j
+                for y, (t, b) in near[c].items():
+                    if y != x and b != a and tail + ld[x, y] + t <= R:
+                        yield a, b
+                b = label.get(c)
+                if b is not None:
+                    if b != a and tail + ln[x] <= R:
+                        yield a, b
                     break
                 n = c
 

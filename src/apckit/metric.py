@@ -55,15 +55,17 @@ class FiniteMetricSpace:
     exact square of ``dist`` directly; a space that has one promises
     non-negative distances, and :func:`validate_metric` decides on its squares.
 
-    An optional ``index`` answers two set-level questions exactly, faster
-    than all pairs: ``index.diameter_sq(S)`` is the squared diameter of a
-    point list with at least two entries, and ``index.separated(sets, R)`` is
-    true iff every pair of points from two distinct sets is more than R >= 0
-    apart.  :func:`set_diameter_sq` and :func:`family_is_R_disjoint` use it;
-    spaces without one take the generic path, which names every violation.
-    An index may also have ``links(pts, R)``, index pairs (i, j) of a point
-    list, each at most R >= 0 apart, whose transitive closure is exactly its
-    R-components; :func:`r_components` uses it when present.
+    An optional ``index`` answers set-level questions exactly, faster than
+    all pairs: ``index.diameter_sq(S)`` is the squared diameter of a point
+    list with at least two entries, and ``index.links(label, R)``, for a dict
+    ``label`` from points to ints and R >= 0, yields label pairs (a, b),
+    a != b, each from two points at most R apart, whose transitive closure
+    joins every two labels that have points within R of each other.
+    :func:`set_diameter_sq` reads the first; :func:`r_components` reads the
+    links with positions as labels, and :func:`family_is_R_disjoint` with
+    set labels, unless the index has its own ``separated(sets, R)``.
+    Spaces without an index take the generic path, which names every
+    violation.
     ``gaps_sq(sets)``, when present, maps each index pair (i, j), i < j, of a
     list of nonempty point lists to an int no larger than the squared
     distance of any cross pair;
@@ -356,7 +358,7 @@ def family_is_R_disjoint(space, family, R, *, diam_sqs=None):
         if diam_sqs is None:
             for s in sets:
                 space.require(s)
-        if index.separated(sets, R):
+        if _separated(index, sets, R):
             return True, None
     R2 = sq_value(R)
     if diam_sqs is None:
@@ -368,7 +370,7 @@ def family_is_R_disjoint(space, family, R, *, diam_sqs=None):
     for i, j in itertools.combinations(range(len(sets)), 2):
         if dist_sq(reps[i], reps[j]) > (r_up + d_up[i] + d_up[j]) ** 2:
             continue
-        if index is not None and index.separated([sets[i], sets[j]], R):
+        if index is not None and _separated(index, [sets[i], sets[j]], R):
             continue
         small, big = (i, j) if len(sets[i]) <= len(sets[j]) else (j, i)
         rep_b = reps[big]
@@ -382,6 +384,27 @@ def family_is_R_disjoint(space, family, R, *, diam_sqs=None):
                 if not sq > R2:
                     return False, (i, j, p, q, root_of(sq))
     return True, None
+
+
+def _separated(index, sets, R):
+    """True iff every pair of points from two distinct sets is more than R apart.
+
+    A point in two sets fails at once.  Otherwise the closure of the index's
+    links on the set labels joins two sets with points within R, and every
+    link joins two sets, so the sets are separated iff there is no link.  An
+    index with its own ``separated`` answers instead.
+    """
+    if R < 0:
+        return True
+    own = getattr(index, "separated", None)
+    if own is not None:
+        return own(sets, R)
+    label = {}
+    for i, s in enumerate(sets):
+        for p in s:
+            if label.setdefault(p, i) != i:
+                return False
+    return not any(index.links(label, R))  # every pair is a nonempty tuple
 
 
 class UnionFind:
@@ -412,13 +435,12 @@ def r_components(space, S, R):
     pieces come in the order Family.of gives them.
     """
     space.require(S)
-    pts = sorted(S, key=space.rank.__getitem__)
+    pts = sorted(set(S), key=space.rank.__getitem__)
     if R < 0:
         return [frozenset({p}) for p in pts]
     uf = UnionFind(len(pts))
-    links = getattr(space.index, "links", None)
-    if links is not None:
-        for i, j in links(pts, R):
+    if space.index is not None:
+        for i, j in space.index.links({p: i for i, p in enumerate(pts)}, R):
             uf.union(i, j)
     else:
         R2 = sq_value(R)
@@ -436,7 +458,7 @@ def r_components(space, S, R):
 
 
 class LatticeIndex:
-    """Set diameters, R-separation and R-neighbour pairs of a lattice-embedded space.
+    """Set diameters, R-links and R-separation of a lattice-embedded space.
 
     ``coord(p)`` is the integer coordinate tuple of p, and ``blocks`` is a
     tuple of ranges of coordinate positions; the squared distance of two
@@ -451,6 +473,9 @@ class LatticeIndex:
     grids, Z^d Cayley windows) squares the sum of the gaps, blocks all one
     coordinate wide (l2 products of intervals) sum the squared gaps, and
     mixed blocks (a grid times an interval) sum the squared block sums.
+
+    It is the one index with its own ``separated``: comparing bounding boxes
+    first clears most set pairs without listing a link.
     """
 
     def __init__(self, coord, blocks):
@@ -522,7 +547,7 @@ class LatticeIndex:
         return max(dist(p, q) for p, q in itertools.combinations(left, 2))
 
     def separated(self, sets, R):
-        """True iff every pair of points from two distinct sets is more than R apart.
+        """True iff every pair of points from two distinct sets is more than R >= 0 apart.
 
         Boxes sorted by their low first coordinate are scanned forward while
         that coordinate is within floor(R) (coordinates are ints, so no pair
@@ -530,8 +555,6 @@ class LatticeIndex:
         boxes are more than R apart is skipped, and otherwise only the points
         of each set within R of the other's box are compared exactly.
         """
-        if R < 0:
-            return True
         R2 = math.floor(sq_value(R))
         reach = math.isqrt(R2)
         cs = [[self.coord(p) for p in s] for s in sets if s]
@@ -550,8 +573,8 @@ class LatticeIndex:
                         return False
         return True
 
-    def links(self, pts, R):
-        """Every index pair (i, j), i < j, of pts at most R >= 0 apart, once.
+    def links(self, label, R):
+        """Every label pair (a, b), a < b, of two points at most R >= 0 apart.
 
         Points go into cubical cells of side floor(R) + 1, so two points
         within R lie in the same or adjacent cells (Bentley, Stanat and
@@ -559,29 +582,25 @@ class LatticeIndex:
         visited once, from the smaller key.
         """
         if R < 0:
-            return []
+            return
         R2 = math.floor(sq_value(R))
         side = math.isqrt(R2) + 1
         cells = {}
-        for i, p in enumerate(pts):
+        for p, a in label.items():
             c = self.coord(p)
-            cells.setdefault(tuple(x // side for x in c), []).append((i, c))
+            cells.setdefault(tuple(x // side for x in c), []).append((a, c))
         zero = (0,) * self.dim
         steps = [o for o in itertools.product((-1, 0, 1), repeat=self.dim) if o > zero]
         dist = self._dist_sq
-        out = []
         for key, members in cells.items():
-            for (i, a), (j, b) in itertools.combinations(members, 2):
-                if dist(a, b) <= R2:
-                    out.append((i, j))
+            for (a, c), (b, e) in itertools.combinations(members, 2):
+                if a != b and dist(c, e) <= R2:
+                    yield (a, b) if a < b else (b, a)
             for k in (tuple(map(operator.add, key, o)) for o in steps):
-                if k not in cells:
-                    continue
-                for i, a in members:
-                    for j, b in cells[k]:
-                        if dist(a, b) <= R2:
-                            out.append((i, j) if i < j else (j, i))
-        return out
+                if k in cells:
+                    for (a, c), (b, e) in itertools.product(members, cells[k]):
+                        if a != b and dist(c, e) <= R2:
+                            yield (a, b) if a < b else (b, a)
 
 
 def _l1_norm_sq(gaps):

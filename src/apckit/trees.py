@@ -5,6 +5,10 @@ r-components of each annulus, even annuli into one family and odd into the
 other.  Same-parity annuli are separated by more than r in depth alone, and
 a component sits inside the subtree of a single "anchor" vertex just above
 its annulus, which pins its diameter below 3r - 2 for integer r.
+
+A tree's metric space carries a :class:`TreeIndex`: diameters come from two
+farthest-point sweeps and R-links from one breadth-first search from every
+point at once, so separation and R-components take linear time too.
 """
 
 from __future__ import annotations
@@ -129,7 +133,7 @@ class RootedTree:
 
 
 class TreeIndex:
-    """Set diameters and R-separation of a tree's metric space in linear time."""
+    """Set diameters and R-links of a tree's metric space in linear time."""
 
     def __init__(self, tree):
         self.tree = tree
@@ -138,46 +142,40 @@ class TreeIndex:
         d = set_tree_diameter(self.tree, S)
         return d * d
 
-    def separated(self, sets, R):
-        """True iff every pair of points from two distinct sets is more than R apart.
+    def links(self, label, R):
+        """Label pairs (a, b), a != b, each of two vertices at most R >= 0
+        apart, whose closure joins every two labels with vertices within R.
 
-        A breadth-first search from all sets at once keeps, per vertex, the
-        nearest set label and the nearest other one.  A vertex at d1 and d2
-        from two sets has a cross pair within d1 + d2; a cross pair (p, q)
-        shows at p itself, with d1 = 0 and d2 <= d(p, q).  Tree distances are
-        integers, so a pair is within R iff it is within floor(R), which
-        bounds the search depth.
+        A breadth-first search from every labelled vertex at once (a graph
+        Voronoi diagram, cut off at depth floor(R), as tree distances are
+        integers): each vertex is held by the first point to reach it, at its
+        depth, and is expanded once.  A front of label a at depth d that
+        meets a vertex held for b at depth e with d + e <= floor(R) yields
+        (a, b).  On a path of length k <= R between two labelled points,
+        every vertex is held, and any two adjacent ones held for different
+        labels, at depths d and e, have d + 1 + e <= k; the shallower one
+        meets the other already held when it expands, so the labels along
+        the path are chained and the closure is exact.
         """
         if R < 0:
-            return True
+            return
         reach = math.isqrt(math.floor(sq_value(R)))
         adj = self.tree.adj
-        nearest = {}  # vertex -> (label, distance) of its nearest set
-        second = set()  # vertices that also hold their nearest other label
-        frontier = []
-        for label, s in enumerate(sets):
-            for v in s:
-                if v in nearest:
-                    return False  # v lies in two sets
-                nearest[v] = (label, 0)
-                frontier.append((v, label))
+        held = {v: (a, 0) for v, a in label.items()}
+        frontier = list(label.items())
         d = 0
         while frontier and d < reach:
             d += 1
             nxt = []
-            for v, label in frontier:
+            for v, a in frontier:
                 for w in adj[v]:
-                    got = nearest.get(w)
+                    got = held.get(w)
                     if got is None:
-                        nearest[w] = (label, d)
-                        nxt.append((w, label))
-                    elif got[0] != label and w not in second:
-                        if got[1] + d <= reach:
-                            return False
-                        second.add(w)
-                        nxt.append((w, label))
+                        held[w] = (a, d)
+                        nxt.append((w, a))
+                    elif got[0] != a and got[1] + d <= reach:
+                        yield a, got[0]
             frontier = nxt
-        return True
 
 
 def tree_from_edges(root, edges):

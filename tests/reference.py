@@ -6,7 +6,9 @@ map for trees.  None of them is on a library path; the library answers the
 same questions through its windows, indexes and combinators, and the tests
 compare the two.  :func:`without_index` gives the index-free copy of a space
 that the index tests compare against, and :func:`without_squares` the copy
-that the metric validator checks without squared distances.  :func:`check_witness` decides a cover
+that the metric validator checks without squared distances, and
+:func:`closure` the classes an index's R-links join, which must be the
+generic path's R-components.  :func:`check_witness` decides a cover
 witness from an explicit distance table, with every pair and no index.
 :func:`matrix_search` is the exact solver's search on boolean R and B matrices,
 re-checking every pair of a merged component.  :func:`dijkstra_norms` is the
@@ -53,8 +55,8 @@ from apckit.covers import witness_from_families
 from apckit.exact import Rational, Root, root_of, scalar, sq_value
 from apckit.freeprod import (FreeProductWindow, build_v_families, component_core, cone_radius,
                              cone_window, is_flat)
-from apckit.metric import (ConstructionError, Family, FiniteMetricSpace, InputError, point_key,
-                           r_components, set_diameter, sorted_points)
+from apckit.metric import (ConstructionError, Family, FiniteMetricSpace, InputError, UnionFind,
+                           point_key, r_components, set_diameter, sorted_points)
 from apckit.trees import RootedTree, tree_cover
 
 INF = math.inf
@@ -295,6 +297,17 @@ def without_index(space):
     set-level question about it takes the generic all-pairs path."""
     return FiniteMetricSpace(space.points, space._dist, dist_sq=space.dist_sq,
                              basepoint=space.basepoint, name="plain")
+
+
+def closure(pts, links):
+    """The classes of pts under the transitive closure of the index pairs links."""
+    uf = UnionFind(len(pts))
+    for i, j in links:
+        uf.union(i, j)
+    classes = {}
+    for i, p in enumerate(pts):
+        classes.setdefault(uf.find(i), set()).add(p)
+    return {frozenset(c) for c in classes.values()}
 
 
 def randrange_pairs(n, budget, seed):

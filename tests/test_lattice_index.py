@@ -27,6 +27,7 @@ from apckit.metric import (
     FiniteMetricSpace,
     InputError,
     LatticeIndex,
+    _separated,
     cycle_space,
     family_is_R_disjoint,
     grid_window,
@@ -155,12 +156,12 @@ def test_separated_and_links_match_definition(case):
     plain = without_index(space)
     sets = [frozenset(s) for s in sets]
     within = (lambda p, q: False) if R < 0 else (lambda p, q: plain.dist_sq(p, q) <= sq_value(R))
-    assert space.index.separated(sets, R) == (not any(
+    assert _separated(space.index, sets, R) == (not any(
         within(p, q) for a, b in itertools.combinations(sets, 2) for p in a for q in b))
     pts = sorted(set().union(*sets), key=repr)
     want = [(i, j) for i, j in itertools.combinations(range(len(pts)), 2)
             if within(pts[i], pts[j])]
-    assert sorted(space.index.links(pts, R)) == want
+    assert sorted(space.index.links(dict(zip(pts, range(len(pts)))), R)) == want
 
 
 @given(spaces(), st.sampled_from([0, 1, 2, 3, 10**400]))

@@ -620,6 +620,19 @@ class TestComponents:
         comps = r_components(space, {0, 2, 4}, 0)
         assert all(len(c) == 1 for c in comps)
 
+    def test_repeated_point_makes_one_piece(self):
+        """A point listed twice is one point, on every index and on none."""
+        xab = matrix_space(["x0", "a", "b"], [[0, 1, 2], [1, 0, 2], [2, 2, 0]],
+                           basepoint="x0")
+        words = fp_window(xab, 2, 4).space
+        cases = [(words, ("a",)), (without_index(words), ("a",)),
+                 (random_tree(6).as_space(), 3), (grid_window([3, 3]), (1, 2)),
+                 (without_index(interval_window(0, 4)), 2)]
+        for (space, p), R in itertools.product(cases, [-1, 0, 1, 5]):
+            q = space.points[0]
+            assert r_components(space, [p, p], R) == [frozenset({p})]
+            assert r_components(space, [p, q, p], R) == r_components(space, {p, q}, R)
+
     def test_matches_brute_closure_and_pieces_disjoint(self):
         rng = random.Random(7)
         for _ in range(20):

@@ -9,7 +9,9 @@ with planted faults.
 """
 
 import itertools
+import math
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -18,9 +20,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apckit.covers import ScaleSequence, WitnessEntry, CoverWitness, verify_apc_witness
-from apckit.metric import Family, InputError, family_is_R_disjoint, set_diameter_sq
+from apckit.exact import root_of
+from apckit.metric import (Family, InputError, _separated, family_is_R_disjoint, r_components,
+                           set_diameter_sq)
 from apckit.trees import RootedTree, tree_cover
-from reference import random_tree, tree_depths, without_index
+from reference import closure, random_tree, tree_depths, without_index
 
 SHAPES = ("attach", "path", "star", "caterpillar")
 RADII = [-1, Fraction(-1, 2), 0, Fraction(1, 2), 1, Fraction(3, 2), 2, 3, Fraction(7, 2), 5, 100]
@@ -77,7 +81,57 @@ def test_family_disjointness_and_diameters_match_generic_path(case):
 def test_separated_matches_definition(case):
     tree, sets, R = case
     sets = [frozenset(s) for s in sets]
-    assert tree.as_space().index.separated(sets, R) == separated_by_definition(tree, sets, R)
+    assert _separated(tree.as_space().index, sets, R) == separated_by_definition(tree, sets, R)
+
+
+LINK_RADII = [0, Fraction(1, 2), 1, Fraction(3, 2), 2, root_of(5), 4, 7]
+
+
+@st.composite
+def tree_labels_and_radius(draw):
+    """A tree, int labels on some of its vertices, and R >= 0, with a
+    planted pair of two new labels floor(R) apart when the tree has one."""
+    tree = draw(trees())
+    vs = list(tree.vertices)
+    marks = draw(st.lists(st.integers(-1, 3), min_size=len(vs), max_size=len(vs)))
+    label = {v: a for v, a in zip(vs, marks) if a >= 0}
+    R = draw(st.sampled_from(LINK_RADII))
+    u = draw(st.sampled_from(vs))
+    far = [v for v in vs if tree.distance(u, v) == math.floor(R)]
+    if far and u not in far:
+        label[u], label[draw(st.sampled_from(far))] = 4, 5
+    return tree, label, R
+
+
+@given(tree_labels_and_radius())
+@settings(max_examples=400, deadline=None)
+def test_links_are_within_R_and_close_to_components(case):
+    tree, label, R = case
+    space = tree.as_space()
+    members = {}
+    for v, a in label.items():
+        members.setdefault(a, []).append(v)
+    assert all(a != b and any(tree.distance(p, q) <= R for p in members[a] for q in members[b])
+               for a, b in space.index.links(label, R))
+    pts = sorted(label, key=space.rank.__getitem__)
+    links = list(space.index.links(dict(zip(pts, range(len(pts)))), R))
+    assert all(i != j and tree.distance(pts[i], pts[j]) <= R for i, j in links)
+    assert closure(pts, links) == set(r_components(without_index(space), pts, R))
+    sets = list(members.values())
+    assert _separated(space.index, sets, R) == separated_by_definition(tree, sets, R)
+
+
+def test_components_of_a_large_tree_take_linear_time():
+    """Vertices at depths divisible by 3 are within 2 only of their siblings."""
+    tree = random_tree(20_000, random.Random(5))
+    S = [v for v in tree.vertices if tree.depth[v] % 3 == 0]
+    start = time.perf_counter()
+    pieces = r_components(tree.as_space(), S, 2)
+    assert time.perf_counter() - start < 2
+    siblings = {}
+    for v in S:
+        siblings.setdefault(tree.parent[v], set()).add(v)
+    assert set(pieces) == set(map(frozenset, siblings.values()))
 
 
 @st.composite

@@ -25,14 +25,14 @@ from apckit.freeprod import WordIndex, fp_window, free_product_cover, wedge_spac
 from apckit.groups import TableModel, ZdModel, cayley_ball
 from apckit.metric import (
     Family,
-    UnionFind,
+    _separated,
     family_is_R_disjoint,
     interval_window,
     matrix_space,
     r_components,
     set_diameter_sq,
 )
-from reference import fp_distance, without_index
+from reference import closure, fp_distance, without_index
 
 
 def xab():
@@ -150,17 +150,6 @@ def test_set_level_results_match_generic_path(case):
     assert r_components(space, union, R) == r_components(plain, union, R)
 
 
-def closure(pts, links):
-    """The classes of pts under the transitive closure of the index pairs links."""
-    uf = UnionFind(len(pts))
-    for i, j in links:
-        uf.union(i, j)
-    classes = {}
-    for i, p in enumerate(pts):
-        classes.setdefault(uf.find(i), set()).add(p)
-    return {frozenset(c) for c in classes.values()}
-
-
 @given(window_and_family())
 @settings(max_examples=300, deadline=None)
 def test_separated_and_links_match_definition(case):
@@ -168,10 +157,10 @@ def test_separated_and_links_match_definition(case):
     plain = without_index(window.space)
     near = within(plain, R)
     sets = [frozenset(s) for s in sets]
-    assert window.space.index.separated(sets, R) == (not any(
+    assert _separated(window.space.index, sets, R) == (not any(
         near(p, q) for a, b in itertools.combinations(sets, 2) for p in a for q in b))
     pts = sorted(set().union(*sets), key=repr)
-    links = list(window.space.index.links(pts, R))
+    links = list(window.space.index.links(dict(zip(pts, range(len(pts)))), R))
     assert all(fp_distance(window.base, pts[i], pts[j]) <= R for i, j in links)
     assert closure(pts, links) == set(r_components(plain, pts, R))
 
@@ -201,13 +190,13 @@ def test_links_close_to_components_without_the_triangle_inequality(window, data)
     u, v = data.draw(st.sampled_from(pts)), data.draw(st.sampled_from(pts))
     R = data.draw(st.sampled_from([0, 1, 2, 3, 49, 50, fp_distance(window.base, u, v)]))
     plain = without_index(window.space)
-    links = list(window.space.index.links(pts, R))
+    links = list(window.space.index.links(dict(zip(pts, range(len(pts)))), R))
     assert all(fp_distance(window.base, pts[i], pts[j]) <= R for i, j in links)
     assert closure(pts, links) == set(r_components(plain, pts, R))
     labels = data.draw(st.lists(st.integers(0, 2), min_size=len(pts), max_size=len(pts)))
     sets = [{p for p, k in zip(pts, labels) if k == i} for i in range(3)]
     near = within(plain, R)
-    assert window.space.index.separated(sets, R) == (not any(
+    assert _separated(window.space.index, sets, R) == (not any(
         near(p, q) for a, b in itertools.combinations(sets, 2) for p in a for q in b))
 
 
@@ -219,8 +208,9 @@ def test_links_stay_few_as_R_grows():
     window = fp_window(modular_wedge(), 8, 8)
     words = list(window.words)
     bound = 3 * sum(map(len, words))
+    label = dict(zip(words, range(len(words))))
     for R in (2, 4, 8):
-        assert len(list(window.space.index.links(words, R))) <= bound
+        assert len(list(window.space.index.links(label, R))) <= bound
 
 
 @given(windows())
@@ -354,7 +344,7 @@ def test_boundary_radii_on_xab():
     index = window.space.index
 
     def links(pts, R):
-        return sorted(index.links(pts, R))
+        return sorted(index.links(dict(zip(pts, range(len(pts)))), R))
 
     a, b, aa, ab, aaa = ("a",), ("b",), ("a", "a"), ("a", "b"), ("a", "a", "a")
     assert links([a, b], 2) == [(0, 1), (1, 0)]
@@ -368,11 +358,11 @@ def test_boundary_radii_on_xab():
     assert links([b, ab], root_of(15)) == []
     # ab and aaa are both 2 below a, so b links to ab, listed first
     assert links([ab, aaa, b], 4) == [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0)]
-    assert index.separated([{a}, {b}], Fraction(3, 2))
-    assert not index.separated([{a}, {b}], 2)
-    assert not index.separated([{a}, {a, b}], 0)
-    assert not index.separated([{()}, {aa}], 2)
-    assert index.separated([{()}, {aa}], root_of(3))
+    assert _separated(index, [{a}, {b}], Fraction(3, 2))
+    assert not _separated(index, [{a}, {b}], 2)
+    assert not _separated(index, [{a}, {a, b}], 0)
+    assert not _separated(index, [{()}, {aa}], 2)
+    assert _separated(index, [{()}, {aa}], root_of(3))
     assert index.diameter_sq([(), aa]) == 4
     assert index.diameter_sq([aa, ab, b]) == 16
     assert index.diameter_sq([a, aa]) == 1
@@ -387,8 +377,8 @@ def test_index_evaluates_no_word_distance():
     window.space._dist = refuse
     index, words = window.space.index, list(window.words)
     assert index.diameter_sq(words) == 36
-    assert index.separated([{()}, {w for w in words if window.norm(w) == 3}], 2)
-    assert len(list(index.links(words, 1))) > 0
+    assert _separated(index, [{()}, {w for w in words if window.norm(w) == 3}], 2)
+    assert len(list(index.links(dict(zip(words, range(len(words)))), 1))) > 0
     assert len(r_components(window.space, words, 1)) == 1
 
 
