@@ -19,7 +19,6 @@ from .metric import (
     InputError,
     _sample_pairs,
     family_is_R_disjoint,
-    set_diameter,
     sorted_points,
 )
 from .covers import (
@@ -27,6 +26,8 @@ from .covers import (
     CoverWitness,
     MappedStream,
     WitnessEntry,
+    verify_apc_witness,
+    witness_from_families,
 )
 
 
@@ -167,36 +168,32 @@ def _assemble(counting, slots, n_slots, meta):
     return CoverWitness(entries, {**meta, "scales_consumed": counting.max_index})
 
 
-def _cover_parts(space, parts, cover, k, bound, scale_of, where, exempt=frozenset()):
+def _cover_parts(space, parts, cover, k, bound, stream, where, exempt=frozenset()):
     """The k merged set lists of cover(P) over the parts P, each checked first.
 
-    cover(P) must give k families of subsets of P, the j-th
-    scale_of(j)-disjoint, every set of diameter at most bound, jointly
-    covering P minus exempt.  fibering_cover's parts are a column's fibers,
-    decompose's the members of a family.
+    cover(P) must give k families of subsets of P which, at mesh bound
+    bound, verify against stream as a witness of P minus exempt: the j-th
+    family disjoint at stream.at(j).  fibering_cover's parts are a column's
+    fibers, decompose's the members of a family.  The first violation
+    raises, naming the part and the subfamily.
     """
     merged = [[] for _ in range(k)]
     for P in parts:
         fams = cover(P)
         if len(fams) != k:
             raise ConstructionError(f"{where} returned {len(fams)} families, need {k}")
-        covered = set()
         for j, fam in enumerate(fams, start=1):
-            for s in fam.sets:
-                if not s <= P:
-                    raise ConstructionError(f"{where}: a set of subfamily {j} leaves its container")
-                covered |= s
-                if set_diameter(space, s) > bound:
-                    raise ConstructionError(
-                        f"{where}: subfamily {j} exceeds the mesh bound {bound}")
-            R = scale_of(j)
-            ok, bad = family_is_R_disjoint(space, fam, R)
-            if not ok:
-                raise ConstructionError(f"{where}: subfamily {j} is not {R}-disjoint: {bad}")
-        if not covered >= P - exempt:
-            raise ConstructionError(
-                f"{where} misses {len(P - exempt - covered)} points of its container"
-            )
+            if not all(s <= P for s in fam.sets):
+                raise ConstructionError(f"{where}: a set of subfamily {j} leaves its container")
+        witness = witness_from_families(fams, stream, [bound] * k)
+        report = verify_apc_witness(space, stream, witness, require_cover_of=P - exempt)
+        if not report.ok:
+            v = report.violations[0]
+            if v.condition == "coverage":
+                raise ConstructionError(f"{where} misses points of its container: {v.detail}")
+            what = ("exceeds the mesh bound" if v.condition == "mesh"
+                    else f"is not {witness.entries[v.entry - 1].required_scale}-disjoint")
+            raise ConstructionError(f"{where}: subfamily {v.entry} {what}: {v.detail}")
         for bucket, fam in zip(merged, fams):
             bucket.extend(fam.sets)
     return merged
@@ -364,7 +361,7 @@ def fibering_cover(umap, oracleY, scheme_factory, scales, *, rho_budget=200_000)
         targets = entryY.family.sets
         fibers = (frozenset(p for y in V for p in preimage.get(y, ())) for V in targets)
         merged = _cover_parts(X, (A for A in fibers if A), cover, scheme.family_count, B_i,
-                              column_stream(counting, i).at, f"fiber scheme (column {i})")
+                              column_stream(counting, i), f"fiber scheme (column {i})")
         n_fibers = sum(not preimage.keys().isdisjoint(V) for V in targets)
         audit.append({"column": i, "M": M_i, "B": B_i, "fibers": n_fibers})
         for j, sets in enumerate(merged, start=1):
@@ -421,7 +418,8 @@ def decompose(space, k, families, subcover, scales, *, allow_uncovered=frozenset
         if fam.sets:
             R_i = counting.at(i * k)
             B_i, cover = subcover(i, R_i)
-            merged = _cover_parts(space, fam.sets, cover, k, B_i, lambda j: R_i,
+            merged = _cover_parts(space, fam.sets, cover, k, B_i,
+                                  MappedStream(counting, lambda j, t=i * k: t),
                                   f"subcover of a member of family {i}", allow_uncovered)
         b_values.append(B_i)
         for j, sets in enumerate(merged, start=1):

@@ -20,13 +20,13 @@ from .metric import (
     Family,
     FiniteMetricSpace,
     InputError,
-    family_is_R_disjoint,
     point_key,
     r_components,
     set_diameter,
     sorted_points,
 )
-from .covers import CountingStream, CoverWitness, MappedStream
+from .covers import (CountingStream, CoverWitness, MappedStream, verify_apc_witness,
+                     witness_from_families)
 from .combinators import decompose
 
 EPSILON = ()
@@ -313,7 +313,6 @@ class CoreReport:
 
     core: frozenset
     flat: bool
-    radius: object  # exact scalar
     artifacts: list  # boundary words where a check failed, norm beyond margin
     hard_failures: list  # failures among margin-reduced words
     core_diameter: object  # exact scalar; None when the core is not flat
@@ -363,7 +362,7 @@ def component_core(window, C, M, R, D, *, margin=0):
         else:
             hard = sorted_points(C)
     diameter = set_diameter(window.space, core) if flat else None
-    return CoreReport(core, flat, radius, artifacts, hard, diameter)
+    return CoreReport(core, flat, artifacts, hard, diameter)
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +403,8 @@ def build_v_families(oracle_for_x, scales, window):
     under its prefix by its last letter, so one pass over the words ending in
     a heavy letter fills every member.  The certificate assigns every window
     word to the first base set, in witness order, holding its last heavy
-    letter, and re-checks disjointness, flatness, and boundedness of every
-    family.
+    letter; its problems are the verifier's violations of the families as a
+    witness (no coverage asked) and every member that is not flat.
     """
     if oracle_for_x.space.point_set != window.base.point_set:
         raise InputError("oracle is not over the window's base space")
@@ -431,7 +430,6 @@ def build_v_families(oracle_for_x, scales, window):
     bounds = [entry.mesh_bound for entry in witness.entries] + [0]
 
     assignments = []
-    problems = []
     for w in window.words:
         heavy_pos = [k for k, c in enumerate(w) if c in heavy]
         if not heavy_pos:
@@ -441,17 +439,14 @@ def build_v_families(oracle_for_x, scales, window):
         i, si = holders[w[mpos]][0]
         assignments.append(CoverageAssignment(w, i + 1, members[i][(w[:mpos], si)], mpos))
 
-    # family-level checks: disjointness at the family scale (R* for the
-    # trivial family n + 1), flat bounded members
+    # disjointness at the family scale (R* for the trivial family n + 1)
+    report = verify_apc_witness(window.space, scales,
+                                witness_from_families(families, scales, bounds),
+                                require_cover_of=())
+    problems = [(f"V{v.entry}", v.detail) for v in report.violations]
     for i, fam in enumerate(families, start=1):
-        ok, bad = family_is_R_disjoint(window.space, fam, scales.at(i))
-        if not ok:
-            problems.append((f"V{i}", f"not {scales.at(i)}-disjoint: {bad}"))
-        for member in fam.sets:
-            if not is_flat(member):
-                problems.append((f"V{i}", f"member not flat: {sorted_points(member)[:3]}"))
-            if set_diameter(window.space, member) > bounds[i - 1]:
-                problems.append((f"V{i}", "member exceeds the diameter bound"))
+        problems += [(f"V{i}", f"member not flat: {sorted_points(member)[:3]}")
+                     for member in fam.sets if not is_flat(member)]
 
     cert = CoverageCertificate(R_star, assignments, not problems, problems)
     return VFamilies(families, bounds, R_star, cert)

@@ -136,6 +136,7 @@ def space_from_obj(obj):
     _check_fields(metric, ["kind"], ["rows", "spec"], "space metric")
     basepoint = decode_point(obj["basepoint"]) if "basepoint" in obj else None
     if metric["kind"] == "matrix":
+        _check_fields(metric, ["kind"], ["rows"], "space metric")
         if "points" not in obj:
             raise InputError("matrix space file needs points")
         pts = [decode_point(p) for p in _list(obj["points"], "space points")]
@@ -143,6 +144,7 @@ def space_from_obj(obj):
                 for row in _list(metric.get("rows", []), "matrix rows")]
         return matrix_space(pts, rows, basepoint=basepoint)
     if metric["kind"] == "generator":
+        _check_fields(metric, ["kind"], ["spec"], "space metric")
         space = generate_space(metric.get("spec"))
         if "points" in obj:
             declared = {decode_point(p) for p in _list(obj["points"], "space points")}

@@ -771,40 +771,42 @@ def hypercube_collapse(max_dim):
     return space, target, fmap
 
 
-GENERATOR_KINDS = ("interval", "grid", "path", "cycle", "star", "hypercube_union")
+GENERATOR_FIELDS = {"interval": ("lo", "hi"), "grid": ("shape",), "path": ("n",),
+                    "cycle": ("n",), "star": ("leaves",), "hypercube_union": ("max_dim",)}
 
 
 def generate_space(spec):
-    """Build a space from a generator spec dict (see the space file format)."""
+    """Build a space from a generator spec dict (see the space file format).
+
+    The spec holds its kind and exactly that kind's fields; each integer is
+    read by :func:`~apckit.exact.scalar` and must be integral."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise InputError(f"generator spec must be a dict with a 'kind': {spec!r}")
     kind = spec["kind"]
+    if not isinstance(kind, str) or kind not in GENERATOR_FIELDS:
+        raise InputError(f"unknown generator kind: {kind!r} (known: {tuple(GENERATOR_FIELDS)})")
+    fields = GENERATOR_FIELDS[kind]
+    if set(spec) != {"kind", *fields}:
+        raise InputError(f"generator spec {kind!r} takes the fields {list(fields)}, "
+                         f"not {sorted(set(spec) - {'kind'})}")
 
     def integer(v):
         try:
-            return int(v)
-        except (TypeError, ValueError, OverflowError):
-            raise InputError(f"generator spec {kind!r}: {v!r} is not an integer") from None
+            n = scalar(v)
+        except (TypeError, ValueError, ZeroDivisionError):
+            n = None
+        if not isinstance(n, int):
+            raise InputError(f"generator spec {kind!r}: {v!r} is not an integer")
+        return n
 
-    try:
-        if kind == "interval":
-            return interval_window(integer(spec["lo"]), integer(spec["hi"]))
-        if kind == "grid":
-            shape = spec["shape"]
-            if not isinstance(shape, (list, tuple)):
-                raise InputError(f"generator spec 'grid': shape {shape!r} is not a list")
-            return grid_window([integer(s) for s in shape])
-        if kind == "path":
-            return path_space(integer(spec["n"]))
-        if kind == "cycle":
-            return cycle_space(integer(spec["n"]))
-        if kind == "star":
-            return star_space(integer(spec["leaves"]))
-        if kind == "hypercube_union":
-            return hypercube_union(integer(spec["max_dim"]))
-    except KeyError as e:
-        raise InputError(f"generator spec {kind!r} is missing field {e}") from None
-    raise InputError(f"unknown generator kind: {kind!r} (known: {GENERATOR_KINDS})")
+    if kind == "grid":
+        shape = spec["shape"]
+        if not isinstance(shape, (list, tuple)):
+            raise InputError(f"generator spec 'grid': shape {shape!r} is not a list")
+        return grid_window([integer(s) for s in shape])
+    build = {"interval": interval_window, "path": path_space, "cycle": cycle_space,
+             "star": star_space, "hypercube_union": hypercube_union}[kind]
+    return build(*(integer(spec[f]) for f in fields))
 
 
 def matrix_space(ids, rows, *, basepoint=None, name="matrix"):

@@ -272,7 +272,7 @@ class FreeProductHypothesis:
             if not report.flat:
                 # whole component is a boundary artifact; emit nothing for it
                 return [Family.of([]), Family.of([])]
-            tree = cone_tree(self.window, report.core, report.radius)
+            tree = cone_tree(self.window, report.core, radius)
             if tree.D > core_cap:
                 inner_bound = self.window.max_norm - self.margin
                 if not any(self.window.norm(w) > inner_bound for w in U):

@@ -448,6 +448,33 @@ class TestProviderCheck:
             decompose(space, 2, *_pair_members(space, "coverage"), scales(1),
                       allow_uncovered={1, 3, 5})
 
+    def test_decompose_checks_each_subfamily_at_R_ik(self):
+        # k = 2 on scales (1, 3): family 1's subfamilies must be disjoint at
+        # R_2 = 3; the subcover splits {0, 2} into two sets 2 apart, which
+        # are 1-disjoint (the first scale) but not 3-disjoint
+        space = path_space(3)
+        families = [Family.of([{0, 2}]), Family.of([{1}])]
+        subcover = lambda i, R: (0, lambda U: [Family.of([{p} for p in U]), Family.of([])])
+        with pytest.raises(ConstructionError, match="subfamily 1 is not 3-disjoint"):
+            decompose(space, 2, families, subcover, scales(1, 3))
+
+    def test_fibering_checks_subfamily_j_at_its_column_scale(self):
+        # identity on a path of 6 over scales (1, 3): column 1 reads slots 1
+        # and 2, at scales 1 and 3, and the target oracle's fibers are blocks
+        # of three; subfamily 2 holds a block's ends, 2 apart, so it is
+        # disjoint at the column's first scale but not at its second
+        Y = path_space(6)
+        m = UniformlyExpansiveMap(Y, Y, lambda p: p, identity_rho)
+
+        def ends_apart(A):
+            lo = min(A)
+            return [Family.of([{p} for p in A if (p - lo) % 2]),
+                    Family.of([{p} for p in A if (p - lo) % 2 == 0])]
+
+        scheme = lambda stream: FiberCoverScheme(2, lambda M: (0, ends_apart))
+        with pytest.raises(ConstructionError, match=r"column 1\): subfamily 2 is not 3-disjoint"):
+            fibering_cover(m, interval_oracle(Y), scheme, scales(1, 3))
+
 
 class TestGridOracleEquivalence:
     def test_grid_oracle_is_product_of_intervals(self):

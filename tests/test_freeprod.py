@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from apckit import io as fio
 from apckit.cli import main as cli_main
-from apckit.covers import ApcOracle, ScaleSequence, verify_apc_witness, witness_from_families
+from apckit.covers import (ApcOracle, ScaleSequence, interval_oracle, verify_apc_witness,
+                           witness_from_families)
 from apckit.metric import (
     Family,
     FiniteMetricSpace,
@@ -25,6 +26,7 @@ from apckit.freeprod import (
     EPSILON,
     build_v_families,
     component_core,
+    cone_radius,
     cone_window,
     fp_window,
     free_product_cover,
@@ -644,11 +646,16 @@ def _sha(parts):
 def cover_digest(base_name, oracle_name):
     """Canonical witness, sorted meta, margin, reduced words and artifacts of
     free_product_cover over every pinned window and stream."""
+    return cases_cover_digest(_pin_cases(base_name, oracle_name))
+
+
+def cases_cover_digest(cases):
+    """cover_digest over the cases (base, oracle factory, (m, L), stream)."""
     from apckit.io import canonical_dumps, witness_to_obj
     from apckit.metric import ConstructionError, sorted_points
 
     parts = []
-    for X, oracle, (m, L), s in _pin_cases(base_name, oracle_name):
+    for X, oracle, (m, L), s in cases:
         try:
             res = free_product_cover(oracle(X), s, fp_window(X, m, L))
         except (ConstructionError, InputError) as e:
@@ -663,10 +670,15 @@ def cover_digest(base_name, oracle_name):
 def v_families_digest(base_name, oracle_name):
     """Families, bounds, R* and the whole coverage certificate of
     build_v_families over every pinned window and stream."""
+    return cases_v_families_digest(_pin_cases(base_name, oracle_name))
+
+
+def cases_v_families_digest(cases):
+    """v_families_digest over the cases (base, oracle factory, (m, L), stream)."""
     from apckit.metric import sorted_points
 
     parts = []
-    for X, oracle, (m, L), s in _pin_cases(base_name, oracle_name):
+    for X, oracle, (m, L), s in cases:
         vf = build_v_families(oracle(X), s, fp_window(X, m, L))
         cert = vf.certificate
         parts.append(repr([[sorted_points(u) for u in fam.sets] for fam in vf.families]))
@@ -713,6 +725,38 @@ class TestFreeProductPins:
     @pytest.mark.parametrize("base_name, oracle_name", PIN_KEYS)
     def test_v_families(self, base_name, oracle_name):
         assert v_families_digest(base_name, oracle_name) == V_FAMILY_PINS[base_name, oracle_name]
+
+
+# interval_oracle on [0, 5] at R* = 2: letters 3, 4 and 5 are heavy, the
+# V-family bounds are [1, 1, 0] and V-family 1 has a member of diameter 1,
+# so the V-family mesh check is tight; the cover has 31 words, 25 reduced
+POSITIVE_MESH_CASE = [(interval_window(0, 5), interval_oracle, (2, 12), ScaleSequence((2,)))]
+POSITIVE_MESH_PINS = (
+    "2613f5a21f204d87c3fff218376f0146ac73fcaf4eb35f44c4891576e85f859d",
+    "c5c55c98985a7d61e0162d9af770763ce78719a19c5720052411b12488c3cd8f",
+)
+
+
+class TestPositiveMeshPin:
+    """A free-product pin with positive base mesh and heavy letters, where
+    the exact- and greedy-oracle pins have mesh 0."""
+
+    def test_the_v_family_mesh_bound_is_met_with_equality(self):
+        [(X, oracle, (m, L), s)] = POSITIVE_MESH_CASE
+        win = fp_window(X, m, L)
+        vf = build_v_families(oracle(X), s, win)
+        assert vf.R_star == 2 and vf.bounds == [1, 1, 0] and vf.certificate.ok
+        assert max(set_diameter(win.space, u) for u in vf.families[0].sets) == 1
+        res = free_product_cover(oracle(X), s, win)
+        assert verify_apc_witness(win.space, s, res.witness,
+                                  require_cover_of=res.reduced_points).ok
+        assert (len(win.words), len(res.reduced_points)) == (31, 25)
+
+    def test_cover(self):
+        assert cases_cover_digest(POSITIVE_MESH_CASE) == POSITIVE_MESH_PINS[0]
+
+    def test_v_families(self):
+        assert cases_v_families_digest(POSITIVE_MESH_CASE) == POSITIVE_MESH_PINS[1]
 
 
 def brute_window_words(X, m, L):
@@ -912,9 +956,9 @@ class TestCoreConeTree:
         assert rep.flat and rep.core == core
         assert (rep.artifacts, rep.hard_failures) == core_reach_failures(win, C, M, R, D, margin)
         assert rep.core_diameter == set_diameter(win.space, core)
-        cone = cone_window(win, core, rep.radius)
+        cone = cone_window(win, core, cone_radius(M, R, D))
         for r in (0, Fraction(1, 2), 1, 2):
-            want, _ = cone_cover(win, core, rep.radius, r)
+            want, _ = cone_cover(win, core, cone_radius(M, R, D), r)
             assert prefix_cover(win, core, cone, -(-r // win.E) + 3) == want
 
     @given(flat_components())
@@ -960,7 +1004,7 @@ class TestCoreConeTree:
         rep = component_core(win, {w(A, B), w(B, A)}, 1, 0, 0)
         assert not rep.flat and rep.core_diameter is None
         with pytest.raises(InputError, match="flat"):
-            qi_check(win, rep.core, rep.radius)
+            qi_check(win, rep.core, 1)
 
     @pytest.mark.parametrize("base_name, m, L, prefix", [
         ("xab", 3, 9, (1,)), ("xab", 3, 9, (1, 1, 2)), ("interval", 3, 6, (1, 2)),
@@ -992,6 +1036,7 @@ class TestCoreConeTree:
 
         counted("cone_window")
         counted("set_diameter")
+        counted("verify_apc_witness")
         counted("component_core", reports)
         real_cover, real_init = trees.tree_cover, trees.RootedTree.__init__
         monkeypatch.setattr(trees, "tree_cover",
@@ -1006,7 +1051,9 @@ class TestCoreConeTree:
         assert counts["cone_window"] == len(vf)
         assert counts["tree_cover"] == counts["RootedTree"] == 0
         assert not hasattr(freeprod, "tree_cover") and not hasattr(freeprod, "cone_tree")
-        assert counts["set_diameter"] == sum(len(fam.sets) for fam in vf) + flat
+        # the V-family members' diameters are the verifier's, run once
+        assert counts["set_diameter"] == flat
+        assert counts["verify_apc_witness"] == 1
 
     @pytest.mark.parametrize("hi, prefix", [(3, (2,)), (5, (2,)), (5, (3,))])
     def test_a_family_bound_holds_each_components_own_bound(self, monkeypatch, hi, prefix):
@@ -1032,7 +1079,8 @@ class TestCoreConeTree:
             reports.clear()
             for U in fam.sets:
                 cover(U)
-            trees = [cone_tree(win, rep.core, rep.radius) for rep in reports if rep.flat]
+            radius = cone_radius(hyp.M, R, hyp.vf.bounds[i - 1])
+            trees = [cone_tree(win, rep.core, radius) for rep in reports if rep.flat]
             assert all(cone_tree_cover(tree, max(R, 0))[1] <= bound for tree in trees)
             positive += bool(trees) and hyp.vf.bounds[i - 1] > 0
         assert positive

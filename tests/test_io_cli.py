@@ -459,6 +459,27 @@ class TestCli:
         assert cli_main([a.format(**files) for a in argv]) == 2
         assert capsys.readouterr().err.startswith("input error:")
 
+    @pytest.mark.parametrize("bad", [
+        # generator integers are read exactly: no truncation, no bools
+        {"metric": {"kind": "generator", "spec": {"kind": "grid", "shape": [2.5, True]}}},
+        {"metric": {"kind": "generator", "spec": {"kind": "grid", "shape": [2, True]}}},
+        {"metric": {"kind": "generator", "spec": {"kind": "interval", "lo": 0, "hi": 9.9}}},
+        {"metric": {"kind": "generator", "spec": {"kind": "path", "n": "7/2"}}},
+        # no field is ignored: each metric kind takes its own, each spec kind its own
+        {"points": [0, 1], "metric": {"kind": "matrix", "rows": [[0, 1], [1, 0]],
+                                      "spec": {"kind": "path", "n": 2}}},
+        {"metric": {"kind": "generator", "rows": [], "spec": {"kind": "path", "n": 3}}},
+        {"metric": {"kind": "generator", "spec": {"kind": "interval", "lo": 0, "hi": 3,
+                                                  "step": 2}}},
+        {"metric": {"kind": "generator", "spec": {"kind": ["interval"], "lo": 0, "hi": 3}}},
+        {"metric": {"kind": ["matrix"]}},
+    ])
+    def test_space_file_read_exactly_and_whole_exit_2(self, tmp_path, capsys, bad):
+        p = tmp_path / "bad.json"
+        fio.write_file(str(p), bad)
+        assert cli_main(["space", "validate", "--in", str(p)]) == 2
+        assert capsys.readouterr().err.startswith("input error:")
+
     @pytest.mark.parametrize("argv, flag", [
         (["cover", "verify", "--space", "{iv}", "--witness", "{w}"], ["--seed", "5"]),
         (["tree-cover", "--tree", "{tree}", "--r", "1"], ["--cap", "3"]),

@@ -707,6 +707,10 @@ class TestGenerators:
         ):
             space = generate_space(spec)
             assert validate_metric(space).valid
+        # integral strings and floats are integers (others exit 2, see test_io_cli)
+        assert generate_space({"kind": "path", "n": "7"}).point_set == set(range(7))
+        assert generate_space({"kind": "interval", "lo": 0, "hi": 1000.0}).point_set == set(
+            range(1001))
 
     def test_generator_cap(self):
         with pytest.raises(InputError):
